@@ -15,22 +15,6 @@ from . import calibration, grasp, physics, runner, scenario, sensors
 from .errors import SofthandError
 
 
-def _read_csv_columns(path, required: tuple[str, ...]) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise SofthandError(f"{path}: missing columns {missing} (header: {header})")
-    out = {}
-    for name in header:
-        idx = header.index(name)
-        out[name] = np.array([row[idx] for row in rows], dtype=float)
-    if not rows:
-        raise SofthandError(f"{path}: no data rows")
-    return out
-
-
 def _resolve_warmup(columns: dict[str, np.ndarray], flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
@@ -63,7 +47,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_calibrate_pressure_curvature(args) -> int:
-    columns = _read_csv_columns(args.csv, ("pressure_pa", "kappa_per_m"))
+    columns = runner.read_csv(args.csv, ("pressure_pa", "kappa_per_m"))
     warmup = _resolve_warmup(columns, args.warmup_cycles)
     data = calibration.CalibrationData(pressures=columns["pressure_pa"],
                                        curvatures=columns["kappa_per_m"],
@@ -83,7 +67,7 @@ def _cmd_calibrate_pressure_curvature(args) -> int:
 
 
 def _cmd_calibrate_strain_resistance(args) -> int:
-    columns = _read_csv_columns(args.csv, ("strain", "resistance_ohm"))
+    columns = runner.read_csv(args.csv, ("strain", "resistance_ohm"))
     warmup = _resolve_warmup(columns, args.warmup_cycles)
     if warmup < calibration.WARMUP_CYCLES_REQUIRED:
         raise SofthandError(
@@ -128,9 +112,7 @@ def _cmd_figure(args) -> int:
     columns = runner.read_telemetry(args.telemetry)
     rows = runner.emit_figure_data(columns, args.kind, out=args.out)
     if args.out is None:
-        sys.stdout.write(",".join(runner.FIGURE_KINDS[args.kind]) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(runner._format_value(v) for v in row) + "\n")
+        runner.write_csv(sys.stdout, runner.FIGURE_KINDS[args.kind], rows)
     else:
         print(f"{args.kind}: {len(rows)} rows -> {args.out}")
     return 0

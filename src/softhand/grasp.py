@@ -41,7 +41,6 @@ class PhaseOrbit:
     t: np.ndarray
     pressure: np.ndarray
     strain: np.ndarray
-    complete: bool = False
 
     @classmethod
     def from_arrays(cls, t, pressure, strain) -> "PhaseOrbit":
@@ -52,14 +51,7 @@ class PhaseOrbit:
             raise DomainError("t, pressure and strain must have equal length")
         if t.size >= 2 and np.any(np.diff(t) <= 0.0):
             raise DomainError("sample times must be strictly increasing")
-        complete = False
-        if t.size >= MIN_SAMPLES:
-            peak = int(np.argmax(pressure))
-            # Covers inflate and deflate: the peak is interior and the orbit
-            # returns near its starting pressure.
-            complete = (0 < peak < t.size - 1
-                        and pressure[-1] - pressure[0] < 0.2 * (pressure[peak] - pressure[0]))
-        return cls(t=t, pressure=pressure, strain=strain, complete=complete)
+        return cls(t=t, pressure=pressure, strain=strain)
 
     @property
     def n(self) -> int:

@@ -118,11 +118,10 @@ class PneumaticCircuit:
 
 @dataclass(frozen=True)
 class RigidObject:
-    """Rigid cylinder in the finger workspace. position is a bookkeeping offset (m)."""
+    """Rigid cylinder in the finger workspace."""
 
     radius: float
     mass: float = 0.0
-    position: float = 0.0
 
     def __post_init__(self):
         if not (self.radius > 0.0):
@@ -167,8 +166,6 @@ def step(state: ActuatorState, params: ActuatorParams, circuit: PneumaticCircuit
     """
     _check_dt(dt)
     valves = circuit.valves[valve_index]
-    if valves.inlet and valves.vent:
-        raise CircuitError("inlet and vent open simultaneously")
     if math.isnan(state.pressure) or not (0.0 <= state.pressure <= params.p_max):
         raise DomainError(f"state pressure {state.pressure} outside [0, {params.p_max}]")
     if math.isnan(state.curvature) or state.curvature < 0.0:
@@ -226,6 +223,6 @@ def hand_step(states: tuple[ActuatorState, ...], params: tuple[ActuatorParams, .
         try:
             out.append(step(states[i], params[i], circuit, objects[i], dt,
                             valve_index=i, fill_scale=fill_scale))
-        except (DomainError, CircuitError) as exc:
+        except DomainError as exc:
             raise type(exc)(f"finger {i}: {exc}") from exc
     return tuple(out)

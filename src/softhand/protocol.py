@@ -18,7 +18,6 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError, EncodeError
 from .rand import DeterministicRng
@@ -86,42 +85,6 @@ def encode(frame: Frame) -> bytes:
     return bytes([SYNC]) + body + bytes([crc8(body)])
 
 
-class DecodeStatus(Enum):
-    FRAME = "frame"
-    NEED_MORE = "need-more-bytes"
-    RESYNC = "resync"
-
-
-def try_parse(buf: bytes | bytearray, cursor: int = 0) -> tuple[DecodeStatus, Frame | None, int]:
-    """One incremental parse step at ``cursor``.
-
-    Returns (status, frame-or-None, next cursor). RESYNC means one byte was
-    discarded (bad sync, implausible length, bad id, or CRC mismatch);
-    NEED_MORE means the buffer ends inside a potential frame.
-    """
-    n = len(buf)
-    if cursor >= n:
-        return DecodeStatus.NEED_MORE, None, cursor
-    if buf[cursor] != SYNC:
-        return DecodeStatus.RESYNC, None, cursor + 1
-    if n - cursor < _MIN_FRAME:
-        return DecodeStatus.NEED_MORE, None, cursor
-    length = buf[cursor + 1]
-    if length > MAX_PAYLOAD:
-        return DecodeStatus.RESYNC, None, cursor + 1
-    total = _MIN_FRAME + length
-    if n - cursor < total:
-        return DecodeStatus.NEED_MORE, None, cursor
-    body = bytes(buf[cursor + 1:cursor + _HEADER_LEN + length])
-    if crc8(body) != buf[cursor + _HEADER_LEN + length]:
-        return DecodeStatus.RESYNC, None, cursor + 1
-    actuator_id = body[2]
-    if actuator_id > MAX_ACTUATOR_ID and actuator_id != BROADCAST_ID:
-        return DecodeStatus.RESYNC, None, cursor + 1
-    frame = Frame(command=body[1], actuator_id=actuator_id, payload=body[3:])
-    return DecodeStatus.FRAME, frame, cursor + total
-
-
 class FrameDecoder:
     """Streaming decoder with diagnostics counters. Accepts any byte garbage."""
 
@@ -132,6 +95,10 @@ class FrameDecoder:
         self.bytes_skipped = 0
 
     def feed(self, data: bytes) -> list[Frame]:
+        """Append bytes and return every valid frame now complete.
+
+        A buffer that ends inside a potential frame keeps it for the next feed.
+        """
         self._buf += data
         buf = self._buf
         frames: list[Frame] = []

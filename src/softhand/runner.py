@@ -18,6 +18,9 @@ Telemetry columns (one row per finger per tick):
   fsm_mode         controller mode name
   inlet, vent      commanded valve states (0/1)
   contact_force_n  true contact normal force (0 when free)
+
+This module owns the CSV format: ``write_csv`` and ``read_csv`` are its only
+writer and reader, for telemetry, figure data and calibration samples alike.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ from .units import STANDARD_GRAVITY
 TELEMETRY_COLUMNS = ("t_s", "finger", "pressure_pa", "curvature_per_m", "strain",
                      "strain_counts", "pressure_counts", "fsm_mode", "inlet", "vent",
                      "contact_force_n")
+# Every column not named here is float, in telemetry and calibration CSVs alike.
+_COLUMN_DTYPES = {"finger": int, "strain_counts": int, "pressure_counts": int,
+                  "inlet": int, "vent": int, "fsm_mode": object}
 
 FIGURE_KINDS = {
     "pressure_curvature": ("finger", "pressure_pa", "curvature_per_m"),
@@ -60,7 +66,6 @@ class HandDevice:
         self._stream_period_ms: list[int | None] = [None] * n_fingers
         self._last_stream_ms: list[int] = [0] * n_fingers
         self._state_requests: set[int] = set()
-        self.applied: list[tuple[float, int, str]] = []
 
     def _finger_ids(self, actuator_id: int) -> range:
         if actuator_id == protocol.BROADCAST_ID:
@@ -89,7 +94,6 @@ class HandDevice:
                     fsms[idx] = controller.apply_command(
                         fsms[idx], command, t, self.config,
                         self.pressure_deadband, self.curvature_deadband)
-                self.applied.append((t, idx, type(command).__name__))
             self.fsms = tuple(fsms)
 
     def tick(self, frames: list[sensors.SensorFrame],
@@ -128,17 +132,17 @@ class RunResult:
     wire_telemetry_count: int = 0
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
+def write_csv(fh, header, rows) -> None:
+    """The one CSV writer: a header line, then one line per row, floats as ``.10g``."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(format(v, ".10g") if isinstance(v, float) else str(v)
+                          for v in row) + "\n")
 
 
 def write_telemetry_csv(rows: list[tuple], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TELEMETRY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
+        write_csv(fh, TELEMETRY_COLUMNS, rows)
 
 
 def write_events_jsonl(events: list[dict], path) -> None:
@@ -268,38 +272,44 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
 
 # --- telemetry consumption --------------------------------------------------
 
+def rows_to_columns(rows: list[tuple], header=TELEMETRY_COLUMNS) -> dict[str, np.ndarray]:
+    """Rows (tuples, or string fields split from a CSV) into one typed array per column."""
+    columns: dict[str, np.ndarray] = {}
+    for i, name in enumerate(header):
+        try:
+            columns[name] = np.array([row[i] for row in rows],
+                                     dtype=_COLUMN_DTYPES.get(name, float))
+        except ValueError as exc:
+            raise DomainError(f"column {name!r}: {exc}") from None
+    return columns
+
+
+def read_csv(path, required) -> dict[str, np.ndarray]:
+    """CSV file back into typed column arrays; malformed input raises DomainError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not a UTF-8 text file ({exc})") from None
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise DomainError(f"{path}: missing columns {missing} (header: {header})")
+    if not rows:
+        raise DomainError(f"{path}: no data rows")
+    for n, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise DomainError(f"{path}: data row {n} has {len(row)} fields, "
+                              f"the header has {len(header)}")
+    try:
+        return rows_to_columns(rows, header)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+
+
 def read_telemetry(path) -> dict[str, np.ndarray]:
     """Telemetry CSV back into column arrays (fsm_mode stays as strings)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        raw: list[list[str]] = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    missing = [c for c in TELEMETRY_COLUMNS if c not in header]
-    if missing:
-        raise DomainError(f"telemetry file {path} is missing columns: {missing}")
-    columns: dict[str, np.ndarray] = {}
-    for name in header:
-        idx = header.index(name)
-        values = [row[idx] for row in raw]
-        if name == "fsm_mode":
-            columns[name] = np.array(values, dtype=object)
-        elif name in ("finger", "strain_counts", "pressure_counts", "inlet", "vent"):
-            columns[name] = np.array(values, dtype=int)
-        else:
-            columns[name] = np.array(values, dtype=float)
-    return columns
-
-
-def rows_to_columns(rows: list[tuple]) -> dict[str, np.ndarray]:
-    columns = {}
-    for i, name in enumerate(TELEMETRY_COLUMNS):
-        values = [row[i] for row in rows]
-        if name == "fsm_mode":
-            columns[name] = np.array(values, dtype=object)
-        elif name in ("finger", "strain_counts", "pressure_counts", "inlet", "vent"):
-            columns[name] = np.array(values, dtype=int)
-        else:
-            columns[name] = np.array(values, dtype=float)
-    return columns
+    return read_csv(path, TELEMETRY_COLUMNS)
 
 
 def orbit_from_telemetry(columns: dict[str, np.ndarray], finger: int) -> PhaseOrbit:
@@ -319,11 +329,8 @@ def emit_figure_data(columns: dict[str, np.ndarray], which: str, out=None) -> li
     missing = [c for c in wanted if c not in columns]
     if missing:
         raise DomainError(f"telemetry is missing columns {missing} needed for {which!r}")
-    n = len(columns["finger"])
-    rows = [tuple(columns[c][i] for c in wanted) for i in range(n)]
+    rows = list(zip(*(columns[c] for c in wanted)))
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(wanted) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_value(v) for v in row) + "\n")
+            write_csv(fh, wanted, rows)
     return rows

@@ -61,8 +61,7 @@ class ScenarioObject:
     fingers: tuple[int, ...]
 
     def to_rigid_object(self) -> physics.RigidObject:
-        return physics.RigidObject(radius=self.radius_m, mass=self.mass_kg,
-                                   position=self.position_m)
+        return physics.RigidObject(radius=self.radius_m, mass=self.mass_kg)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,20 @@ class TestCalibrateVerbs:
         assert run_cli("calibrate", "strain-resistance", str(csv),
                        "--warmup-cycles", "10") == 2
 
+    @pytest.mark.parametrize("body, names", [
+        (b"32000,1.0\n34000,abc\n", "'kappa_per_m'"),
+        (b"32000,1.0\n34000\n", "data row 2"),
+        (b"", "no data rows"),
+        (b"32000,1.0\n34000,\xff\n", "UTF-8"),
+    ], ids=["non_numeric_cell", "short_row", "header_only", "not_utf8"])
+    def test_malformed_csv_exits_2(self, tmp_path, capsys, body, names):
+        csv = tmp_path / "pk.csv"
+        csv.write_bytes(b"pressure_pa,kappa_per_m\n" + body)
+        assert run_cli("calibrate", "pressure-curvature", str(csv),
+                       "--warmup-cycles", "12") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(csv) in err and names in err
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -156,6 +170,32 @@ class TestGraspAndFigureVerbs:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header == "finger,t_s,pressure_pa,strain"
+
+    def test_figure_stdout_matches_file(self, run_dir, tmp_path, capsys):
+        telemetry = str(run_dir / "empty_grasp_telemetry.csv")
+        out = tmp_path / "orbit.csv"
+        assert run_cli("figure", telemetry, "--kind", "phase_orbit", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("figure", telemetry, "--kind", "phase_orbit") == 0
+        assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize("edit, names", [
+        (lambda row: row.replace(",Idle,0,", ",Idle,on,"), "'inlet'"),
+        (lambda row: row.rsplit(",", 1)[0], "data row 5"),
+        (None, "no data rows"),
+    ], ids=["non_numeric_cell", "short_row", "header_only"])
+    def test_malformed_telemetry_exits_2(self, run_dir, tmp_path, capsys, edit, names):
+        lines = (run_dir / "cylinder_r74mm_telemetry.csv").read_text().splitlines()
+        lines = lines[:5] + [edit(lines[5])] + lines[6:] if edit else lines[:1]
+        bad = tmp_path / "bad_telemetry.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli("grasp", "classify", str(bad),
+                       "--reference", str(run_dir / "empty_grasp_telemetry.csv"))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(bad) in captured.err
+        assert names in captured.err
 
     def test_figure_to_stdout(self, run_dir, capsys):
         code = run_cli("figure", str(run_dir / "empty_grasp_telemetry.csv"),

@@ -38,13 +38,6 @@ class TestPhaseOrbit:
         with pytest.raises(DomainError):
             PhaseOrbit.from_arrays([0.0, 0.1], [0, 1, 2], [0, 0, 0])
 
-    def test_complete_flag_requires_deflate_branch(self):
-        t = np.arange(0.0, 10.0, 0.01)
-        up = np.minimum(t, 5.0)
-        updown = np.minimum(t, 5.0) - np.maximum(t - 5.0, 0.0) * 0.98
-        assert not PhaseOrbit.from_arrays(t, up, up).complete
-        assert PhaseOrbit.from_arrays(t, updown, updown).complete
-
     def test_signed_area_orientation(self):
         # Counterclockwise rectangle in (pressure, strain).
         p = np.array([0.0, 1.0, 1.0, 0.0])
@@ -252,7 +245,6 @@ class TestOnSimulator:
     def test_simulated_empty_orbit_counterclockwise(self, telemetry):
         for finger in range(3):
             orbit = runner.orbit_from_telemetry(telemetry["empty_grasp"], finger)
-            assert orbit.complete
             assert orbit_signed_area(orbit) > 0.0
 
     def test_monotone_attenuation_across_radii(self, telemetry):

@@ -5,8 +5,8 @@ import pytest
 
 from softhand import controller, protocol, sensors
 from softhand.errors import DomainError, EncodeError
-from softhand.protocol import (BROADCAST_ID, CMD_STOP, CMD_VENT, DecodeStatus, Frame,
-                               FrameDecoder, SimulatedBus, crc8, encode, try_parse)
+from softhand.protocol import (BROADCAST_ID, CMD_STOP, CMD_VENT, Frame, FrameDecoder,
+                               SimulatedBus, crc8, encode)
 
 
 def crc8_reference(data, poly=0x07, init=0x00):
@@ -71,13 +71,15 @@ class TestEncode:
 
 class TestDecode:
     def test_empty_input_needs_more(self):
-        assert try_parse(b"", 0) == (DecodeStatus.NEED_MORE, None, 0)
+        assert FrameDecoder().feed(b"") == []
 
     def test_partial_frame_needs_more(self):
         wire = encode(Frame(command=CMD_STOP, actuator_id=2))
         for cut in range(1, len(wire)):
-            status, frame, cursor = try_parse(wire[:cut], 0)
-            assert status is DecodeStatus.NEED_MORE and frame is None
+            decoder = FrameDecoder()
+            assert decoder.feed(wire[:cut]) == []
+            assert len(decoder._buf) == cut  # held whole, awaiting the rest
+            assert decoder.bytes_skipped == 0 and decoder.crc_errors == 0
 
     def test_garbage_prefix_skipped(self):
         wire = bytes([0x01, 0x02, 0x03]) + encode(Frame(command=CMD_STOP, actuator_id=2))
@@ -104,10 +106,15 @@ class TestDecode:
         assert frames == [Frame(command=CMD_STOP, actuator_id=0)]
 
     def test_frame_split_across_feeds(self):
-        wire = encode(Frame(command=CMD_STOP, actuator_id=3))
-        decoder = FrameDecoder()
-        assert decoder.feed(wire[:2]) == []
-        assert decoder.feed(wire[2:]) == [Frame(command=CMD_STOP, actuator_id=3)]
+        # Every cut point: the partial frame is kept whole, never skipped.
+        frame = Frame(command=protocol.CMD_SET_PRESSURE_TARGET, actuator_id=3,
+                      payload=struct.pack("<H", 5516))
+        wire = encode(frame)
+        for cut in range(1, len(wire)):
+            decoder = FrameDecoder()
+            assert decoder.feed(wire[:cut]) == []
+            assert decoder.feed(wire[cut:]) == [frame]
+            assert decoder.bytes_skipped == 0 and decoder.crc_errors == 0
 
     def test_back_to_back_frames(self):
         frames = [Frame(command=CMD_STOP, actuator_id=i) for i in range(4)]

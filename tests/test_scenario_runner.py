@@ -145,9 +145,13 @@ class TestTelemetryAndEvents:
         runner.write_telemetry_csv(res.rows, path)
         cols = runner.read_telemetry(path)
         mem = runner.rows_to_columns(res.rows)
-        assert np.array_equal(cols["finger"], mem["finger"])
-        assert np.allclose(cols["pressure_pa"], mem["pressure_pa"], rtol=1e-9)
-        assert list(cols["fsm_mode"]) == list(mem["fsm_mode"])
+        assert list(cols) == list(runner.TELEMETRY_COLUMNS)
+        for name in runner.TELEMETRY_COLUMNS:
+            assert cols[name].dtype == mem[name].dtype, name
+            if mem[name].dtype.kind == "f":
+                assert np.allclose(cols[name], mem[name], rtol=1e-9, atol=0.0), name
+            else:
+                assert list(cols[name]) == list(mem[name]), name
 
     def test_missing_column_detected(self, tmp_path):
         path = tmp_path / "bad.csv"
