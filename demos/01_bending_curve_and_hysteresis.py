@@ -27,13 +27,13 @@ def main():
         print(f"  {p_kpa:6.1f} kPa -> kappa {kappa:6.2f} 1/m   bend radius {radius}")
 
     # Slow fill then vent; curvature lags the line, tracing a loop.
-    inlet = physics.PneumaticCircuit(valves=(physics.ValvePair(inlet=True),))
-    vent = physics.PneumaticCircuit(valves=(physics.ValvePair(vent=True),))
+    inlet = physics.ValvePair(inlet=True)
+    vent = physics.ValvePair(vent=True)
     state = physics.ActuatorState()
     rows = []
-    for circuit, seconds in ((inlet, 6.0), (vent, 10.0)):
+    for valves, seconds in ((inlet, 6.0), (vent, 10.0)):
         for k in range(round(seconds / 1e-3)):
-            state = physics.step(state, params, circuit)
+            state = physics.step(state, params, valves)
             if k % 50 == 0:
                 rows.append((state.pressure, state.curvature,
                              physics.steady_state_curvature(state.pressure, params)))

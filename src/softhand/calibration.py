@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import controller, physics, sensors
-from .errors import DomainError, FitError, WarmupError
+from .errors import FitError, WarmupError
 from .rand import DeterministicRng
 from .units import PSI_TO_PA
 
@@ -199,9 +199,8 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     state = physics.ActuatorState()
     fsm = controller.FsmState()
     tick = config.tick_period_s
-    n_sub = round(tick / dt)
-    if n_sub < 1 or abs(tick - n_sub * dt) > 1e-12:
-        raise DomainError(f"tick period {tick} must be an integer multiple of dt {dt}")
+    n_sub = physics.substeps(tick, dt)
+    circuit = physics.PneumaticCircuit()
     p_out, k_out = [], []
     t = 0.0
     for level in levels_pa:
@@ -211,10 +210,9 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
             frame = sensors.measure(state.pressure, state.curvature, chain, t, rng)
             reading = sensors.counts_to_physical(frame, chain, cal)
             measured = controller.Measurement(reading.pressure, reading.curvature)
-            fsm, valve = controller.fsm_tick(fsm, measured, t, config)
-            circuit = physics.PneumaticCircuit(valves=(physics.ValvePair(valve.inlet, valve.vent),))
+            fsm, valves = controller.fsm_tick(fsm, measured, t, config)
             for _ in range(n_sub):
-                state = physics.step(state, params, circuit, dt=dt)
+                state = physics.step(state, params, valves, dt=dt, circuit=circuit)
             t += tick
             if fsm.mode is controller.Mode.FAULT:
                 raise FitError(f"calibration servo faulted at level {level} Pa")

@@ -8,7 +8,9 @@ reached its target within the timeout, or any overpressure reading, drops
 into an absorbing Fault state that forces the vent open until reset.
 
 fsm_tick is a pure function of (state, measurement, time); ticking six
-fingers sequentially or in parallel gives identical results.
+fingers sequentially or in parallel gives identical results. Its valve output
+is a physics.ValvePair, the plant's own input type, whose constructor
+rejects inlet and vent open together.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import protocol
+from . import physics, protocol
 from .errors import ConfigError, DomainError
 from .units import PSI_TO_PA
 
@@ -75,12 +77,6 @@ class FsmState:
 
 
 @dataclass(frozen=True)
-class ValveCommand:
-    inlet: bool = False
-    vent: bool = False
-
-
-@dataclass(frozen=True)
 class Measurement:
     pressure: float
     curvature: float
@@ -103,14 +99,14 @@ class ControllerConfig:
             raise ConfigError("reengage_factor must be >= 1")
 
 
-_CLOSED = ValveCommand(False, False)
-_VENT_OPEN = ValveCommand(False, True)
-_INLET_OPEN = ValveCommand(True, False)
+_CLOSED = physics.ValvePair(False, False)
+_VENT_OPEN = physics.ValvePair(False, True)
+_INLET_OPEN = physics.ValvePair(True, False)
 
 
 def fsm_tick(fsm: FsmState, measured: Measurement, t: float,
-             config: ControllerConfig = ControllerConfig()) -> tuple[FsmState, ValveCommand]:
-    """One control tick: returns (next FSM state, valve command).
+             config: ControllerConfig = ControllerConfig()) -> tuple[FsmState, physics.ValvePair]:
+    """One control tick: returns (next FSM state, valves for the plant).
 
     Never commands inlet and vent together. Faults are states, not errors:
     overpressure or servo timeout forces Fault (vent open) within this tick.
@@ -222,16 +218,16 @@ def apply_command(fsm: FsmState, command: "protocol.Command", t: float,
 
 def hand_controller_tick(fsms: tuple[FsmState, ...], measurements: tuple[Measurement, ...],
                          t: float, config: ControllerConfig = ControllerConfig()
-                         ) -> tuple[tuple[FsmState, ...], tuple[ValveCommand, ...]]:
+                         ) -> tuple[tuple[FsmState, ...], tuple[physics.ValvePair, ...]]:
     """Tick every finger in index order. State is fully per-finger isolated."""
     if len(fsms) > MAX_ACTUATORS:
         raise ConfigError(f"at most {MAX_ACTUATORS} actuators supported, got {len(fsms)}")
     if len(fsms) != len(measurements):
         raise ConfigError(f"{len(fsms)} FSMs but {len(measurements)} measurements")
     next_fsms = []
-    commands = []
+    valves = []
     for fsm, measured in zip(fsms, measurements):
-        nf, cmd = fsm_tick(fsm, measured, t, config)
+        nf, valve = fsm_tick(fsm, measured, t, config)
         next_fsms.append(nf)
-        commands.append(cmd)
-    return tuple(next_fsms), tuple(commands)
+        valves.append(valve)
+    return tuple(next_fsms), tuple(valves)

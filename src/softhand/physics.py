@@ -6,6 +6,11 @@ curvature lags a piecewise-linear steady-state curve with a first-order
 viscoelastic time constant. A rigid cylindrical object caps the curvature at
 1/radius and converts the blocked bending into contact force.
 
+The plant's input is one ValvePair per finger, the same type the valve FSM
+returns, so a closed loop hands the controller's output straight to step or
+hand_step. PneumaticCircuit holds only what is fixed for a whole run: the
+pump pressure and whether the fingers share its flow.
+
 Units: gauge Pa, 1/m, N, s. Integration is explicit Euler; the time
 constants are >= 0.1 s so any dt <= 10 ms has a wide stability margin.
 """
@@ -20,7 +25,6 @@ from .units import PSI_TO_PA
 
 DEFAULT_DT = 1e-3
 MAX_DT = 10e-3
-CONTACT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,20 +71,16 @@ class ActuatorParams:
 
 
 @dataclass(frozen=True)
-class Contact:
-    """Active contact with a rigid object: curvature cap (1/m) and normal force (N)."""
-
-    object_curvature_limit: float
-    normal_force: float
-
-
-@dataclass(frozen=True)
 class ActuatorState:
-    """Instantaneous physical truth of one finger."""
+    """Instantaneous physical truth of one finger.
+
+    contact_force is the normal force (N) the finger presses on a rigid
+    object; it is 0 while the finger bends freely.
+    """
 
     pressure: float = 0.0
     curvature: float = 0.0
-    contact: Contact | None = None
+    contact_force: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -97,18 +97,15 @@ class ValvePair:
 
 @dataclass(frozen=True)
 class PneumaticCircuit:
-    """Shared pump plus one valve pair per actuator.
+    """The shared pump: constant for a whole run, built once per run.
 
-    atmosphere_offset is the slow ambient-pressure drift (Pa) seen by the
-    analog sensors; it does not act on the chamber dynamics, which are in
-    gauge terms already. With share_pump_flow set, the pump's flow divides
-    evenly among simultaneously filling fingers (slower fills, same
-    endpoints); by default the fingers fill independently.
+    With share_pump_flow set, the pump's flow divides evenly among
+    simultaneously filling fingers (slower fills, same endpoints); by default
+    the fingers fill independently. The valves are not part of the circuit:
+    step and hand_step take them per tick.
     """
 
     pump_pressure: float = 10.0 * PSI_TO_PA
-    valves: tuple[ValvePair, ...] = (ValvePair(),)
-    atmosphere_offset: float = 0.0
     share_pump_flow: bool = False
 
     def __post_init__(self):
@@ -121,13 +118,10 @@ class RigidObject:
     """Rigid cylinder in the finger workspace."""
 
     radius: float
-    mass: float = 0.0
 
     def __post_init__(self):
         if not (self.radius > 0.0):
             raise DomainError(f"radius must be > 0, got {self.radius}")
-        if self.mass < 0.0:
-            raise DomainError(f"mass must be >= 0, got {self.mass}")
 
 
 def steady_state_curvature(p: float, params: ActuatorParams) -> float:
@@ -151,21 +145,30 @@ def _check_dt(dt: float) -> None:
         raise DomainError(f"dt {dt} exceeds the {MAX_DT} s explicit-integration contract")
 
 
-def step(state: ActuatorState, params: ActuatorParams, circuit: PneumaticCircuit,
+def substeps(tick: float, dt: float) -> int:
+    """Physics steps per control tick; tick must be an integer multiple of dt."""
+    _check_dt(dt)
+    n_sub = round(tick / dt)
+    if n_sub < 1 or abs(tick - n_sub * dt) > 1e-12:
+        raise DomainError(f"tick ({tick} s) must be an integer multiple of dt ({dt} s)")
+    return n_sub
+
+
+def step(state: ActuatorState, params: ActuatorParams, valves: ValvePair,
          obj: RigidObject | None = None, dt: float = DEFAULT_DT,
-         valve_index: int = 0, fill_scale: float = 1.0) -> ActuatorState:
-    """Advance one finger by dt seconds.
+         circuit: PneumaticCircuit = PneumaticCircuit(),
+         fill_scale: float = 1.0) -> ActuatorState:
+    """Advance one finger by dt seconds with the given valves.
 
     Pressure: dP/dt = k_fill*(pump - P) with the inlet open, -k_vent*P with
     the vent open, 0 sealed; clamped to [0, p_max]. fill_scale < 1 models the
     pump's flow splitting across several simultaneously filling fingers.
 
     Curvature: first-order relaxation toward min(steady-state curvature,
-    object cap). While the steady-state curvature exceeds the cap the finger
-    squeezes instead of bending: normal force = force_gain * (kappa_ss - cap).
+    object cap). While the steady-state curvature reaches the cap the finger
+    squeezes instead of bending: contact force = force_gain * (kappa_ss - cap).
     """
     _check_dt(dt)
-    valves = circuit.valves[valve_index]
     if math.isnan(state.pressure) or not (0.0 <= state.pressure <= params.p_max):
         raise DomainError(f"state pressure {state.pressure} outside [0, {params.p_max}]")
     if math.isnan(state.curvature) or state.curvature < 0.0:
@@ -180,28 +183,28 @@ def step(state: ActuatorState, params: ActuatorParams, circuit: PneumaticCircuit
         dpdt = 0.0
     p_new = min(max(p + dt * dpdt, 0.0), params.p_max)
 
-    kappa_free = steady_state_curvature(p_new, params)
-    kappa_target = kappa_free
-    contact = None
-    if obj is not None:
+    kappa_target = steady_state_curvature(p_new, params)
+    cap = math.inf
+    force = 0.0
+    if obj is not None and kappa_target >= 1.0 / obj.radius:
         cap = 1.0 / obj.radius
-        if kappa_free >= cap:
-            kappa_target = cap
-            contact = Contact(cap, params.force_gain * (kappa_free - cap))
+        force = params.force_gain * (kappa_target - cap)
+        kappa_target = cap
 
     tau = params.tau_inflate if kappa_target > state.curvature else params.tau_deflate
     kappa_new = state.curvature + dt * (kappa_target - state.curvature) / tau
-    if contact is not None and kappa_new > contact.object_curvature_limit:
-        kappa_new = contact.object_curvature_limit
+    if kappa_new > cap:
+        kappa_new = cap
     if kappa_new < 0.0:
         kappa_new = 0.0
-    return ActuatorState(p_new, kappa_new, contact)
+    return ActuatorState(p_new, kappa_new, force)
 
 
 def hand_step(states: tuple[ActuatorState, ...], params: tuple[ActuatorParams, ...],
-              circuit: PneumaticCircuit, objects: tuple[RigidObject | None, ...],
-              dt: float = DEFAULT_DT) -> tuple[ActuatorState, ...]:
-    """Advance every finger of the claw by dt.
+              valves: tuple[ValvePair, ...], objects: tuple[RigidObject | None, ...],
+              dt: float = DEFAULT_DT,
+              circuit: PneumaticCircuit = PneumaticCircuit()) -> tuple[ActuatorState, ...]:
+    """Advance every finger of the claw by dt, finger i with valves[i].
 
     Fingers are dynamically independent (a shared object constrains each
     contacting finger separately); with circuit.share_pump_flow the fill
@@ -209,20 +212,20 @@ def hand_step(states: tuple[ActuatorState, ...], params: tuple[ActuatorParams, .
     are re-raised with the finger index attached.
     """
     n = len(states)
-    if not (len(params) == n and len(objects) == n and len(circuit.valves) == n):
+    if not (len(params) == n and len(objects) == n and len(valves) == n):
         raise DomainError(
             f"mismatched finger counts: {n} states, {len(params)} params, "
-            f"{len(objects)} objects, {len(circuit.valves)} valve pairs")
+            f"{len(objects)} objects, {len(valves)} valve pairs")
     fill_scale = 1.0
     if circuit.share_pump_flow:
-        open_inlets = sum(1 for v in circuit.valves if v.inlet)
+        open_inlets = sum(1 for v in valves if v.inlet)
         if open_inlets > 1:
             fill_scale = 1.0 / open_inlets
     out = []
     for i in range(n):
         try:
-            out.append(step(states[i], params[i], circuit, objects[i], dt,
-                            valve_index=i, fill_scale=fill_scale))
+            out.append(step(states[i], params[i], valves[i], objects[i], dt, circuit,
+                            fill_scale))
         except DomainError as exc:
             raise type(exc)(f"finger {i}: {exc}") from exc
     return tuple(out)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import calibration, controller, physics, protocol, sensors
-from .errors import DomainError, ScenarioError
+from .errors import DomainError
 from .grasp import PhaseOrbit
 from .rand import DeterministicRng
 from .scenario import Scenario
@@ -98,9 +98,9 @@ class HandDevice:
 
     def tick(self, frames: list[sensors.SensorFrame],
              measurements: list[controller.Measurement], t: float
-             ) -> tuple[tuple[controller.ValveCommand, ...], bytes,
+             ) -> tuple[tuple[physics.ValvePair, ...], bytes,
                         list[tuple[int, controller.Mode, controller.Mode]]]:
-        """Run one control tick; returns valve commands, outgoing bytes, transitions."""
+        """Run one control tick; returns the valves, outgoing bytes, transitions."""
         old_modes = [f.mode for f in self.fsms]
         self.fsms, valves = controller.hand_controller_tick(
             self.fsms, tuple(measurements), t, self.config)
@@ -157,9 +157,7 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
     seed = sc.seed if seed is None else seed
     dt = sc.dt_s if dt is None else dt
     tick = sc.tick_s
-    n_sub = round(tick / dt)
-    if n_sub < 1 or abs(tick - n_sub * dt) > 1e-12:
-        raise ScenarioError(f"tick_s ({tick}) must be an integer multiple of dt ({dt})")
+    n_sub = physics.substeps(tick, dt)
 
     n = sc.n_fingers
     root = DeterministicRng(seed)
@@ -167,6 +165,8 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
     cals = [calibration.ideal_record(sc.actuators[i], sc.chains[i]) for i in range(n)]
     states: tuple[physics.ActuatorState, ...] = tuple(physics.ActuatorState() for _ in range(n))
     objects = sc.objects_per_finger()
+    circuit = physics.PneumaticCircuit(pump_pressure=sc.pump_pressure_pa,
+                                       share_pump_flow=sc.share_pump_flow)
     device = HandDevice(n, sc.control, sc.pressure_deadband_pa, sc.curvature_deadband_per_m)
     bus = protocol.SimulatedBus(seed=seed)
     host_decoder = protocol.FrameDecoder()
@@ -224,28 +224,21 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
                 events.append({"t_s": t, "kind": "fault", "finger": i})
 
         for i in range(n):
-            contact = states[i].contact
             rows.append((t, i, readings[i].pressure, states[i].curvature,
                          readings[i].strain, frames[i].strain_counts,
                          frames[i].pressure_counts, device.fsms[i].mode.value,
                          int(valves[i].inlet), int(valves[i].vent),
-                         contact.normal_force if contact else 0.0))
+                         states[i].contact_force))
 
-        circuit = physics.PneumaticCircuit(
-            pump_pressure=sc.pump_pressure_pa,
-            valves=tuple(physics.ValvePair(v.inlet, v.vent) for v in valves),
-            atmosphere_offset=sc.atmosphere_offset_pa,
-            share_pump_flow=sc.share_pump_flow)
         for _ in range(n_sub):
-            states = physics.hand_step(states, sc.actuators, circuit, objects, dt)
+            states = physics.hand_step(states, sc.actuators, valves, objects, dt, circuit)
 
         for telemetry_frame in host_decoder.feed(bus.host_recv(t)):
             if protocol.parse_telemetry(telemetry_frame) is not None:
                 wire_telemetry += 1
 
         for oi, obj in enumerate(sc.objects):
-            total = sum(states[f].contact.normal_force for f in obj.fingers
-                        if states[f].contact is not None)
+            total = sum(states[f].contact_force for f in obj.fingers)
             if total > peak_force[oi][1]:
                 peak_force[oi] = (t, total)
 

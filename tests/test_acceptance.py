@@ -93,13 +93,13 @@ def test_criterion_06_orbit_orientation():
             k_fill=rng.uniform(0.3, 2.0),
             k_vent=rng.uniform(0.3, 2.0))
         state = physics.ActuatorState()
-        inlet = physics.PneumaticCircuit(valves=(physics.ValvePair(inlet=True),))
-        vent = physics.PneumaticCircuit(valves=(physics.ValvePair(vent=True),))
+        inlet = physics.ValvePair(inlet=True)
+        vent = physics.ValvePair(vent=True)
         t, p, s = [], [], []
         k = 0
-        for circuit, seconds in ((inlet, 8.0), (vent, 14.0)):
+        for valves, seconds in ((inlet, 8.0), (vent, 14.0)):
             for _ in range(round(seconds / 1e-3)):
-                state = physics.step(state, params, circuit)
+                state = physics.step(state, params, valves)
                 if k % 5 == 0:
                     t.append(k * 1e-3)
                     p.append(state.pressure)
@@ -151,10 +151,8 @@ def test_criterion_07_controller_safety():
         if fsm.mode is controller.Mode.HOLDING and reached_at is None:
             reached_at = t
             assert abs(state.pressure - target.value) <= target.deadband
-        circuit = physics.PneumaticCircuit(
-            valves=(physics.ValvePair(valve.inlet, valve.vent),))
         for _ in range(5):
-            state = physics.step(state, params, circuit)
+            state = physics.step(state, params, valve)
     assert reached_at is not None and reached_at <= 10.0
     report(7, f"10^6 random ticks: 0 co-open, 0 missed overpressure faults; "
               f"8 PSI servo holds at t = {reached_at:.2f} s")

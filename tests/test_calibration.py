@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,13 @@ class TestIdentifiabilityLoop:
         record = calibration.build_record(data, default_chain)
         assert record.slope_hat_per_m_pa == pytest.approx(default_params.slope_m, rel=0.05)
         assert record.p_threshold_hat_pa == pytest.approx(default_params.p_threshold, rel=0.05)
+
+    def test_session_bytes_pinned(self, default_params, default_chain):
+        data = simulate_calibration_run(default_params, default_chain, CAL_LEVELS,
+                                        seed=42, settle_s=2.5, dt=2.5e-3)
+        assert data.pressures.size == 50
+        digest = hashlib.sha256(data.pressures.tobytes() + data.curvatures.tobytes()).hexdigest()
+        assert digest == "74ce48bfe1c734f73dbde96b4aa4fad18e973438a1eafaf302c9ecfbdffda364"
 
     def test_run_is_deterministic(self, default_params, default_chain):
         a = simulate_calibration_run(default_params, default_chain, CAL_LEVELS[:2],

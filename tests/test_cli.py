@@ -33,6 +33,18 @@ class TestRunVerb:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_scenario_number_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "inf.json"
+        bad.write_text('{"duration_s": 1.0, "actuators": [{"tau_inflate_s": Infinity}]}')
+        assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
+        assert "$.actuators[0].tau_inflate_s: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", ["0", "nan", "-0.001"])
+    def test_bad_dt_override_exits_2(self, tmp_path, capsys, dt):
+        assert run_cli("run", fixture_path("empty_grasp"), "--out", str(tmp_path),
+                       f"--dt={dt}") == 2
+        assert "error: dt must be > 0" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("run", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 2
 

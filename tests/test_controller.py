@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from softhand import controller, physics, protocol
-from softhand.controller import (ControllerConfig, FsmState, Measurement, Mode, ValveCommand,
+from softhand.controller import (ControllerConfig, FsmState, Measurement, Mode,
                                  curvature_target, fsm_tick, hand_controller_tick,
                                  pressure_target, set_target)
 from softhand.errors import ConfigError, DomainError
 from softhand.units import psi
 
 CONFIG = ControllerConfig()
-CLOSED = ValveCommand(False, False)
+CLOSED = physics.ValvePair(False, False)
 
 
 def closed_loop(target, seconds=12.0, obj=None, params=None, config=CONFIG):
@@ -23,9 +23,8 @@ def closed_loop(target, seconds=12.0, obj=None, params=None, config=CONFIG):
     for k in range(round(seconds / tick)):
         t = k * tick
         fsm, valve = fsm_tick(fsm, Measurement(state.pressure, state.curvature), t, config)
-        circuit = physics.PneumaticCircuit(valves=(physics.ValvePair(valve.inlet, valve.vent),))
         for _ in range(n_sub):
-            state = physics.step(state, params, circuit, obj)
+            state = physics.step(state, params, valve, obj)
         history.append((t, state, fsm, valve))
     return history
 
@@ -175,16 +174,15 @@ class TestHandController:
         fsms = tuple(set_target(FsmState(), pressure_target(psi(8)), 0.0) for _ in range(3))
         tick = CONFIG.tick_period_s
         n_sub = round(tick / physics.DEFAULT_DT)
+        circuit = physics.PneumaticCircuit(share_pump_flow=True)
         solo_pressure_at_1s = None
         for k in range(round(10.0 / tick)):
             t = k * tick
             ms = tuple(Measurement(s.pressure, s.curvature) for s in states)
             fsms, valves = hand_controller_tick(fsms, ms, t)
-            circuit = physics.PneumaticCircuit(
-                valves=tuple(physics.ValvePair(v.inlet, v.vent) for v in valves),
-                share_pump_flow=True)
             for _ in range(n_sub):
-                states = physics.hand_step(states, (params,) * 3, circuit, (None,) * 3)
+                states = physics.hand_step(states, (params,) * 3, valves, (None,) * 3,
+                                           circuit=circuit)
             if abs(t - 1.0) < 1e-9:
                 solo = closed_loop(pressure_target(psi(8)), seconds=1.0)
                 solo_pressure_at_1s = solo[-1][1].pressure

@@ -2,20 +2,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softhand.errors import CircuitError, DomainError
 from softhand.physics import (ActuatorParams, ActuatorState, PneumaticCircuit, RigidObject,
                               ValvePair, hand_step, steady_state_curvature, step)
 from softhand.units import psi
 
-INLET = PneumaticCircuit(valves=(ValvePair(inlet=True),))
-VENT = PneumaticCircuit(valves=(ValvePair(vent=True),))
-SEALED = PneumaticCircuit()
+INLET = ValvePair(inlet=True)
+VENT = ValvePair(vent=True)
+SEALED = ValvePair()
+PUMP_8PSI = PneumaticCircuit(pump_pressure=psi(8))
 
 
-def run_single(state, params, circuit, obj=None, dt=1e-3, seconds=1.0):
+def run_single(state, params, valves, obj=None, dt=1e-3, seconds=1.0,
+               circuit=PneumaticCircuit()):
     for _ in range(round(seconds / dt)):
-        state = step(state, params, circuit, obj, dt)
+        state = step(state, params, valves, obj, dt, circuit)
     return state
 
 
@@ -66,11 +70,11 @@ class TestStep:
     def test_contact_convergence_matches_tiny_dt_oracle(self, default_params):
         # Inflate against the 7.4 cm cylinder at an 8 PSI source: curvature
         # must converge to 1/0.074 = 13.51 1/m with positive force.
-        pump = PneumaticCircuit(pump_pressure=psi(8), valves=(ValvePair(inlet=True),))
         obj = RigidObject(radius=0.074)
-        final = run_single(ActuatorState(), default_params, pump, obj, dt=1e-3, seconds=20.0)
+        final = run_single(ActuatorState(), default_params, INLET, obj, dt=1e-3, seconds=20.0,
+                           circuit=PUMP_8PSI)
         assert final.curvature == pytest.approx(1.0 / 0.074, rel=1e-6)
-        assert final.contact is not None and final.contact.normal_force > 0.0
+        assert final.contact_force > 0.0
 
         # Independent oracle: re-integrate the stated equations at dt = 1e-5.
         par = default_params
@@ -89,12 +93,12 @@ class TestStep:
         assert final.pressure == pytest.approx(p_o, rel=1e-3)
 
     def test_contact_force_value(self, default_params):
-        pump = PneumaticCircuit(pump_pressure=psi(8), valves=(ValvePair(inlet=True),))
         obj = RigidObject(radius=0.074)
-        final = run_single(ActuatorState(), default_params, pump, obj, seconds=20.0)
+        final = run_single(ActuatorState(), default_params, INLET, obj, seconds=20.0,
+                           circuit=PUMP_8PSI)
         kappa_free = steady_state_curvature(final.pressure, default_params)
         expected = default_params.force_gain * (kappa_free - 1.0 / 0.074)
-        assert final.contact.normal_force == pytest.approx(expected, rel=1e-9)
+        assert final.contact_force == pytest.approx(expected, rel=1e-9)
 
     def test_full_vent_returns_to_rest(self, default_params):
         start = ActuatorState(pressure=psi(8), curvature=40.0)
@@ -112,10 +116,10 @@ class TestStep:
         obj = RigidObject(radius=0.05)
         cap = 1.0 / obj.radius
         state = ActuatorState()
-        circuits = [INLET, VENT, SEALED]
+        choices = [INLET, VENT, SEALED]
         for _ in range(5000):
-            circuit = circuits[rng.integers(0, 3)]
-            state = step(state, default_params, circuit, obj, dt=1e-3)
+            valves = choices[rng.integers(0, 3)]
+            state = step(state, default_params, valves, obj, dt=1e-3)
             assert state.curvature <= cap + 1e-9
 
     def test_force_monotone_in_pressure_at_fixed_contact(self, default_params):
@@ -124,7 +128,7 @@ class TestStep:
         for p in np.linspace(40e3, default_params.p_max, 30):
             state = ActuatorState(pressure=p, curvature=1.0 / obj.radius)
             out = step(state, default_params, SEALED, obj)
-            forces.append(out.contact.normal_force)
+            forces.append(out.contact_force)
         assert all(b > a for a, b in zip(forces, forces[1:]))
 
     def test_bad_dt_rejected(self, default_params):
@@ -141,9 +145,9 @@ class TestStep:
         # enclose positive area (counterclockwise traversal in time).
         state = ActuatorState()
         points = []
-        for circuit, seconds in ((INLET, 6.0), (VENT, 10.0)):
+        for valves, seconds in ((INLET, 6.0), (VENT, 10.0)):
             for _ in range(round(seconds / 1e-3)):
-                state = step(state, default_params, circuit, dt=1e-3)
+                state = step(state, default_params, valves, dt=1e-3)
                 points.append((state.pressure, state.curvature))
         xy = np.array(points)
         x, y = xy[:, 0], xy[:, 1]
@@ -155,8 +159,8 @@ class TestStep:
             state = ActuatorState()
             out = []
             for k in range(2000):
-                circuit = INLET if k < 1200 else VENT
-                state = step(state, default_params, circuit, RigidObject(radius=0.06))
+                valves = INLET if k < 1200 else VENT
+                state = step(state, default_params, valves, RigidObject(radius=0.06))
                 out.append((state.pressure, state.curvature))
             return out
 
@@ -181,6 +185,46 @@ class TestStep:
         assert np.all(np.abs(a - b) / scale < 0.01)
 
 
+@st.composite
+def actuator_params(draw):
+    p_threshold = draw(st.floats(5e3, 60e3))
+    return ActuatorParams(
+        p_threshold=p_threshold,
+        kappa_at_threshold=draw(st.floats(0.0, 3.0)),
+        slope_m=draw(st.floats(1e-4, 5e-3)),
+        p_max=p_threshold + draw(st.floats(1e3, 80e3)),
+        tau_inflate=draw(st.floats(0.1, 1.0)),
+        tau_deflate=draw(st.floats(0.1, 1.0)),
+        k_fill=draw(st.floats(0.1, 5.0)),
+        k_vent=draw(st.floats(0.1, 5.0)),
+        force_gain=draw(st.floats(0.0, 1.0)))
+
+
+class TestStepProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(params=actuator_params(),
+           radius=st.none() | st.floats(0.01, 0.2),
+           start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 120.0)),
+           pump=st.floats(1e3, 150e3),
+           schedule=st.lists(st.tuples(st.sampled_from((SEALED, INLET, VENT)),
+                                       st.integers(1, 400)), min_size=1, max_size=8),
+           dt=st.sampled_from((5e-4, 1e-3, 2.5e-3, 5e-3)))
+    def test_state_stays_admissible(self, params, radius, start, pump, schedule, dt):
+        obj = None if radius is None else RigidObject(radius=radius)
+        circuit = PneumaticCircuit(pump_pressure=pump)
+        state = ActuatorState(pressure=start[0] * params.p_max, curvature=start[1])
+        for valves, n in schedule:
+            for _ in range(n):
+                state = step(state, params, valves, obj, dt, circuit)
+                assert 0.0 <= state.pressure <= params.p_max
+                assert state.curvature >= 0.0
+                assert state.contact_force >= 0.0
+                if obj is None:
+                    assert state.contact_force == 0.0
+                elif state.contact_force > 0.0:
+                    assert state.curvature <= 1.0 / obj.radius
+
+
 class TestHandStep:
     def three(self, default_params):
         params = (default_params,) * 3
@@ -191,33 +235,30 @@ class TestHandStep:
         states = tuple(ActuatorState(pressure=40e3,
                                      curvature=steady_state_curvature(40e3, default_params))
                        for _ in range(3))
-        circuit = PneumaticCircuit(valves=(ValvePair(),) * 3)
-        out = hand_step(states, (default_params,) * 3, circuit, (None,) * 3)
+        out = hand_step(states, (default_params,) * 3, (SEALED,) * 3, (None,) * 3)
         assert out == states
 
     def test_no_objects_matches_single_finger_runs(self, default_params):
         states, params = self.three(default_params)
-        circuit = PneumaticCircuit(valves=(ValvePair(inlet=True),) * 3)
         for _ in range(3000):
-            states = hand_step(states, params, circuit, (None,) * 3)
+            states = hand_step(states, params, (INLET,) * 3, (None,) * 3)
 
         single = run_single(ActuatorState(), default_params, INLET, seconds=3.0)
         assert all(s == single for s in states)
 
     def test_blocked_finger_curves_less(self, default_params):
         states, params = self.three(default_params)
-        circuit = PneumaticCircuit(valves=(ValvePair(inlet=True),) * 3)
         objects = (RigidObject(radius=0.074), None, None)
         for _ in range(6000):
-            states = hand_step(states, params, circuit, objects)
+            states = hand_step(states, params, (INLET,) * 3, objects)
         assert states[0].curvature < states[1].curvature
         assert states[1] == states[2]
 
     def test_shared_pump_slows_fill(self, default_params):
         states, params = self.three(default_params)
-        shared = PneumaticCircuit(valves=(ValvePair(inlet=True),) * 3, share_pump_flow=True)
+        shared = PneumaticCircuit(share_pump_flow=True)
         for _ in range(1000):
-            states = hand_step(states, params, shared, (None,) * 3)
+            states = hand_step(states, params, (INLET,) * 3, (None,) * 3, circuit=shared)
         solo = run_single(ActuatorState(), default_params, INLET, seconds=1.0)
         assert states[0].pressure < solo.pressure
         assert states[0] == states[1] == states[2]
@@ -225,15 +266,13 @@ class TestHandStep:
     def test_errors_carry_finger_index(self, default_params):
         states, params = self.three(default_params)
         bad = (states[0], ActuatorState(pressure=default_params.p_max * 2), states[2])
-        circuit = PneumaticCircuit(valves=(ValvePair(),) * 3)
         with pytest.raises(DomainError, match="finger 1"):
-            hand_step(bad, params, circuit, (None,) * 3)
+            hand_step(bad, params, (SEALED,) * 3, (None,) * 3)
 
     def test_mismatched_lengths_rejected(self, default_params):
         states, params = self.three(default_params)
-        circuit = PneumaticCircuit(valves=(ValvePair(),) * 2)
         with pytest.raises(DomainError):
-            hand_step(states, params, circuit, (None,) * 3)
+            hand_step(states, params, (SEALED,) * 2, (None,) * 3)
 
 
 class TestValidation:
@@ -252,5 +291,3 @@ class TestValidation:
     def test_object_invariants(self):
         with pytest.raises(DomainError):
             RigidObject(radius=0.0)
-        with pytest.raises(DomainError):
-            RigidObject(radius=0.05, mass=-1.0)

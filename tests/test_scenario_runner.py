@@ -69,6 +69,24 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioError, match="dt_s"):
             scenario.scenario_from_dict(minimal_dict(dt_s=0.02, tick_s=0.02))
 
+    @pytest.mark.parametrize("section,entry,path", [
+        ("actuators", [{"kappa_at_threshold_per_m": float("nan")}],
+         r"\$\.actuators\[0\]\.kappa_at_threshold_per_m: must be finite"),
+        ("sensors", {"gauge": {"r_lead_ohm": float("inf")}},
+         r"\$\.sensors\.gauge\.r_lead_ohm: must be finite"),
+        ("actuators", [{"tau_inflate_s": float("inf")}],
+         r"\$\.actuators\[0\]\.tau_inflate_s: must be finite"),
+    ], ids=["kappa_nan", "r_lead_inf", "tau_inflate_inf"])
+    def test_non_finite_number_names_path(self, section, entry, path):
+        # Python's json module reads NaN and Infinity, so a scenario file can hold them.
+        with pytest.raises(ScenarioError, match=path):
+            scenario.scenario_from_dict(minimal_dict(**{section: entry}))
+
+    def test_negative_object_mass_names_path(self):
+        with pytest.raises(ScenarioError, match=r"\$\.objects\[0\]\.mass_kg"):
+            scenario.scenario_from_dict(minimal_dict(
+                objects=[{"radius_m": 0.05, "mass_kg": -1, "fingers": [0]}]))
+
     def test_unknown_command_name(self):
         with pytest.raises(ScenarioError, match="unknown command"):
             scenario.scenario_from_dict(minimal_dict(
