@@ -211,8 +211,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
             reading = sensors.counts_to_physical(frame, chain, cal)
             measured = controller.Measurement(reading.pressure, reading.curvature)
             fsm, valves = controller.fsm_tick(fsm, measured, t, config)
-            for _ in range(n_sub):
-                state = physics.step(state, params, valves, dt=dt, circuit=circuit)
+            state = physics.step(state, params, valves, dt=dt, circuit=circuit, n_steps=n_sub)
             t += tick
             if fsm.mode is controller.Mode.FAULT:
                 raise FitError(f"calibration servo faulted at level {level} Pa")

@@ -9,7 +9,9 @@ viscoelastic time constant. A rigid cylindrical object caps the curvature at
 The plant's input is one ValvePair per finger, the same type the valve FSM
 returns, so a closed loop hands the controller's output straight to step or
 hand_step. PneumaticCircuit holds only what is fixed for a whole run: the
-pump pressure and whether the fingers share its flow.
+pump pressure and whether the fingers share its flow. One call advances
+n_steps substeps (a closed loop passes a whole control tick's worth), so
+the checks and the parameter lookups run once per tick, not per substep.
 
 Units: gauge Pa, 1/m, N, s. Integration is explicit Euler; the time
 constants are >= 0.1 s so any dt <= 10 ms has a wide stability margin.
@@ -18,7 +20,7 @@ constants are >= 0.1 s so any dt <= 10 ms has a wide stability margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import CircuitError, DomainError
 from .units import PSI_TO_PA
@@ -53,6 +55,12 @@ class ActuatorParams:
     force_gain: float = 0.1
 
     def __post_init__(self):
+        # Finite constants keep every substep of step() inside [0, p_max] x [0, inf)
+        # (an infinite rate times a zero pressure would give NaN).
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
         if not (self.p_threshold > 0.0):
             raise DomainError(f"p_threshold must be > 0, got {self.p_threshold}")
         if not (self.p_max > self.p_threshold):
@@ -157,8 +165,8 @@ def substeps(tick: float, dt: float) -> int:
 def step(state: ActuatorState, params: ActuatorParams, valves: ValvePair,
          obj: RigidObject | None = None, dt: float = DEFAULT_DT,
          circuit: PneumaticCircuit = PneumaticCircuit(),
-         fill_scale: float = 1.0) -> ActuatorState:
-    """Advance one finger by dt seconds with the given valves.
+         fill_scale: float = 1.0, n_steps: int = 1) -> ActuatorState:
+    """Advance one finger by n_steps substeps of dt seconds with the given valves.
 
     Pressure: dP/dt = k_fill*(pump - P) with the inlet open, -k_vent*P with
     the vent open, 0 sealed; clamped to [0, p_max]. fill_scale < 1 models the
@@ -167,49 +175,81 @@ def step(state: ActuatorState, params: ActuatorParams, valves: ValvePair,
     Curvature: first-order relaxation toward min(steady-state curvature,
     object cap). While the steady-state curvature reaches the cap the finger
     squeezes instead of bending: contact force = force_gain * (kappa_ss - cap).
+
+    dt and the input state are checked once per call; every substep then
+    stays in [0, p_max] x [0, inf) by construction, so n_steps substeps give
+    exactly the floats of n_steps chained single-step calls.
     """
     _check_dt(dt)
-    if math.isnan(state.pressure) or not (0.0 <= state.pressure <= params.p_max):
-        raise DomainError(f"state pressure {state.pressure} outside [0, {params.p_max}]")
-    if math.isnan(state.curvature) or state.curvature < 0.0:
-        raise DomainError(f"state curvature {state.curvature} must be >= 0")
-
+    if n_steps < 1:
+        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     p = state.pressure
-    if valves.inlet:
-        dpdt = fill_scale * params.k_fill * (circuit.pump_pressure - p)
-    elif valves.vent:
-        dpdt = -params.k_vent * p
-    else:
-        dpdt = 0.0
-    p_new = min(max(p + dt * dpdt, 0.0), params.p_max)
+    kappa = state.curvature
+    p_max = params.p_max
+    if math.isnan(p) or not (0.0 <= p <= p_max):
+        raise DomainError(f"state pressure {p} outside [0, {p_max}]")
+    if math.isnan(kappa) or kappa < 0.0:
+        raise DomainError(f"state curvature {kappa} must be >= 0")
 
-    kappa_target = steady_state_curvature(p_new, params)
-    cap = math.inf
-    force = 0.0
-    if obj is not None and kappa_target >= 1.0 / obj.radius:
-        cap = 1.0 / obj.radius
-        force = params.force_gain * (kappa_target - cap)
-        kappa_target = cap
+    inlet, vent = valves.inlet, valves.vent
+    fill_rate = fill_scale * params.k_fill
+    pump = circuit.pump_pressure
+    neg_k_vent = -params.k_vent
+    p_threshold = params.p_threshold
+    kappa_at_threshold = params.kappa_at_threshold
+    slope_m = params.slope_m
+    force_gain = params.force_gain
+    tau_inflate = params.tau_inflate
+    tau_deflate = params.tau_deflate
+    obj_cap = None if obj is None else 1.0 / obj.radius
+    inf = math.inf
+    for _ in range(n_steps):
+        if inlet:
+            dpdt = fill_rate * (pump - p)
+        elif vent:
+            dpdt = neg_k_vent * p
+        else:
+            dpdt = 0.0
+        # min(max(p + dt * dpdt, 0.0), p_max) without the two builtin calls.
+        p = p + dt * dpdt
+        if p < 0.0:
+            p = 0.0
+        elif p > p_max:
+            p = p_max
 
-    tau = params.tau_inflate if kappa_target > state.curvature else params.tau_deflate
-    kappa_new = state.curvature + dt * (kappa_target - state.curvature) / tau
-    if kappa_new > cap:
-        kappa_new = cap
-    if kappa_new < 0.0:
-        kappa_new = 0.0
-    return ActuatorState(p_new, kappa_new, force)
+        # steady_state_curvature(p), whose range check p satisfies here.
+        if p < p_threshold:
+            kappa_target = 0.0
+        else:
+            kappa_target = kappa_at_threshold + slope_m * (p - p_threshold)
+        cap = inf
+        force = 0.0
+        if obj_cap is not None and kappa_target >= obj_cap:
+            cap = obj_cap
+            force = force_gain * (kappa_target - cap)
+            kappa_target = cap
+
+        tau = tau_inflate if kappa_target > kappa else tau_deflate
+        kappa = kappa + dt * (kappa_target - kappa) / tau
+        if kappa > cap:
+            kappa = cap
+        if kappa < 0.0:
+            kappa = 0.0
+    return ActuatorState(p, kappa, force)
 
 
 def hand_step(states: tuple[ActuatorState, ...], params: tuple[ActuatorParams, ...],
               valves: tuple[ValvePair, ...], objects: tuple[RigidObject | None, ...],
               dt: float = DEFAULT_DT,
-              circuit: PneumaticCircuit = PneumaticCircuit()) -> tuple[ActuatorState, ...]:
-    """Advance every finger of the claw by dt, finger i with valves[i].
+              circuit: PneumaticCircuit = PneumaticCircuit(),
+              n_steps: int = 1) -> tuple[ActuatorState, ...]:
+    """Advance every finger of the claw by n_steps substeps of dt, finger i with valves[i].
 
     Fingers are dynamically independent (a shared object constrains each
-    contacting finger separately); with circuit.share_pump_flow the fill
-    rate divides among the fingers whose inlets are open. Per-finger errors
-    are re-raised with the finger index attached.
+    contacting finger separately), so each finger takes its n_steps substeps
+    in one step call; with circuit.share_pump_flow the fill rate divides
+    among the fingers whose inlets are open. Per-finger errors are re-raised
+    with the finger index attached.
     """
     n = len(states)
     if not (len(params) == n and len(objects) == n and len(valves) == n):
@@ -225,7 +265,7 @@ def hand_step(states: tuple[ActuatorState, ...], params: tuple[ActuatorParams, .
     for i in range(n):
         try:
             out.append(step(states[i], params[i], valves[i], objects[i], dt, circuit,
-                            fill_scale))
+                            fill_scale, n_steps))
         except DomainError as exc:
             raise type(exc)(f"finger {i}: {exc}") from exc
     return tuple(out)

@@ -13,31 +13,12 @@ import math
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Rational approximation coefficients for the inverse normal CDF.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
+# Acklam's inverse normal CDF: for _P_LOW <= p <= _P_HIGH a ratio of
+# polynomials in r = (p - 0.5)^2, in each tail one in
+# q = sqrt(-2 log(min(p, 1 - p))). Its coefficients are literals in
+# DeterministicRng.normal, the only user.
 _P_LOW = 0.02425
-
-
-def _inv_norm_cdf(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+_P_HIGH = 1.0 - _P_LOW
 
 
 class DeterministicRng:
@@ -60,8 +41,35 @@ class DeterministicRng:
         return ((self._next_u64() >> 11) + 0.5) * 2.0 ** -53
 
     def normal(self, sigma: float = 1.0) -> float:
-        """Zero-mean Gaussian with standard deviation ``sigma``."""
-        return _inv_norm_cdf(self.random()) * sigma
+        """Zero-mean Gaussian with standard deviation ``sigma``.
+
+        One SplitMix64 step, the ``random()`` mapping to (0, 1) and the
+        inverse CDF, all in this body: the measurement hot path draws twice
+        per finger per control tick.
+        """
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        p = (((z ^ (z >> 31)) >> 11) + 0.5) * 2.0 ** -53
+        if p < _P_LOW:
+            q = math.sqrt(-2.0 * math.log(p))
+        elif p > _P_HIGH:
+            q = math.sqrt(-2.0 * math.log(1.0 - p))
+        else:
+            q = p - 0.5
+            r = q * q
+            return ((((((-3.969683028665376e+01 * r + 2.209460984245205e+02) * r
+                        - 2.759285104469687e+02) * r + 1.383577518672690e+02) * r
+                      - 3.066479806614716e+01) * r + 2.506628277459239e+00) * q
+                    / (((((-5.447609879822406e+01 * r + 1.615858368580409e+02) * r
+                          - 1.556989798598866e+02) * r + 6.680131188771972e+01) * r
+                        - 1.328068155288572e+01) * r + 1.0)) * sigma
+        x = ((((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
+                 - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
+               + 4.374664141464968e+00) * q + 2.938163982698783e+00)
+             / ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
+                  + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0))
+        return (x if p < _P_LOW else -x) * sigma
 
     def spawn(self, key: int) -> "DeterministicRng":
         """Independent child stream; same (seed, key) always gives the same child."""

@@ -133,11 +133,25 @@ class RunResult:
 
 
 def write_csv(fh, header, rows) -> None:
-    """The one CSV writer: a header line, then one line per row, floats as ``.10g``."""
+    """The one CSV writer: a header line, then one line per row, floats as ``.10g``.
+
+    Each row is formatted by one %-template built from its value types,
+    "%.10g" for floats (numpy's float64 included) and "%s" for everything
+    else, cached per tuple of types for this call. The lines are streamed,
+    never joined into one string.
+    """
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(format(v, ".10g") if isinstance(v, float) else str(v)
-                          for v in row) + "\n")
+    templates: dict[tuple[type, ...], str] = {}
+
+    def line(row) -> str:
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = ",".join(
+                "%.10g" if issubclass(t, float) else "%s" for t in types) + "\n"
+        return template % tuple(row)
+
+    fh.writelines(map(line, rows))
 
 
 def write_telemetry_csv(rows: list[tuple], path) -> None:
@@ -162,7 +176,9 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
     n = sc.n_fingers
     root = DeterministicRng(seed)
     sensor_rngs = [root.spawn(100 + i) for i in range(n)]
-    cals = [calibration.ideal_record(sc.actuators[i], sc.chains[i]) for i in range(n)]
+    chains = sc.chains
+    ambient = sc.atmosphere_offset_pa
+    cals = [calibration.ideal_record(sc.actuators[i], chains[i]) for i in range(n)]
     states: tuple[physics.ActuatorState, ...] = tuple(physics.ActuatorState() for _ in range(n))
     objects = sc.objects_per_finger()
     circuit = physics.PneumaticCircuit(pump_pressure=sc.pump_pressure_pa,
@@ -198,11 +214,10 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
                            "curvature_step_per_m": dist.curvature_step_per_m})
             di += 1
 
-        frames = [sensors.measure(states[i].pressure, states[i].curvature, sc.chains[i],
-                                  t, sensor_rngs[i], sc.atmosphere_offset_pa)
-                  for i in range(n)]
-        readings = [sensors.counts_to_physical(frames[i], sc.chains[i], cals[i])
-                    for i in range(n)]
+        frames = [sensors.measure(s.pressure, s.curvature, chain, t, rng, ambient)
+                  for s, chain, rng in zip(states, chains, sensor_rngs)]
+        readings = [sensors.counts_to_physical(frame, chain, cal)
+                    for frame, chain, cal in zip(frames, chains, cals)]
         measurements = [controller.Measurement(r.pressure, r.curvature) for r in readings]
 
         while ci < len(pending_commands) and pending_commands[ci].t_s <= t + 1e-12:
@@ -223,15 +238,13 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
             if new is controller.Mode.FAULT:
                 events.append({"t_s": t, "kind": "fault", "finger": i})
 
-        for i in range(n):
-            rows.append((t, i, readings[i].pressure, states[i].curvature,
-                         readings[i].strain, frames[i].strain_counts,
-                         frames[i].pressure_counts, device.fsms[i].mode.value,
-                         int(valves[i].inlet), int(valves[i].vent),
-                         states[i].contact_force))
+        rows.extend((t, i, r.pressure, s.curvature, r.strain, f.strain_counts,
+                     f.pressure_counts, fsm.mode.value, int(v.inlet), int(v.vent),
+                     s.contact_force)
+                    for i, (r, s, f, fsm, v) in enumerate(
+                        zip(readings, states, frames, device.fsms, valves)))
 
-        for _ in range(n_sub):
-            states = physics.hand_step(states, sc.actuators, valves, objects, dt, circuit)
+        states = physics.hand_step(states, sc.actuators, valves, objects, dt, circuit, n_sub)
 
         for telemetry_frame in host_decoder.feed(bus.host_recv(t)):
             if protocol.parse_telemetry(telemetry_frame) is not None:

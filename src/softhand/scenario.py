@@ -118,17 +118,25 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ScenarioError(f"{path}: {message}")
 
 
+def _finite(value, path: str) -> float:
+    """A JSON number as a finite float; NaN, +-Infinity and integers too large for a float fail."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ScenarioError(f"{path}: must be finite, got an integer too large for a float") from None
+    _expect(math.isfinite(number), path, "must be finite")
+    return number
+
+
 def _number(raw: dict, path: str, key: str, default: float | None = None,
             minimum: float | None = None, strict_min: bool = False) -> float:
     if key not in raw:
         if default is None:
             raise ScenarioError(f"{path}.{key}: required key missing")
         return default
-    value = raw[key]
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{path}.{key}", f"expected a number, got {value!r}")
-    value = float(value)
-    _expect(math.isfinite(value), f"{path}.{key}", "must be finite")
+    value = _finite(raw[key], f"{path}.{key}")
     if minimum is not None:
         if strict_min:
             _expect(value > minimum, f"{path}.{key}", f"must be > {minimum}, got {value}")
@@ -143,9 +151,7 @@ def _mapped(raw: dict, path: str, key_map: dict, cls, defaults) -> dict:
     for key, value in raw.items():
         if key not in key_map:
             raise ScenarioError(f"{path}.{key}: unknown key (known: {sorted(key_map)})")
-        _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-                f"{path}.{key}", f"expected a number, got {value!r}")
-        _expect(math.isfinite(value), f"{path}.{key}", "must be finite")
+        _finite(value, f"{path}.{key}")
         out[key_map[key]] = value
     return out
 
@@ -342,6 +348,8 @@ def load_scenario(path) -> Scenario:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's int-digit limit
+        raise ScenarioError(f"{path}: {exc}") from exc
     default_name = os.path.splitext(os.path.basename(str(path)))[0]
     try:
         return scenario_from_dict(raw, name=default_name)

@@ -48,7 +48,7 @@ class StrainGaugeParams:
     def __post_init__(self):
         if not (self.r0 > 0.0):
             raise DomainError(f"r0 must be > 0, got {self.r0}")
-        if self.r_lead < 0.0:
+        if not (self.r_lead >= 0.0):
             raise DomainError(f"r_lead must be >= 0, got {self.r_lead}")
         if not (self.r_limit > 0.0):
             raise DomainError(f"r_limit must be > 0, got {self.r_limit}")
@@ -118,6 +118,10 @@ class SensorChain:
     pressure: PressureSensorParams = PressureSensorParams()
     adc: AdcParams = AdcParams()
     d_neutral: float = 0.010
+
+    def __post_init__(self):
+        if not (self.d_neutral > 0.0):
+            raise DomainError(f"d_neutral must be > 0, got {self.d_neutral}")
 
 
 @dataclass(frozen=True)
@@ -210,13 +214,53 @@ def measure(pressure: float, curvature: float, chain: SensorChain, t: float,
     The analog pressure channel sees the chamber pressure plus the total
     common-mode offset (sensor drift + ambient disturbance); the differential
     reference measures that same offset, so inversion can remove it.
+
+    This is curvature_to_strain -> strain_to_resistance ->
+    resistance_to_counts and pressure_to_counts in one body, the same floats
+    in the same order. It keeps the checks a valid chain does not already
+    rule out: curvature NaN or < 0, and a NaN channel pressure. (With
+    d_neutral > 0 the strain is >= 0, so the resistance is > 0.)
     """
-    eps = curvature_to_strain(curvature, chain.d_neutral)
-    r = strain_to_resistance(eps, chain.gauge)
-    strain_counts = resistance_to_counts(r, chain.gauge, chain.adc, rng)
-    offset = chain.pressure.offset_drift + ambient_offset
-    p_channel = max(pressure + offset, 0.0)
-    pressure_counts = pressure_to_counts(p_channel, chain.pressure, chain.adc, rng)
+    if math.isnan(curvature) or curvature < 0.0:
+        raise DomainError(f"curvature must be >= 0, got {curvature}")
+    gauge, adc = chain.gauge, chain.adc
+    v_ref = adc.v_ref
+    fsc = adc.full_scale_counts
+
+    eps = chain.d_neutral * curvature
+    r = gauge.r0 * (1.0 + eps) ** 2 + gauge.r_lead
+    amp_gain = gauge.amp_gain
+    v_adc = amp_gain * (gauge.v_excitation * r / (r + 2.0 * gauge.r_limit))
+    if gauge.noise_sigma > 0.0:
+        if rng is None:
+            raise DomainError("noise_sigma > 0 requires a seeded rng")
+        v_adc += amp_gain * rng.normal(gauge.noise_sigma)
+    # min(max(v_adc, 0.0), v_ref), as _quantize clamps, without the builtin calls.
+    if v_adc < 0.0:
+        v_adc = 0.0
+    elif v_adc > v_ref:
+        v_adc = v_ref
+    strain_counts = int(round(v_adc / v_ref * fsc))
+
+    sensor = chain.pressure
+    offset = sensor.offset_drift + ambient_offset
+    p_channel = pressure + offset
+    if p_channel < 0.0:
+        p_channel = 0.0
+    elif math.isnan(p_channel):
+        raise DomainError(f"pressure must be >= 0, got {p_channel}")
+    fsp = sensor.full_scale_pressure
+    amp_gain = sensor.amp_gain
+    v_adc = amp_gain * (min(p_channel, fsp) * (sensor.full_scale_voltage / fsp))
+    if sensor.noise_sigma > 0.0:
+        if rng is None:
+            raise DomainError("noise_sigma > 0 requires a seeded rng")
+        v_adc += amp_gain * rng.normal(sensor.noise_sigma)
+    if v_adc < 0.0:
+        v_adc = 0.0
+    elif v_adc > v_ref:
+        v_adc = v_ref
+    pressure_counts = int(round(v_adc / v_ref * fsc))
     return SensorFrame(t=t, strain_counts=strain_counts,
                        pressure_counts=pressure_counts, reference_pressure=offset)
 
@@ -230,27 +274,43 @@ def counts_to_physical(frame: SensorFrame, chain: SensorChain,
     the chain's nominal values. The atmospheric offset is removed by
     subtracting reference_pressure from the inverted pressure. Counts pinned
     at 0 or full scale are flagged saturated but still inverted.
+
+    This is pressure_counts_to_pa, strain_counts_to_resistance and
+    resistance_to_strain in one body, the same floats in the same order. The
+    fitted r0 and r_lead are checked as StrainGaugeParams checks them.
     """
-    fsc = chain.adc.full_scale_counts
-    strain_saturated = frame.strain_counts <= 0 or frame.strain_counts >= fsc
-    pressure_saturated = frame.pressure_counts <= 0 or frame.pressure_counts >= fsc
+    adc = chain.adc
+    fsc = adc.full_scale_counts
+    strain_counts = frame.strain_counts
+    pressure_counts = frame.pressure_counts
+    strain_saturated = strain_counts <= 0 or strain_counts >= fsc
+    pressure_saturated = pressure_counts <= 0 or pressure_counts >= fsc
 
     if cal is not None and cal.pressure_channel is not None:
-        p_raw = (cal.pressure_channel.gain_pa_per_count * frame.pressure_counts
+        p_raw = (cal.pressure_channel.gain_pa_per_count * pressure_counts
                  + cal.pressure_channel.offset_pa)
     else:
-        p_raw = pressure_counts_to_pa(frame.pressure_counts, chain.pressure, chain.adc)
+        sensor = chain.pressure
+        p_raw = (pressure_counts / fsc * adc.v_ref / sensor.amp_gain
+                 * (sensor.full_scale_pressure / sensor.full_scale_voltage))
     pressure = p_raw - frame.reference_pressure
 
     gauge = chain.gauge
     if cal is not None:
-        gauge = StrainGaugeParams(
-            r0=cal.r0_hat_ohm, r_lead=cal.r_lead_hat_ohm, r_limit=chain.gauge.r_limit,
-            v_excitation=chain.gauge.v_excitation, amp_gain=chain.gauge.amp_gain,
-            noise_sigma=chain.gauge.noise_sigma)
-    r = strain_counts_to_resistance(frame.strain_counts, gauge, chain.adc)
-    strain = resistance_to_strain(r, gauge)
-    d_neutral = cal.d_neutral_m if cal is not None else chain.d_neutral
+        r0, r_lead, d_neutral = cal.r0_hat_ohm, cal.r_lead_hat_ohm, cal.d_neutral_m
+        if not (r0 > 0.0):
+            raise DomainError(f"r0 must be > 0, got {r0}")
+        if not (r_lead >= 0.0):
+            raise DomainError(f"r_lead must be >= 0, got {r_lead}")
+    else:
+        r0, r_lead, d_neutral = gauge.r0, gauge.r_lead, chain.d_neutral
+    v_sensor = strain_counts / fsc * adc.v_ref / gauge.amp_gain
+    v_excitation = gauge.v_excitation
+    if v_sensor >= v_excitation:
+        raise DomainError("divider voltage at or above excitation; check gains")
+    r = 2.0 * gauge.r_limit * v_sensor / (v_excitation - v_sensor)
+    ratio = (r - r_lead) / r0
+    strain = math.sqrt(ratio) - 1.0 if ratio > 0.0 else -1.0
     curvature = max(strain, 0.0) / d_neutral
     return PhysicalReading(pressure=pressure, curvature=curvature, strain=strain,
                            strain_saturated=strain_saturated,

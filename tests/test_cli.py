@@ -39,6 +39,17 @@ class TestRunVerb:
         assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
         assert "$.actuators[0].tau_inflate_s: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,path", [
+        ('{"duration_s": 1%s}', "$.duration_s"),
+        ('{"duration_s": 1.0, "actuators": [{"tau_inflate_s": 1%s}]}',
+         "$.actuators[0].tau_inflate_s"),
+    ], ids=["duration_s", "tau_inflate_s"])
+    def test_integer_too_large_for_float_exits_2(self, tmp_path, capsys, body, path):
+        bad = tmp_path / "big.json"
+        bad.write_text(body % ("0" * 401))
+        assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
+        assert f"{path}: must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dt", ["0", "nan", "-0.001"])
     def test_bad_dt_override_exits_2(self, tmp_path, capsys, dt):
         assert run_cli("run", fixture_path("empty_grasp"), "--out", str(tmp_path),

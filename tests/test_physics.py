@@ -225,6 +225,84 @@ class TestStepProperties:
                     assert state.curvature <= 1.0 / obj.radius
 
 
+def reference_step(state, params, valves, obj, dt, circuit, fill_scale):
+    """One substep as the model's equations read, term by term, in step's float order."""
+    p = state.pressure
+    if valves.inlet:
+        dpdt = fill_scale * params.k_fill * (circuit.pump_pressure - p)
+    elif valves.vent:
+        dpdt = -params.k_vent * p
+    else:
+        dpdt = 0.0
+    p_new = min(max(p + dt * dpdt, 0.0), params.p_max)
+    kappa_target = steady_state_curvature(p_new, params)
+    cap, force = float("inf"), 0.0
+    if obj is not None and kappa_target >= 1.0 / obj.radius:
+        cap = 1.0 / obj.radius
+        force = params.force_gain * (kappa_target - cap)
+        kappa_target = cap
+    tau = params.tau_inflate if kappa_target > state.curvature else params.tau_deflate
+    kappa_new = state.curvature + dt * (kappa_target - state.curvature) / tau
+    if kappa_new > cap:
+        kappa_new = cap
+    if kappa_new < 0.0:
+        kappa_new = 0.0
+    return ActuatorState(p_new, kappa_new, force)
+
+
+class TestFusedSubsteps:
+    """n_steps substeps in one call give exactly the floats of n_steps chained calls."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(params=actuator_params(),
+           radius=st.none() | st.floats(0.01, 0.2),
+           start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 120.0)),
+           pump=st.floats(1e3, 150e3),
+           valves=st.sampled_from((SEALED, INLET, VENT)),
+           fill_scale=st.sampled_from((1.0, 0.5, 1.0 / 3.0)) | st.floats(0.05, 1.0),
+           n_steps=st.integers(1, 12),
+           dt=st.sampled_from((5e-4, 1e-3, 2.5e-3, 5e-3)))
+    def test_step_equals_chained_single_steps(self, params, radius, start, pump, valves,
+                                              fill_scale, n_steps, dt):
+        obj = None if radius is None else RigidObject(radius=radius)
+        circuit = PneumaticCircuit(pump_pressure=pump)
+        state = ActuatorState(pressure=start[0] * params.p_max, curvature=start[1])
+        chained = reference = state
+        for _ in range(n_steps):
+            chained = step(chained, params, valves, obj, dt, circuit, fill_scale)
+            reference = reference_step(reference, params, valves, obj, dt, circuit, fill_scale)
+        fused = step(state, params, valves, obj, dt, circuit, fill_scale, n_steps=n_steps)
+        assert fused == chained
+        assert fused == reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=actuator_params(),
+           valves=st.tuples(*[st.sampled_from((SEALED, INLET, VENT))] * 3),
+           radii=st.tuples(*[st.none() | st.floats(0.01, 0.2)] * 3),
+           shared=st.booleans(),
+           ticks=st.integers(1, 6))
+    def test_hand_step_equals_chained_single_steps(self, params, valves, radii, shared, ticks):
+        objects = tuple(None if r is None else RigidObject(radius=r) for r in radii)
+        circuit = PneumaticCircuit(share_pump_flow=shared)
+        fused = chained = tuple(ActuatorState() for _ in range(3))
+        for _ in range(ticks):
+            fused = hand_step(fused, (params,) * 3, valves, objects, circuit=circuit, n_steps=5)
+            for _ in range(5):
+                chained = hand_step(chained, (params,) * 3, valves, objects, circuit=circuit)
+        assert fused == chained
+
+    def test_n_steps_below_one_rejected(self, default_params):
+        for n_steps in (0, -1):
+            with pytest.raises(DomainError, match="n_steps"):
+                step(ActuatorState(), default_params, SEALED, n_steps=n_steps)
+
+    def test_bad_state_rejected_once_per_call(self, default_params):
+        with pytest.raises(DomainError, match="state curvature"):
+            step(ActuatorState(curvature=float("nan")), default_params, INLET, n_steps=5)
+        with pytest.raises(DomainError, match="state pressure"):
+            step(ActuatorState(pressure=-1.0), default_params, INLET, n_steps=5)
+
+
 class TestHandStep:
     def three(self, default_params):
         params = (default_params,) * 3
@@ -287,6 +365,12 @@ class TestValidation:
             ActuatorParams(kappa_at_threshold=-0.1)
         with pytest.raises(DomainError):
             ActuatorParams(tau_inflate=0.0)
+
+    def test_params_must_be_finite(self):
+        for name in ("p_max", "k_fill", "k_vent", "tau_inflate", "force_gain"):
+            for value in (float("inf"), float("nan")):
+                with pytest.raises(DomainError, match=name):
+                    ActuatorParams(**{name: value})
 
     def test_object_invariants(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -81,6 +82,21 @@ class TestScenarioSchema:
         # Python's json module reads NaN and Infinity, so a scenario file can hold them.
         with pytest.raises(ScenarioError, match=path):
             scenario.scenario_from_dict(minimal_dict(**{section: entry}))
+
+    @pytest.mark.parametrize("overrides,path", [
+        ({"duration_s": 10 ** 401}, r"\$\.duration_s: must be finite"),
+        ({"actuators": [{"tau_inflate_s": 10 ** 401}]},
+         r"\$\.actuators\[0\]\.tau_inflate_s: must be finite"),
+    ], ids=["duration_s", "tau_inflate_s"])
+    def test_integer_too_large_for_float_names_path(self, overrides, path):
+        with pytest.raises(ScenarioError, match=path):
+            scenario.scenario_from_dict(minimal_dict(**overrides))
+
+    def test_integer_past_digit_limit_is_scenario_error(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"duration_s": 1' + "0" * 5000 + "}")
+        with pytest.raises(ScenarioError, match="huge.json"):
+            scenario.load_scenario(path)
 
     def test_negative_object_mass_names_path(self):
         with pytest.raises(ScenarioError, match=r"\$\.objects\[0\]\.mass_kg"):
@@ -227,6 +243,44 @@ class TestTelemetryAndEvents:
         empty = hold("empty_grasp")
         for name in ("cylinder_r2cm", "cylinder_r4cm", "cylinder_r74mm"):
             assert empty > hold(name)
+
+
+class TestCsvWriter:
+    @staticmethod
+    def per_value_lines(header, rows):
+        """The writer's format, one ``format`` or ``str`` call per value."""
+        lines = [",".join(header) + "\n"]
+        for row in rows:
+            lines.append(",".join(format(v, ".10g") if isinstance(v, float) else str(v)
+                                  for v in row) + "\n")
+        return "".join(lines)
+
+    def test_matches_per_value_formatting(self):
+        header = ("a", "b", "c", "d", "e")
+        rows = [
+            (0.1, np.float64(2.0 / 3.0), 7, np.int64(-12), True),
+            (-0.0, float("nan"), float("inf"), -float("inf"), False),
+            (1e300, np.float64(-1e-300), 10 ** 20, "50%, done", "%s%%d"),
+            (1, 2.5, "x", np.float64("nan"), 3.0),  # same columns, other types
+            (np.float32(0.1), np.int32(3), None, (1, 2), np.str_("s")),
+            (0.1, np.float64(2.0 / 3.0), 7, np.int64(-12), True),
+        ]
+        fh = io.StringIO()
+        runner.write_csv(fh, header, rows)
+        assert fh.getvalue() == self.per_value_lines(header, rows)
+
+    def test_fixture_telemetry_matches_per_value_formatting(self, tmp_path, scenario_runs):
+        res = scenario_runs["cylinder_r74mm"]
+        path = tmp_path / "t.csv"
+        runner.write_telemetry_csv(res.rows, path)
+        expected = self.per_value_lines(runner.TELEMETRY_COLUMNS, res.rows)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_header_only_and_empty_row(self):
+        fh = io.StringIO()
+        runner.write_csv(fh, ("x",), [])
+        runner.write_csv(fh, ("y",), [()])
+        assert fh.getvalue() == "x\ny\n\n"
 
 
 class TestFigureData:

@@ -1,8 +1,16 @@
+import math
+from dataclasses import replace
+from statistics import NormalDist
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from softhand import sensors
+from softhand import calibration, sensors
+from softhand.calibration import CalibrationRecord, ChannelCal
 from softhand.errors import DomainError
+from softhand.physics import ActuatorParams
 from softhand.rand import DeterministicRng
 from softhand.sensors import (AdcParams, PressureSensorParams, SensorChain, SensorFrame,
                               StrainGaugeParams, counts_to_physical, curvature_to_strain,
@@ -220,3 +228,148 @@ class TestValidation:
             PressureSensorParams(full_scale_pressure=0.0)
         with pytest.raises(DomainError):
             PressureSensorParams(full_scale_voltage=-1.0)
+
+
+# --- the fused measure / counts_to_physical against the kept primitives ------
+
+def measure_oracle(pressure, curvature, chain, t, rng=None, ambient_offset=0.0):
+    """measure() as the composition of the public forward primitives."""
+    eps = curvature_to_strain(curvature, chain.d_neutral)
+    r = strain_to_resistance(eps, chain.gauge)
+    strain_counts = resistance_to_counts(r, chain.gauge, chain.adc, rng)
+    offset = chain.pressure.offset_drift + ambient_offset
+    p_channel = max(pressure + offset, 0.0)
+    pressure_counts = pressure_to_counts(p_channel, chain.pressure, chain.adc, rng)
+    return SensorFrame(t=t, strain_counts=strain_counts, pressure_counts=pressure_counts,
+                       reference_pressure=offset)
+
+
+def counts_oracle(frame, chain, cal=None):
+    """counts_to_physical() as the composition of the public inverse primitives."""
+    fsc = chain.adc.full_scale_counts
+    if cal is not None and cal.pressure_channel is not None:
+        p_raw = (cal.pressure_channel.gain_pa_per_count * frame.pressure_counts
+                 + cal.pressure_channel.offset_pa)
+    else:
+        p_raw = sensors.pressure_counts_to_pa(frame.pressure_counts, chain.pressure, chain.adc)
+    gauge = chain.gauge
+    if cal is not None:
+        gauge = replace(chain.gauge, r0=cal.r0_hat_ohm, r_lead=cal.r_lead_hat_ohm)
+    r = sensors.strain_counts_to_resistance(frame.strain_counts, gauge, chain.adc)
+    strain = sensors.resistance_to_strain(r, gauge)
+    d_neutral = cal.d_neutral_m if cal is not None else chain.d_neutral
+    return sensors.PhysicalReading(
+        pressure=p_raw - frame.reference_pressure, curvature=max(strain, 0.0) / d_neutral,
+        strain=strain,
+        strain_saturated=frame.strain_counts <= 0 or frame.strain_counts >= fsc,
+        pressure_saturated=frame.pressure_counts <= 0 or frame.pressure_counts >= fsc)
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def fitted_record(r0, r_lead, d_neutral, channel=None):
+    return CalibrationRecord(p_threshold_hat_pa=30e3, slope_hat_per_m_pa=2.5e-3,
+                             kappa0_hat_per_m=1.0, r0_hat_ohm=r0, r_lead_hat_ohm=r_lead,
+                             d_neutral_m=d_neutral, pressure_channel=channel)
+
+
+@st.composite
+def sensor_chains(draw):
+    return SensorChain(
+        gauge=StrainGaugeParams(noise_sigma=draw(st.sampled_from((0.0, 1e-4, 1e-3)))),
+        pressure=PressureSensorParams(
+            offset_drift=draw(st.floats(-3e3, 6e3)),
+            noise_sigma=draw(st.sampled_from((0.0, 1e-4, 1e-3)))),
+        d_neutral=draw(st.floats(0.002, 0.03)))
+
+
+class TestFusedPathParity:
+    @settings(max_examples=150, deadline=None)
+    @given(chain=sensor_chains(),
+           pressure=st.floats(0.0, 120e3), curvature=st.floats(0.0, 150.0),
+           ambient=st.floats(-5e3, 5e3), seed=st.integers(0, 2 ** 64 - 1))
+    def test_measure_matches_primitives(self, chain, pressure, curvature, ambient, seed):
+        fused_rng, oracle_rng = DeterministicRng(seed), DeterministicRng(seed)
+        for _ in range(3):
+            frame = measure(pressure, curvature, chain, 0.25, fused_rng, ambient)
+            assert frame == measure_oracle(pressure, curvature, chain, 0.25, oracle_rng,
+                                           ambient)
+            assert fused_rng._state == oracle_rng._state
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain=sensor_chains(),
+           counts=st.tuples(st.integers(0, 4095), st.integers(0, 4095)),
+           reference=st.floats(-5e3, 5e3),
+           cal_kind=st.sampled_from(("none", "ideal", "fitted", "fitted_channel")),
+           r0=st.floats(0.5, 4.0), r_lead=st.floats(0.0, 1.0), d_neutral=st.floats(0.002, 0.03),
+           gain=st.floats(1.0, 40.0), offset=st.floats(-2e3, 2e3))
+    def test_counts_to_physical_matches_primitives(self, chain, counts, reference, cal_kind,
+                                                   r0, r_lead, d_neutral, gain, offset):
+        cal = {"none": None,
+               "ideal": calibration.ideal_record(ActuatorParams(), chain),
+               "fitted": fitted_record(r0, r_lead, d_neutral),
+               "fitted_channel": fitted_record(r0, r_lead, d_neutral,
+                                               ChannelCal(gain, offset, 0.0))}[cal_kind]
+        frame = SensorFrame(t=0.0, strain_counts=counts[0], pressure_counts=counts[1],
+                            reference_pressure=reference)
+        assert outcome(counts_to_physical, frame, chain, cal) == \
+            outcome(counts_oracle, frame, chain, cal)
+
+    @pytest.mark.parametrize("pressure,curvature", [
+        (1e4, float("nan")), (1e4, -0.1), (float("nan"), 5.0),
+    ], ids=["curvature_nan", "curvature_negative", "pressure_nan"])
+    def test_invalid_measure_inputs_raise_as_primitives_do(self, pressure, curvature):
+        for chain in (NOISELESS, SensorChain()):
+            fused, oracle = DeterministicRng(3), DeterministicRng(3)
+            expected = outcome(measure_oracle, pressure, curvature, chain, 0.0, oracle)
+            assert expected[0] is DomainError
+            assert outcome(measure, pressure, curvature, chain, 0.0, fused) == expected
+            assert fused._state == oracle._state
+
+    def test_noise_without_rng_raises_as_primitives_do(self):
+        expected = outcome(measure_oracle, 1e4, 5.0, SensorChain(), 0.0)
+        assert expected[0] is DomainError
+        assert outcome(measure, 1e4, 5.0, SensorChain(), 0.0) == expected
+
+    @pytest.mark.parametrize("r0,r_lead", [(0.0, 0.2), (-1.0, 0.2), (float("nan"), 0.2),
+                                           (2.0, -0.1), (2.0, float("nan"))],
+                             ids=["r0_zero", "r0_negative", "r0_nan", "r_lead_negative",
+                                  "r_lead_nan"])
+    def test_invalid_fitted_gauge_raises_as_constructor_does(self, r0, r_lead):
+        frame = measure(psi(5), 20.0, NOISELESS, t=0.0)
+        cal = fitted_record(r0, r_lead, 0.01)
+        expected = outcome(counts_oracle, frame, NOISELESS, cal)
+        assert expected[0] is DomainError
+        assert outcome(counts_to_physical, frame, NOISELESS, cal) == expected
+
+    def test_chain_rejects_non_positive_d_neutral(self):
+        for d_neutral in (0.0, -0.01, float("nan")):
+            with pytest.raises(DomainError, match="d_neutral"):
+                SensorChain(d_neutral=d_neutral)
+
+
+class TestGaussianDraw:
+    def test_draw_consumes_one_uniform(self):
+        a, b = DeterministicRng(17), DeterministicRng(17)
+        for _ in range(100):
+            a.normal(2.0)
+            b.random()
+            assert a._state == b._state
+
+    def test_inverse_cdf_accuracy_in_center_and_tails(self):
+        # Acklam's approximation: relative error below 1.15e-9 everywhere.
+        # About 4.9 % of draws land in the tails (p < 0.02425 or p > 0.97575).
+        a, b = DeterministicRng(5), DeterministicRng(5)
+        tails = 0
+        for _ in range(20_000):
+            z, p = a.normal(), b.random()
+            exact = NormalDist().inv_cdf(p)
+            assert math.isclose(z, exact, rel_tol=1.2e-9, abs_tol=1e-12)
+            tails += not (0.02425 <= p <= 0.97575)
+        assert 600 < tails < 1400
