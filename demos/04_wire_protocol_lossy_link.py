@@ -25,8 +25,7 @@ def main():
 
     config = controller.ControllerConfig()
     bus = protocol.SimulatedBus(loss_rate=0.08, bit_error_rate=5e-4, seed=97)
-    device = HandDevice(1, config, controller.DEFAULT_PRESSURE_DEADBAND,
-                        controller.DEFAULT_CURVATURE_DEADBAND)
+    device = HandDevice(1, config)
     host = protocol.FrameDecoder()
 
     print("Lossy link: 8% byte loss, 5e-4 bit error rate. Retrying until acked...")
@@ -36,8 +35,8 @@ def main():
         bus.host_send(protocol.encode_command(target, 0), t)
         bus.host_send(protocol.encode_command(protocol.GetState(), 0), t)
         device.feed(bus.device_recv(), t)
-        frame = sensors.SensorFrame(t=t, strain_counts=1470, pressure_counts=0)
-        _, out, _ = device.tick([frame], [controller.Measurement(0.0, 0.0)], t)
+        frame = sensors.SensorFrame(strain_counts=1470, pressure_counts=0)
+        _, out, _ = device.tick([frame], [sensors.PhysicalReading(0.0, 0.0, 0.0)], t)
         bus.device_send(out, t)
         for response in host.feed(bus.host_recv()):
             telemetry = protocol.parse_telemetry(response)

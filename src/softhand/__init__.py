@@ -14,7 +14,8 @@ Submodules:
 
 from . import calibration, controller, grasp, physics, protocol, runner, scenario, sensors
 from .errors import (CircuitError, ConfigError, DomainError, EncodeError, FitError,
-                     InsufficientDataError, ScenarioError, SofthandError, WarmupError)
+                     InsufficientDataError, RecordError, ScenarioError, SofthandError,
+                     WarmupError)
 from .units import PSI_TO_PA, pa_to_psi, psi
 
 __version__ = "0.1.0"
@@ -23,6 +24,6 @@ __all__ = [
     "calibration", "controller", "grasp", "physics", "protocol", "runner",
     "scenario", "sensors",
     "CircuitError", "ConfigError", "DomainError", "EncodeError", "FitError",
-    "InsufficientDataError", "ScenarioError", "SofthandError", "WarmupError",
+    "InsufficientDataError", "RecordError", "ScenarioError", "SofthandError", "WarmupError",
     "PSI_TO_PA", "pa_to_psi", "psi", "__version__",
 ]

@@ -14,13 +14,14 @@ inflations.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import controller, physics, sensors
-from .errors import FitError, WarmupError
+from .errors import FitError, RecordError, WarmupError
 from .rand import DeterministicRng
+from .scenario import _finite
 from .units import PSI_TO_PA
 
 WARMUP_CYCLES_REQUIRED = 10
@@ -207,10 +208,9 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
         fsm = controller.set_target(fsm, controller.pressure_target(level), t, config)
         held_since = None
         while True:
-            frame = sensors.measure(state.pressure, state.curvature, chain, t, rng)
+            frame = sensors.measure(state.pressure, state.curvature, chain, rng)
             reading = sensors.counts_to_physical(frame, chain, cal)
-            measured = controller.Measurement(reading.pressure, reading.curvature)
-            fsm, valves = controller.fsm_tick(fsm, measured, t, config)
+            fsm, valves = controller.fsm_tick(fsm, reading, t, config)
             state = physics.step(state, params, valves, dt=dt, circuit=circuit, n_steps=n_sub)
             t += tick
             if fsm.mode is controller.Mode.FAULT:
@@ -223,7 +223,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
             else:
                 held_since = None
         for _ in range(samples_per_level):
-            frame = sensors.measure(state.pressure, state.curvature, chain, t, rng)
+            frame = sensors.measure(state.pressure, state.curvature, chain, rng)
             reading = sensors.counts_to_physical(frame, chain, cal)
             p_out.append(reading.pressure)
             k_out.append(reading.curvature)
@@ -261,10 +261,56 @@ def save_record(record: CalibrationRecord, path) -> None:
         fh.write("\n")
 
 
+_RECORD_NUMBERS = ("p_threshold_hat_pa", "slope_hat_per_m_pa", "kappa0_hat_per_m",
+                   "r0_hat_ohm", "r_lead_hat_ohm", "d_neutral_m")
+_CHANNEL_NUMBERS = tuple(f.name for f in fields(ChannelCal))
+
+
+def _object(raw, path: str, required=(), optional=None) -> dict:
+    """raw as a JSON object holding every required key; given optional, no other key."""
+    if not isinstance(raw, dict):
+        raise RecordError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    for key in raw:
+        if optional is not None and key not in required and key not in optional:
+            raise RecordError(f"{path}.{key}: unknown key")
+    for key in required:
+        if key not in raw:
+            raise RecordError(f"{path}.{key}: required key missing")
+    return raw
+
+
 def load_record(path) -> CalibrationRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    channel = payload.pop("pressure_channel", None)
-    record = CalibrationRecord(pressure_channel=ChannelCal(**channel) if channel else None,
-                               **payload)
-    return record
+    """Read a record written by save_record.
+
+    Malformed input raises RecordError naming the file and the JSON key:
+    text that is not JSON, a document that is not an object, missing or
+    unknown keys, non-numeric or non-finite numbers, a malformed
+    pressure_channel or fit_residuals, and a non-integer warmup_cycles.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        payload = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise RecordError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # not UTF-8, or an integer literal past Python's digit limit
+        raise RecordError(f"{path}: {exc}") from None
+    root = f"{path}: $"
+    _object(payload, root, _RECORD_NUMBERS, ("pressure_channel", "fit_residuals",
+                                             "warmup_cycles"))
+    numbers = {key: _finite(payload[key], f"{root}.{key}", RecordError)
+               for key in _RECORD_NUMBERS}
+    channel = payload.get("pressure_channel")
+    if channel is not None:
+        where = f"{root}.pressure_channel"
+        _object(channel, where, _CHANNEL_NUMBERS, ())
+        channel = ChannelCal(**{key: _finite(channel[key], f"{where}.{key}", RecordError)
+                                for key in _CHANNEL_NUMBERS})
+    residuals = _object(payload.get("fit_residuals", {}), f"{root}.fit_residuals")
+    residuals = {key: _finite(value, f"{root}.fit_residuals.{key}", RecordError)
+                 for key, value in residuals.items()}
+    warmup = payload.get("warmup_cycles", WARMUP_CYCLES_REQUIRED)
+    if not isinstance(warmup, int) or isinstance(warmup, bool):
+        raise RecordError(f"{root}.warmup_cycles: expected an integer, got {warmup!r}")
+    return CalibrationRecord(pressure_channel=channel, fit_residuals=residuals,
+                             warmup_cycles=warmup, **numbers)

@@ -7,10 +7,10 @@ band so measurement noise cannot chatter the valves. A servo that has not
 reached its target within the timeout, or any overpressure reading, drops
 into an absorbing Fault state that forces the vent open until reset.
 
-fsm_tick is a pure function of (state, measurement, time); ticking six
-fingers sequentially or in parallel gives identical results. Its valve output
-is a physics.ValvePair, the plant's own input type, whose constructor
-rejects inlet and vent open together.
+fsm_tick is a pure function of (state, sensors.PhysicalReading, time);
+ticking six fingers sequentially or in parallel gives identical results. Its
+valve output is a physics.ValvePair, the plant's own input type, whose
+constructor rejects inlet and vent open together.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import physics, protocol
+from . import physics, protocol, sensors
 from .errors import ConfigError, DomainError
 from .units import PSI_TO_PA
 
@@ -40,7 +40,6 @@ class Mode(Enum):
 
 # u8 encoding used by the telemetry wire format.
 MODE_TO_WIRE = {Mode.IDLE: 0, Mode.INFLATING: 1, Mode.VENTING: 2, Mode.HOLDING: 3, Mode.FAULT: 4}
-WIRE_TO_MODE = {v: k for k, v in MODE_TO_WIRE.items()}
 
 
 class TargetKind(Enum):
@@ -77,18 +76,14 @@ class FsmState:
 
 
 @dataclass(frozen=True)
-class Measurement:
-    pressure: float
-    curvature: float
-
-
-@dataclass(frozen=True)
 class ControllerConfig:
     p_max: float = 12.0 * PSI_TO_PA
     kappa_max: float = 200.0
     timeout_s: float = DEFAULT_TIMEOUT
     tick_period_s: float = DEFAULT_TICK_PERIOD
     reengage_factor: float = 2.0
+    pressure_deadband: float = DEFAULT_PRESSURE_DEADBAND  # Pa, for SetPressureTarget
+    curvature_deadband: float = DEFAULT_CURVATURE_DEADBAND  # 1/m, for SetCurvatureTarget
 
     def __post_init__(self):
         if not (self.p_max > 0.0 and self.kappa_max > 0.0):
@@ -97,6 +92,8 @@ class ControllerConfig:
             raise ConfigError("timeout_s and tick_period_s must be > 0")
         if self.reengage_factor < 1.0:
             raise ConfigError("reengage_factor must be >= 1")
+        if not (self.pressure_deadband > 0.0 and self.curvature_deadband > 0.0):
+            raise ConfigError("pressure_deadband and curvature_deadband must be > 0")
 
 
 _CLOSED = physics.ValvePair(False, False)
@@ -104,7 +101,7 @@ _VENT_OPEN = physics.ValvePair(False, True)
 _INLET_OPEN = physics.ValvePair(True, False)
 
 
-def fsm_tick(fsm: FsmState, measured: Measurement, t: float,
+def fsm_tick(fsm: FsmState, measured: sensors.PhysicalReading, t: float,
              config: ControllerConfig = ControllerConfig()) -> tuple[FsmState, physics.ValvePair]:
     """One control tick: returns (next FSM state, valves for the plant).
 
@@ -194,19 +191,20 @@ def reset_fault(fsm: FsmState, t: float) -> FsmState:
 
 
 def apply_command(fsm: FsmState, command: "protocol.Command", t: float,
-                  config: ControllerConfig = ControllerConfig(),
-                  pressure_deadband: float = DEFAULT_PRESSURE_DEADBAND,
-                  curvature_deadband: float = DEFAULT_CURVATURE_DEADBAND) -> FsmState:
+                  config: ControllerConfig = ControllerConfig()) -> FsmState:
     """Apply a decoded host command to one finger's FSM.
 
     All commands are absolute and idempotent: replaying any of them leaves
-    the installed target unchanged. Read-type commands (GET_STATE, STREAM_*)
-    do not touch the FSM and are handled by the device endpoint.
+    the installed target unchanged. A new target takes its deadband from
+    config. Read-type commands (GET_STATE, STREAM_*) do not touch the FSM
+    and are handled by the device endpoint.
     """
     if isinstance(command, protocol.SetPressureTarget):
-        return set_target(fsm, pressure_target(command.pascals, pressure_deadband), t, config)
+        target = pressure_target(command.pascals, config.pressure_deadband)
+        return set_target(fsm, target, t, config)
     if isinstance(command, protocol.SetCurvatureTarget):
-        return set_target(fsm, curvature_target(command.curvature, curvature_deadband), t, config)
+        target = curvature_target(command.curvature, config.curvature_deadband)
+        return set_target(fsm, target, t, config)
     if isinstance(command, protocol.Vent):
         return force_vent(fsm, t)
     if isinstance(command, protocol.Stop):
@@ -216,18 +214,19 @@ def apply_command(fsm: FsmState, command: "protocol.Command", t: float,
     return fsm
 
 
-def hand_controller_tick(fsms: tuple[FsmState, ...], measurements: tuple[Measurement, ...],
-                         t: float, config: ControllerConfig = ControllerConfig()
+def hand_controller_tick(fsms: tuple[FsmState, ...],
+                         readings: tuple[sensors.PhysicalReading, ...], t: float,
+                         config: ControllerConfig = ControllerConfig()
                          ) -> tuple[tuple[FsmState, ...], tuple[physics.ValvePair, ...]]:
     """Tick every finger in index order. State is fully per-finger isolated."""
     if len(fsms) > MAX_ACTUATORS:
         raise ConfigError(f"at most {MAX_ACTUATORS} actuators supported, got {len(fsms)}")
-    if len(fsms) != len(measurements):
-        raise ConfigError(f"{len(fsms)} FSMs but {len(measurements)} measurements")
+    if len(fsms) != len(readings):
+        raise ConfigError(f"{len(fsms)} FSMs but {len(readings)} readings")
     next_fsms = []
     valves = []
-    for fsm, measured in zip(fsms, measurements):
-        nf, valve = fsm_tick(fsm, measured, t, config)
+    for fsm, reading in zip(fsms, readings):
+        nf, valve = fsm_tick(fsm, reading, t, config)
         next_fsms.append(nf)
         valves.append(valve)
     return tuple(next_fsms), tuple(valves)

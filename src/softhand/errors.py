@@ -35,3 +35,7 @@ class EncodeError(SofthandError, ValueError):
 
 class ScenarioError(SofthandError, ValueError):
     """A scenario file fails schema validation."""
+
+
+class RecordError(SofthandError, ValueError):
+    """A calibration record file fails schema validation."""

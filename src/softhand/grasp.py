@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .calibration import CalibrationRecord
+from .controller import DEFAULT_PRESSURE_DEADBAND
 from .errors import DomainError, InsufficientDataError
 from .units import PSI_TO_PA
 
@@ -31,7 +32,7 @@ DEFAULT_MERGE_WINDOW = 0.050       # s
 DEFAULT_HOLD_WINDOW = 1.0          # s
 DEFAULT_FLAT_SLOPE_FRACTION = 0.01  # of peak strain, per second
 DEFAULT_MIN_PRESSURE_RISE = 0.5 * PSI_TO_PA
-DEFAULT_HOLD_DEADBAND = 0.15 * PSI_TO_PA
+DEFAULT_HOLD_DEADBAND = DEFAULT_PRESSURE_DEADBAND
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,21 @@ def orbit_signed_area(orbit: PhaseOrbit) -> float:
     """
     x, y = orbit.pressure, orbit.strain
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _hold_segment(p: np.ndarray, band: float) -> tuple[int, int]:
+    """Index range [lo, hi] of the contiguous hold around the first pressure peak.
+
+    The hold is every sample next to the peak with p >= peak - band; a NaN
+    sample fails the comparison and so ends the segment.
+    """
+    peak = int(np.argmax(p))
+    outside = ~(p >= p[peak] - band)
+    before = np.flatnonzero(outside[:peak])
+    after = np.flatnonzero(outside[peak + 1:])
+    lo = int(before[-1]) + 1 if before.size else 0
+    hi = peak + int(after[0]) if after.size else p.size - 1
+    return lo, hi
 
 
 class GraspOutcome(Enum):
@@ -106,10 +122,7 @@ class EmptyGraspReference:
         """
         if orbit.n < MIN_SAMPLES:
             raise InsufficientDataError(f"reference orbit has {orbit.n} < {MIN_SAMPLES} samples")
-        peak = int(np.argmax(orbit.pressure))
-        last = peak
-        while last + 1 < orbit.n and orbit.pressure[last + 1] >= orbit.pressure[peak] - hold_band_pa:
-            last += 1
+        _, last = _hold_segment(orbit.pressure, hold_band_pa)
         p = orbit.pressure[:last + 1]
         s = orbit.strain[:last + 1]
         order = np.argsort(p, kind="stable")
@@ -173,9 +186,7 @@ def strain_pressure_divergence(orbit: PhaseOrbit,
     """
     if orbit.n < MIN_SAMPLES:
         raise InsufficientDataError(f"orbit has {orbit.n} < {MIN_SAMPLES} samples")
-    hi = int(np.argmax(orbit.pressure))
-    while hi + 1 < orbit.n and orbit.pressure[hi + 1] >= orbit.pressure.max() - 2.0 * DEFAULT_HOLD_DEADBAND:
-        hi += 1
+    _, hi = _hold_segment(orbit.pressure, 2.0 * DEFAULT_HOLD_DEADBAND)
     flat_thresh = flat_slope_fraction * float(orbit.strain.max())
     return _rising_pressure_flat_strain(
         orbit.t[:hi + 1], orbit.pressure[:hi + 1], orbit.strain[:hi + 1],
@@ -206,15 +217,7 @@ def classify_grasp(orbit: PhaseOrbit, ref: EmptyGraspReference, cal: Calibration
         raise InsufficientDataError(
             f"orbit peaks at {p_hold:.0f} Pa, below the {min_hold:.0f} Pa hold threshold")
 
-    # Contiguous hold segment around the pressure peak.
-    hold_band = 2.0 * deadband_pa
-    i_peak = int(np.argmax(p))
-    lo = i_peak
-    while lo > 0 and p[lo - 1] >= p_hold - hold_band:
-        lo -= 1
-    hi = i_peak
-    while hi + 1 < p.size and p[hi + 1] >= p_hold - hold_band:
-        hi += 1
+    lo, hi = _hold_segment(p, 2.0 * deadband_pa)
     window = (t >= t[hi] - hold_window_s) & (np.arange(p.size) >= lo) & (np.arange(p.size) <= hi)
     if not np.any(window):
         window = np.arange(p.size) == hi

@@ -188,8 +188,8 @@ def step(state: ActuatorState, params: ActuatorParams, valves: ValvePair,
     p_max = params.p_max
     if math.isnan(p) or not (0.0 <= p <= p_max):
         raise DomainError(f"state pressure {p} outside [0, {p_max}]")
-    if math.isnan(kappa) or kappa < 0.0:
-        raise DomainError(f"state curvature {kappa} must be >= 0")
+    if not (0.0 <= kappa < math.inf):
+        raise DomainError(f"state curvature {kappa} must be finite and >= 0")
 
     inlet, vent = valves.inlet, valves.vent
     fill_rate = fill_scale * params.k_fill

@@ -199,6 +199,11 @@ _PRESSURE_LSB_PA = 10.0
 _CURVATURE_LSB = 0.01
 _TELEMETRY_STRUCT = struct.Struct("<IHHB")
 
+# Commands without a payload: the type's wire code, and the same table read backwards.
+_NO_PAYLOAD_CODES = {Vent: CMD_VENT, Stop: CMD_STOP, GetState: CMD_GET_STATE,
+                     StreamStop: CMD_STREAM_STOP, ResetFault: CMD_RESET_FAULT}
+_NO_PAYLOAD_TYPES = {code: cls for cls, code in _NO_PAYLOAD_CODES.items()}
+
 
 def frame_for_command(command: Command, actuator_id: int) -> Frame:
     """Build the wire frame for a typed command."""
@@ -216,9 +221,7 @@ def frame_for_command(command: Command, actuator_id: int) -> Frame:
         if not (1 <= command.period_ms <= 0xFF):
             raise EncodeError(f"stream period must be 1..255 ms, got {command.period_ms}")
         return Frame(CMD_STREAM_START, actuator_id, bytes([command.period_ms]))
-    simple = {Vent: CMD_VENT, Stop: CMD_STOP, GetState: CMD_GET_STATE,
-              StreamStop: CMD_STREAM_STOP, ResetFault: CMD_RESET_FAULT}
-    code = simple.get(type(command))
+    code = _NO_PAYLOAD_CODES.get(type(command))
     if code is None:
         raise EncodeError(f"unsupported command {command!r}")
     return Frame(code, actuator_id)
@@ -247,9 +250,7 @@ def parse_command(frame: Frame) -> Command | None:
         if len(payload) != 1 or payload[0] == 0:
             return None
         return StreamStart(payload[0])
-    simple = {CMD_VENT: Vent, CMD_STOP: Stop, CMD_GET_STATE: GetState,
-              CMD_STREAM_STOP: StreamStop, CMD_RESET_FAULT: ResetFault}
-    ctor = simple.get(cmd)
+    ctor = _NO_PAYLOAD_TYPES.get(cmd)
     if ctor is None or payload:
         return None
     return ctor()

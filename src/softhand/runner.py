@@ -55,11 +55,8 @@ FIGURE_KINDS = {
 class HandDevice:
     """Device side of the serial link: command dispatch, FSMs, telemetry streaming."""
 
-    def __init__(self, n_fingers: int, config: controller.ControllerConfig,
-                 pressure_deadband: float, curvature_deadband: float):
+    def __init__(self, n_fingers: int, config: controller.ControllerConfig):
         self.config = config
-        self.pressure_deadband = pressure_deadband
-        self.curvature_deadband = curvature_deadband
         self.fsms = tuple(controller.FsmState() for _ in range(n_fingers))
         self.decoder = protocol.FrameDecoder()
         self.unknown_commands = 0
@@ -91,19 +88,17 @@ class HandDevice:
                 elif isinstance(command, protocol.StreamStop):
                     self._stream_period_ms[idx] = None
                 else:
-                    fsms[idx] = controller.apply_command(
-                        fsms[idx], command, t, self.config,
-                        self.pressure_deadband, self.curvature_deadband)
+                    fsms[idx] = controller.apply_command(fsms[idx], command, t, self.config)
             self.fsms = tuple(fsms)
 
     def tick(self, frames: list[sensors.SensorFrame],
-             measurements: list[controller.Measurement], t: float
+             readings: list[sensors.PhysicalReading], t: float
              ) -> tuple[tuple[physics.ValvePair, ...], bytes,
                         list[tuple[int, controller.Mode, controller.Mode]]]:
         """Run one control tick; returns the valves, outgoing bytes, transitions."""
         old_modes = [f.mode for f in self.fsms]
         self.fsms, valves = controller.hand_controller_tick(
-            self.fsms, tuple(measurements), t, self.config)
+            self.fsms, tuple(readings), t, self.config)
         transitions = [(i, old, new.mode) for i, (old, new) in
                        enumerate(zip(old_modes, self.fsms)) if old is not new.mode]
         t_ms = round(t * 1000.0)
@@ -123,7 +118,6 @@ class HandDevice:
 
 @dataclass
 class RunResult:
-    scenario: Scenario
     rows: list[tuple]
     events: list[dict]
     faulted: bool
@@ -183,7 +177,7 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
     objects = sc.objects_per_finger()
     circuit = physics.PneumaticCircuit(pump_pressure=sc.pump_pressure_pa,
                                        share_pump_flow=sc.share_pump_flow)
-    device = HandDevice(n, sc.control, sc.pressure_deadband_pa, sc.curvature_deadband_per_m)
+    device = HandDevice(n, sc.control)
     bus = protocol.SimulatedBus(seed=seed)
     host_decoder = protocol.FrameDecoder()
     wire_telemetry = 0
@@ -214,11 +208,10 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
                            "curvature_step_per_m": dist.curvature_step_per_m})
             di += 1
 
-        frames = [sensors.measure(s.pressure, s.curvature, chain, t, rng, ambient)
+        frames = [sensors.measure(s.pressure, s.curvature, chain, rng, ambient)
                   for s, chain, rng in zip(states, chains, sensor_rngs)]
         readings = [sensors.counts_to_physical(frame, chain, cal)
                     for frame, chain, cal in zip(frames, chains, cals)]
-        measurements = [controller.Measurement(r.pressure, r.curvature) for r in readings]
 
         while ci < len(pending_commands) and pending_commands[ci].t_s <= t + 1e-12:
             cmd = pending_commands[ci]
@@ -229,7 +222,7 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
             ci += 1
         device.feed(bus.device_recv(t), t)
 
-        valves, out_bytes, transitions = device.tick(frames, measurements, t)
+        valves, out_bytes, transitions = device.tick(frames, readings, t)
         if out_bytes:
             bus.device_send(out_bytes, t)
         for i, old, new in transitions:
@@ -265,7 +258,7 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
                        "achieved_n": achieved, "ok": achieved >= required})
 
     faulted = any(f.mode is controller.Mode.FAULT for f in device.fsms)
-    result = RunResult(scenario=sc, rows=rows, events=events, faulted=faulted,
+    result = RunResult(rows=rows, events=events, faulted=faulted,
                        wire_telemetry_count=wire_telemetry)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 
 from . import controller, physics, protocol, sensors
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, ScenarioError, SofthandError
 
 DEFAULT_FINGERS = 3
 
@@ -91,8 +91,6 @@ class Scenario:
     actuators: tuple[physics.ActuatorParams, ...]
     chains: tuple[sensors.SensorChain, ...]
     control: controller.ControllerConfig
-    pressure_deadband_pa: float
-    curvature_deadband_per_m: float
     pump_pressure_pa: float
     atmosphere_offset_pa: float
     share_pump_flow: bool
@@ -118,15 +116,16 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ScenarioError(f"{path}: {message}")
 
 
-def _finite(value, path: str) -> float:
+def _finite(value, path: str, error: type[SofthandError] = ScenarioError) -> float:
     """A JSON number as a finite float; NaN, +-Infinity and integers too large for a float fail."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{path}: expected a number, got {value!r}")
+        raise error(f"{path}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
-        raise ScenarioError(f"{path}: must be finite, got an integer too large for a float") from None
-    _expect(math.isfinite(number), path, "must be finite")
+        raise error(f"{path}: must be finite, got an integer too large for a float") from None
+    if not math.isfinite(number):
+        raise error(f"{path}: must be finite")
     return number
 
 
@@ -228,8 +227,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     sensors_raw = raw.get("sensors", {})
     _expect(isinstance(sensors_raw, dict), "$.sensors", "expected an object")
     for key in sensors_raw:
-        _expect(key in {"gauge", "pressure", "adc", "d_neutral_m"}, f"$.sensors.{key}",
-                "unknown key")
+        _expect(key in {"gauge", "pressure", "adc"}, f"$.sensors.{key}", "unknown key")
     try:
         gauge = sensors.StrainGaugeParams(**_mapped(
             sensors_raw.get("gauge", {}), "$.sensors.gauge", _GAUGE_KEYS,
@@ -263,17 +261,17 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
             timeout_s=_number(controller_raw, "$.controller", "timeout_s",
                               default=controller.DEFAULT_TIMEOUT, minimum=0.0, strict_min=True),
             reengage_factor=_number(controller_raw, "$.controller", "reengage_factor",
-                                    default=2.0, minimum=1.0))
+                                    default=2.0, minimum=1.0),
+            pressure_deadband=_number(controller_raw, "$.controller", "pressure_deadband_pa",
+                                      default=controller.DEFAULT_PRESSURE_DEADBAND,
+                                      minimum=0.0, strict_min=True),
+            curvature_deadband=_number(controller_raw, "$.controller", "curvature_deadband_per_m",
+                                       default=controller.DEFAULT_CURVATURE_DEADBAND,
+                                       minimum=0.0, strict_min=True))
     except ScenarioError:
         raise
     except Exception as exc:
         raise ScenarioError(f"$.controller: {exc}") from exc
-    pressure_deadband = _number(controller_raw, "$.controller", "pressure_deadband_pa",
-                                default=controller.DEFAULT_PRESSURE_DEADBAND,
-                                minimum=0.0, strict_min=True)
-    curvature_deadband = _number(controller_raw, "$.controller", "curvature_deadband_per_m",
-                                 default=controller.DEFAULT_CURVATURE_DEADBAND,
-                                 minimum=0.0, strict_min=True)
 
     pump = _number(raw, "$", "pump_pressure_pa",
                    default=physics.PneumaticCircuit().pump_pressure, minimum=0.0, strict_min=True)
@@ -335,7 +333,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     return Scenario(
         name=name, duration_s=duration, dt_s=dt, tick_s=tick, seed=seed,
         actuators=tuple(actuators), chains=chains, control=control,
-        pressure_deadband_pa=pressure_deadband, curvature_deadband_per_m=curvature_deadband,
         pump_pressure_pa=pump, atmosphere_offset_pa=ambient, share_pump_flow=share_pump,
         objects=tuple(objects), commands=tuple(commands), disturbances=tuple(disturbances))
 

@@ -95,7 +95,7 @@ class AdcParams:
 
 @dataclass(frozen=True)
 class SensorFrame:
-    """Digitized readings of one finger at time t.
+    """Digitized readings of one finger at one control tick.
 
     reference_pressure is the main board's differential-sensor reading
     co-recorded with the frame: during normal telemetry it is the measured
@@ -104,7 +104,6 @@ class SensorFrame:
     it is the drift-free chamber gauge pressure.
     """
 
-    t: float
     strain_counts: int
     pressure_counts: int
     reference_pressure: float = 0.0
@@ -141,8 +140,8 @@ class PhysicalReading:
 
 def curvature_to_strain(kappa: float, d_neutral: float) -> float:
     """Dorsal-surface elongation of a thin beam: eps = d_neutral * kappa."""
-    if math.isnan(kappa) or kappa < 0.0:
-        raise DomainError(f"curvature must be >= 0, got {kappa}")
+    if not (0.0 <= kappa < math.inf):
+        raise DomainError(f"curvature must be finite and >= 0, got {kappa}")
     return d_neutral * kappa
 
 
@@ -207,7 +206,7 @@ def pressure_counts_to_pa(counts: int, sensor: PressureSensorParams, adc: AdcPar
     return v_sensor * (sensor.full_scale_pressure / sensor.full_scale_voltage)
 
 
-def measure(pressure: float, curvature: float, chain: SensorChain, t: float,
+def measure(pressure: float, curvature: float, chain: SensorChain,
             rng: DeterministicRng | None = None, ambient_offset: float = 0.0) -> SensorFrame:
     """Sample both channels of one finger.
 
@@ -218,11 +217,11 @@ def measure(pressure: float, curvature: float, chain: SensorChain, t: float,
     This is curvature_to_strain -> strain_to_resistance ->
     resistance_to_counts and pressure_to_counts in one body, the same floats
     in the same order. It keeps the checks a valid chain does not already
-    rule out: curvature NaN or < 0, and a NaN channel pressure. (With
-    d_neutral > 0 the strain is >= 0, so the resistance is > 0.)
+    rule out: curvature NaN, infinite or < 0, and a NaN channel pressure.
+    (With d_neutral > 0 the strain is >= 0, so the resistance is > 0.)
     """
-    if math.isnan(curvature) or curvature < 0.0:
-        raise DomainError(f"curvature must be >= 0, got {curvature}")
+    if not (0.0 <= curvature < math.inf):
+        raise DomainError(f"curvature must be finite and >= 0, got {curvature}")
     gauge, adc = chain.gauge, chain.adc
     v_ref = adc.v_ref
     fsc = adc.full_scale_counts
@@ -261,8 +260,8 @@ def measure(pressure: float, curvature: float, chain: SensorChain, t: float,
     elif v_adc > v_ref:
         v_adc = v_ref
     pressure_counts = int(round(v_adc / v_ref * fsc))
-    return SensorFrame(t=t, strain_counts=strain_counts,
-                       pressure_counts=pressure_counts, reference_pressure=offset)
+    return SensorFrame(strain_counts=strain_counts, pressure_counts=pressure_counts,
+                       reference_pressure=offset)
 
 
 def counts_to_physical(frame: SensorFrame, chain: SensorChain,

@@ -129,7 +129,8 @@ def test_criterion_07_controller_safety():
             fsm = controller.reset_fault(fsm, t)
         elif a == 2:
             fsm = controller.force_vent(fsm, t)
-        m = controller.Measurement(float(pressures[k]), float(curvatures[k]))
+        m = sensors.PhysicalReading(float(pressures[k]), float(curvatures[k]),
+                                    0.01 * float(curvatures[k]))
         fsm, valve = controller.fsm_tick(fsm, m, t, config)
         if valve.inlet and valve.vent:
             co_open += 1
@@ -147,7 +148,8 @@ def test_criterion_07_controller_safety():
     for k in range(round(10.0 / config.tick_period_s)):
         t = k * config.tick_period_s
         fsm, valve = controller.fsm_tick(
-            fsm, controller.Measurement(state.pressure, state.curvature), t, config)
+            fsm, sensors.PhysicalReading(state.pressure, state.curvature,
+                                         params.d_neutral * state.curvature), t, config)
         if fsm.mode is controller.Mode.HOLDING and reached_at is None:
             reached_at = t
             assert abs(state.pressure - target.value) <= target.deadband
@@ -166,7 +168,7 @@ def test_criterion_08_sensor_round_trip():
               * chain.pressure.full_scale_pressure / chain.pressure.full_scale_voltage)
     rng = np.random.default_rng(808)
     for p in rng.uniform(200.0, psi(12), 1000):
-        frame = sensors.measure(p, 0.0, chain, t=0.0)
+        frame = sensors.measure(p, 0.0, chain)
         assert abs(sensors.counts_to_physical(frame, chain).pressure - p) <= lsb_pa
 
     def strain_at(counts):
@@ -175,7 +177,7 @@ def test_criterion_08_sensor_round_trip():
 
     for kappa in rng.uniform(0.1, 70.0, 1000):
         eps = sensors.curvature_to_strain(kappa, chain.d_neutral)
-        frame = sensors.measure(0.0, kappa, chain, t=0.0)
+        frame = sensors.measure(0.0, kappa, chain)
         c = frame.strain_counts
         assert 0 < c < chain.adc.full_scale_counts
         lsb = max(strain_at(c + 1) - strain_at(c), strain_at(c) - strain_at(c - 1))
@@ -205,8 +207,7 @@ def test_criterion_09_protocol_robustness():
     config = controller.ControllerConfig()
     for trial in range(100):
         bus = protocol.SimulatedBus(loss_rate=0.10, seed=5000 + trial)
-        device = runner.HandDevice(1, config, controller.DEFAULT_PRESSURE_DEADBAND,
-                                   controller.DEFAULT_CURVATURE_DEADBAND)
+        device = runner.HandDevice(1, config)
         host = protocol.FrameDecoder()
         acked = False
         for attempt in range(100):
@@ -214,8 +215,8 @@ def test_criterion_09_protocol_robustness():
             bus.host_send(protocol.encode_command(protocol.SetPressureTarget(50e3), 0), t)
             bus.host_send(protocol.encode_command(protocol.GetState(), 0), t)
             device.feed(bus.device_recv(), t)
-            frame = sensors.SensorFrame(t=t, strain_counts=0, pressure_counts=0)
-            _, out, _ = device.tick([frame], [controller.Measurement(0.0, 0.0)], t)
+            frame = sensors.SensorFrame(strain_counts=0, pressure_counts=0)
+            _, out, _ = device.tick([frame], [sensors.PhysicalReading(0.0, 0.0, 0.0)], t)
             bus.device_send(out, t)
             for response in host.feed(bus.host_recv()):
                 telemetry_frame = protocol.parse_telemetry(response)

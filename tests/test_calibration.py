@@ -96,7 +96,7 @@ class TestChannelCalibration:
     def test_exact_recovery_from_known_map(self):
         gain, offset = 25.0, -1000.0
         counts = np.arange(400, 3600, 100)
-        frames = [SensorFrame(t=0.0, strain_counts=0, pressure_counts=int(c),
+        frames = [SensorFrame(strain_counts=0, pressure_counts=int(c),
                               reference_pressure=gain * c + offset) for c in counts]
         cal = calibrate_channel_against_reference(frames)
         assert cal.gain_pa_per_count == pytest.approx(gain, rel=1e-9)
@@ -110,7 +110,7 @@ class TestChannelCalibration:
         def frames(d):
             # Drift shifts the channel input and the reference together:
             # both move along the same line.
-            return [SensorFrame(t=0.0, strain_counts=0,
+            return [SensorFrame(strain_counts=0,
                                 pressure_counts=int(c + d / gain),
                                 reference_pressure=gain * c + offset + d)
                     for c in counts]
@@ -124,7 +124,7 @@ class TestChannelCalibration:
         from softhand.rand import DeterministicRng
         rng = DeterministicRng(21)
         pressures = np.linspace(0.0, psi(10), 60)
-        frames = [SensorFrame(t=0.0, strain_counts=0,
+        frames = [SensorFrame(strain_counts=0,
                               pressure_counts=sensors.pressure_to_counts(
                                   p, default_chain.pressure, default_chain.adc, rng),
                               reference_pressure=p)
@@ -137,7 +137,7 @@ class TestChannelCalibration:
         assert cal.gain_pa_per_count == pytest.approx(analytic_gain, rel=0.01)
 
     def test_insufficient_span_rejected(self):
-        frames = [SensorFrame(t=0.0, strain_counts=0, pressure_counts=1000 + i,
+        frames = [SensorFrame(strain_counts=0, pressure_counts=1000 + i,
                               reference_pressure=100.0 * i) for i in range(10)]
         with pytest.raises(FitError):
             calibrate_channel_against_reference(frames)

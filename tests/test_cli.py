@@ -56,6 +56,12 @@ class TestRunVerb:
                        f"--dt={dt}") == 2
         assert "error: dt must be > 0" in capsys.readouterr().err
 
+    def test_sensors_d_neutral_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "d_neutral.json"
+        bad.write_text('{"duration_s": 1.0, "sensors": {"d_neutral_m": 0.5}}')
+        assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
+        assert "$.sensors.d_neutral_m: unknown key" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("run", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 2
 
@@ -233,3 +239,59 @@ class TestGraspAndFigureVerbs:
             run_cli("figure", str(run_dir / "empty_grasp_telemetry.csv"),
                     "--kind", "sparkline")
         assert exc.value.code == 2
+
+
+IDEAL_RECORD = {
+    "d_neutral_m": 0.01, "fit_residuals": {}, "kappa0_hat_per_m": 1.0,
+    "p_threshold_hat_pa": 30000.0, "r0_hat_ohm": 2.0, "r_lead_hat_ohm": 0.2,
+    "slope_hat_per_m_pa": 0.0025, "warmup_cycles": 10,
+    "pressure_channel": {"gain_pa_per_count": 25.0, "offset_pa": 0.0, "rms_pa": 0.0},
+}
+
+
+class TestClassifyCalRecord:
+    def classify(self, run_dir, cal):
+        return run_cli("grasp", "classify", str(run_dir / "cylinder_r74mm_telemetry.csv"),
+                       "--reference", str(run_dir / "empty_grasp_telemetry.csv"),
+                       "--cal", str(cal))
+
+    def test_well_formed_record_classifies(self, run_dir, tmp_path, capsys):
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(IDEAL_RECORD))
+        assert self.classify(run_dir, cal) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("text, names", [
+        ("{not json", ":1:2:"),
+        ("[1, 2]", "$: expected a JSON object"),
+        ("{}", "$.p_threshold_hat_pa: required key missing"),
+        (json.dumps(dict(IDEAL_RECORD, n_samples=40)), "$.n_samples: unknown key"),
+        (json.dumps(dict(IDEAL_RECORD, r0_hat_ohm="two")), "$.r0_hat_ohm: expected a number"),
+        (json.dumps(dict(IDEAL_RECORD, slope_hat_per_m_pa=float("nan"))),
+         "$.slope_hat_per_m_pa: must be finite"),
+        (json.dumps(dict(IDEAL_RECORD, pressure_channel=[25.0, 0.0, 0.0])),
+         "$.pressure_channel: expected a JSON object"),
+        (json.dumps(dict(IDEAL_RECORD, pressure_channel={"gain_pa_per_count": 25.0})),
+         "$.pressure_channel.offset_pa: required key missing"),
+    ], ids=["not_json", "not_object", "missing_key", "unknown_key", "non_numeric",
+            "non_finite", "channel_not_object", "channel_missing_key"])
+    def test_malformed_record_exits_2(self, run_dir, tmp_path, capsys, text, names):
+        cal = tmp_path / "cal.json"
+        cal.write_text(text)
+        assert self.classify(run_dir, cal) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(cal) in captured.err
+        assert names in captured.err
+
+    def test_calibrate_output_is_not_a_record(self, run_dir, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        p = rng.uniform(35e3, 80e3, 40)
+        samples = tmp_path / "pk.csv"
+        samples.write_text("pressure_pa,kappa_per_m\n" + "".join(
+            f"{pi},{1.0 + 2.5e-3 * (pi - 30e3)}\n" for pi in p))
+        fit = tmp_path / "fit.json"
+        assert run_cli("calibrate", "pressure-curvature", str(samples),
+                       "--warmup-cycles", "10", "--out", str(fit)) == 0
+        assert self.classify(run_dir, fit) == 2
+        assert "unknown key" in capsys.readouterr().err

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from softhand import controller, physics, protocol
-from softhand.controller import (ControllerConfig, FsmState, Measurement, Mode,
-                                 curvature_target, fsm_tick, hand_controller_tick,
-                                 pressure_target, set_target)
+from softhand.controller import (ControllerConfig, FsmState, Mode, curvature_target, fsm_tick,
+                                 hand_controller_tick, pressure_target, set_target)
 from softhand.errors import ConfigError, DomainError
+from softhand.sensors import PhysicalReading
 from softhand.units import psi
 
 CONFIG = ControllerConfig()
@@ -22,7 +22,9 @@ def closed_loop(target, seconds=12.0, obj=None, params=None, config=CONFIG):
     history = []
     for k in range(round(seconds / tick)):
         t = k * tick
-        fsm, valve = fsm_tick(fsm, Measurement(state.pressure, state.curvature), t, config)
+        reading = PhysicalReading(state.pressure, state.curvature,
+                                  params.d_neutral * state.curvature)
+        fsm, valve = fsm_tick(fsm, reading, t, config)
         for _ in range(n_sub):
             state = physics.step(state, params, valve, obj)
         history.append((t, state, fsm, valve))
@@ -32,15 +34,15 @@ def closed_loop(target, seconds=12.0, obj=None, params=None, config=CONFIG):
 class TestFsmTick:
     def test_within_deadband_goes_holding_closed(self):
         fsm = set_target(FsmState(), pressure_target(50e3), 0.0)
-        fsm, valve = fsm_tick(fsm, Measurement(50e3 + 100.0, 0.0), 0.005)
+        fsm, valve = fsm_tick(fsm, PhysicalReading(50e3 + 100.0, 0.0, 0.0), 0.005)
         assert fsm.mode is Mode.HOLDING
         assert valve == CLOSED
 
     def test_below_band_inflates_above_band_vents(self):
         fsm0 = set_target(FsmState(), pressure_target(50e3), 0.0)
-        fsm, valve = fsm_tick(fsm0, Measurement(10e3, 0.0), 0.005)
+        fsm, valve = fsm_tick(fsm0, PhysicalReading(10e3, 0.0, 0.0), 0.005)
         assert fsm.mode is Mode.INFLATING and valve.inlet and not valve.vent
-        fsm, valve = fsm_tick(fsm0, Measurement(70e3, 0.0), 0.005)
+        fsm, valve = fsm_tick(fsm0, PhysicalReading(70e3, 0.0, 0.0), 0.005)
         assert fsm.mode is Mode.VENTING and valve.vent and not valve.inlet
 
     def test_holding_reengages_only_beyond_double_band(self):
@@ -48,29 +50,29 @@ class TestFsmTick:
         fsm = FsmState(Mode.HOLDING, target, 0.0)
         inside = 50e3 + 1.9 * target.deadband
         outside = 50e3 + 2.1 * target.deadband
-        held, valve = fsm_tick(fsm, Measurement(inside, 0.0), 1.0)
+        held, valve = fsm_tick(fsm, PhysicalReading(inside, 0.0, 0.0), 1.0)
         assert held.mode is Mode.HOLDING and valve == CLOSED
-        reengaged, valve = fsm_tick(fsm, Measurement(outside, 0.0), 1.0)
+        reengaged, valve = fsm_tick(fsm, PhysicalReading(outside, 0.0, 0.0), 1.0)
         assert reengaged.mode is Mode.VENTING and valve.vent
 
     def test_servo_timeout_faults_and_vents(self):
         fsm = set_target(FsmState(), pressure_target(50e3), 0.0)
-        fsm, _ = fsm_tick(fsm, Measurement(0.0, 0.0), 0.005)
+        fsm, _ = fsm_tick(fsm, PhysicalReading(0.0, 0.0, 0.0), 0.005)
         assert fsm.mode is Mode.INFLATING
-        fsm, valve = fsm_tick(fsm, Measurement(0.0, 0.0), CONFIG.timeout_s + 0.01)
+        fsm, valve = fsm_tick(fsm, PhysicalReading(0.0, 0.0, 0.0), CONFIG.timeout_s + 0.01)
         assert fsm.mode is Mode.FAULT
         assert valve.vent and not valve.inlet
 
     def test_overpressure_faults_within_one_tick_from_any_mode(self):
         for mode in Mode:
             fsm = FsmState(mode, pressure_target(50e3), 0.0)
-            out, valve = fsm_tick(fsm, Measurement(CONFIG.p_max + 1.0, 0.0), 0.5)
+            out, valve = fsm_tick(fsm, PhysicalReading(CONFIG.p_max + 1.0, 0.0, 0.0), 0.5)
             assert out.mode is Mode.FAULT
             assert valve.vent and not valve.inlet
 
     def test_fault_is_absorbing_until_reset(self):
         fsm = FsmState(Mode.FAULT, None, 0.0)
-        out, valve = fsm_tick(fsm, Measurement(0.0, 0.0), 5.0)
+        out, valve = fsm_tick(fsm, PhysicalReading(0.0, 0.0, 0.0), 5.0)
         assert out.mode is Mode.FAULT and valve.vent
         assert set_target(out, pressure_target(10e3), 6.0).mode is Mode.FAULT
         reset = controller.reset_fault(out, 7.0)
@@ -78,13 +80,13 @@ class TestFsmTick:
 
     def test_unconditional_vent_has_no_timeout(self):
         fsm = controller.force_vent(FsmState(), 0.0)
-        out, valve = fsm_tick(fsm, Measurement(1e3, 0.0), 100.0)
+        out, valve = fsm_tick(fsm, PhysicalReading(1e3, 0.0, 0.0), 100.0)
         assert out.mode is Mode.VENTING and valve.vent
 
     def test_non_finite_measurement_rejected(self):
         fsm = set_target(FsmState(), pressure_target(50e3), 0.0)
         with pytest.raises(DomainError):
-            fsm_tick(fsm, Measurement(float("nan"), 0.0), 0.005)
+            fsm_tick(fsm, PhysicalReading(float("nan"), 0.0, 0.0), 0.005)
 
     def test_target_range_validated(self):
         with pytest.raises(DomainError):
@@ -96,7 +98,7 @@ class TestFsmTick:
 
     def test_pure_function_of_inputs(self):
         fsm = set_target(FsmState(), pressure_target(50e3), 0.0)
-        m = Measurement(20e3, 3.0)
+        m = PhysicalReading(20e3, 3.0, 0.03)
         assert fsm_tick(fsm, m, 1.0) == fsm_tick(fsm, m, 1.0)
 
 
@@ -146,7 +148,7 @@ class TestClosedLoop:
         prev = CLOSED
         for k in range(2000):  # 10 s at 200 Hz
             noisy = target.value + rng.normal(0.0, target.deadband / 4.0)
-            fsm, valve = fsm_tick(fsm, Measurement(noisy, 0.0), k * 0.005)
+            fsm, valve = fsm_tick(fsm, PhysicalReading(noisy, 0.0, 0.0), k * 0.005)
             if valve != prev:
                 switches += 1
             prev = valve
@@ -157,14 +159,14 @@ class TestClosedLoop:
 class TestHandController:
     def test_all_idle_all_closed(self):
         fsms = tuple(FsmState() for _ in range(3))
-        ms = tuple(Measurement(0.0, 0.0) for _ in range(3))
+        ms = tuple(PhysicalReading(0.0, 0.0, 0.0) for _ in range(3))
         out, valves = hand_controller_tick(fsms, ms, 0.0)
         assert all(v == CLOSED for v in valves)
         assert all(f.mode is Mode.IDLE for f in out)
 
     def test_more_than_six_rejected(self):
         fsms = tuple(FsmState() for _ in range(7))
-        ms = tuple(Measurement(0.0, 0.0) for _ in range(7))
+        ms = tuple(PhysicalReading(0.0, 0.0, 0.0) for _ in range(7))
         with pytest.raises(ConfigError):
             hand_controller_tick(fsms, ms, 0.0)
 
@@ -178,7 +180,8 @@ class TestHandController:
         solo_pressure_at_1s = None
         for k in range(round(10.0 / tick)):
             t = k * tick
-            ms = tuple(Measurement(s.pressure, s.curvature) for s in states)
+            ms = tuple(PhysicalReading(s.pressure, s.curvature, params.d_neutral * s.curvature)
+                       for s in states)
             fsms, valves = hand_controller_tick(fsms, ms, t)
             for _ in range(n_sub):
                 states = physics.hand_step(states, (params,) * 3, valves, (None,) * 3,
@@ -200,7 +203,7 @@ class TestHandController:
                     p = 20e3
                     if fault_on_1 and i == 1 and k >= 50:
                         p = CONFIG.p_max + 10.0
-                    ms.append(Measurement(p, 0.0))
+                    ms.append(PhysicalReading(p, 0.0, 0.0))
                 fsms, valves = hand_controller_tick(fsms, tuple(ms), t)
                 log.append((tuple(f.mode for f in fsms), valves))
             return log
@@ -232,7 +235,8 @@ class TestRandomizedSafety:
                 fsm = controller.reset_fault(fsm, t)
             elif actions[k] == 2:
                 fsm = controller.force_vent(fsm, t)
-            m = Measurement(float(max(pressures[k], 0.0)), float(curvatures[k]))
+            m = PhysicalReading(float(max(pressures[k], 0.0)), float(curvatures[k]),
+                                0.01 * float(curvatures[k]))
             fsm, valve = fsm_tick(fsm, m, t)
             assert not (valve.inlet and valve.vent)
             if m.pressure > CONFIG.p_max:
@@ -258,5 +262,20 @@ class TestCommandApplication:
         fsm = set_target(FsmState(), pressure_target(30e3), 0.0)
         stopped = controller.apply_command(fsm, protocol.Stop(), 1.0)
         assert stopped.target is None
-        _, valve = fsm_tick(stopped, Measurement(20e3, 0.0), 1.005)
+        _, valve = fsm_tick(stopped, PhysicalReading(20e3, 0.0, 0.0), 1.005)
         assert valve == CLOSED
+
+    def test_targets_take_deadbands_from_config(self):
+        config = ControllerConfig(pressure_deadband=500.0, curvature_deadband=0.5)
+        fsm = controller.apply_command(FsmState(), protocol.SetPressureTarget(50e3), 0.0, config)
+        assert fsm.target == pressure_target(50e3, 500.0)
+        fsm = controller.apply_command(fsm, protocol.SetCurvatureTarget(10.0), 0.0, config)
+        assert fsm.target == curvature_target(10.0, 0.5)
+
+
+class TestControllerConfig:
+    @pytest.mark.parametrize("field", ["pressure_deadband", "curvature_deadband"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+    def test_non_positive_deadband_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="deadband"):
+            ControllerConfig(**{field: value})

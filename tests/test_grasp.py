@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from softhand import calibration, runner, scenario
+from softhand import calibration, controller, grasp, runner, scenario
 from softhand.errors import DomainError, InsufficientDataError
 from softhand.grasp import (EmptyGraspReference, EventKind, GraspOutcome,
                             PhaseOrbit, classify_grasp, detect_conformation_changes,
@@ -68,6 +70,33 @@ class TestEmptyGraspReference:
         with pytest.raises(InsufficientDataError):
             EmptyGraspReference.from_orbit(PhaseOrbit.from_arrays(
                 [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]))
+
+
+def hold_segment_loop(p, band):
+    """The segment scan each grasp function once ran inline: walk out from the first peak."""
+    peak = int(np.argmax(p))
+    lo = hi = peak
+    while lo > 0 and p[lo - 1] >= p[peak] - band:
+        lo -= 1
+    while hi + 1 < p.size and p[hi + 1] >= p[peak] - band:
+        hi += 1
+    return lo, hi
+
+
+class TestHoldSegment:
+    # Few distinct levels give plateaus and ties at the peak; NaN and the
+    # infinities check that a failed >= still ends the scan.
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.lists(st.sampled_from((0.0, 1.0, 2.0, 2.5, 3.0, float("nan"),
+                                       float("inf"), float("-inf"))),
+                      min_size=1, max_size=40),
+           band=st.sampled_from((0.0, 0.5, 1.0, 2.0, 10.0)))
+    def test_matches_loop(self, p, band):
+        p = np.array(p)
+        assert grasp._hold_segment(p, band) == hold_segment_loop(p, band)
+
+    def test_hold_deadband_is_the_controller_deadband(self):
+        assert grasp.DEFAULT_HOLD_DEADBAND is controller.DEFAULT_PRESSURE_DEADBAND
 
 
 class TestClassifyGrasp:

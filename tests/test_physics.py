@@ -302,6 +302,11 @@ class TestFusedSubsteps:
         with pytest.raises(DomainError, match="state pressure"):
             step(ActuatorState(pressure=-1.0), default_params, INLET, n_steps=5)
 
+    def test_infinite_state_curvature_rejected(self, default_params):
+        # An infinite curvature would turn into NaN on the first substep.
+        with pytest.raises(DomainError, match="state curvature"):
+            step(ActuatorState(curvature=float("inf")), default_params, VENT, n_steps=5)
+
 
 class TestHandStep:
     def three(self, default_params):

@@ -258,8 +258,7 @@ class TestLossyCommandRetry:
         config = controller.ControllerConfig()
         for trial in range(20):
             bus = SimulatedBus(loss_rate=0.10, seed=1000 + trial)
-            device = HandDevice(1, config, controller.DEFAULT_PRESSURE_DEADBAND,
-                                controller.DEFAULT_CURVATURE_DEADBAND)
+            device = HandDevice(1, config)
             host = FrameDecoder()
             target = protocol.SetPressureTarget(50e3)
             acked = False
@@ -268,8 +267,8 @@ class TestLossyCommandRetry:
                 bus.host_send(protocol.encode_command(target, 0), t)
                 bus.host_send(protocol.encode_command(protocol.GetState(), 0), t)
                 device.feed(bus.device_recv(), t)
-                frame = sensors.SensorFrame(t=t, strain_counts=0, pressure_counts=0)
-                _, out, _ = device.tick([frame], [controller.Measurement(0.0, 0.0)], t)
+                frame = sensors.SensorFrame(strain_counts=0, pressure_counts=0)
+                _, out, _ = device.tick([frame], [sensors.PhysicalReading(0.0, 0.0, 0.0)], t)
                 bus.device_send(out, t)
                 for response in host.feed(bus.host_recv()):
                     telemetry = protocol.parse_telemetry(response)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from softhand import calibration, physics, runner, scenario
+from softhand import calibration, controller, physics, runner, scenario
 from softhand.errors import DomainError, ScenarioError
 
 # sha256 of each fixture's telemetry CSV at the pinned defaults. The three
@@ -124,6 +124,29 @@ class TestScenarioSchema:
             actuators=[{"slope_per_m_pa": 1e-3}, {}, {}]))
         assert sc.actuators[0].slope_m == 1e-3
         assert sc.actuators[1].slope_m == physics.ActuatorParams().slope_m
+
+    @pytest.mark.parametrize("value", [0.5, "junk"], ids=["number", "string"])
+    def test_sensors_d_neutral_is_unknown_key(self, value):
+        # A chain's d_neutral comes from its actuator, $.actuators[i].d_neutral_m.
+        with pytest.raises(ScenarioError, match=r"\$\.sensors\.d_neutral_m: unknown key"):
+            scenario.scenario_from_dict(minimal_dict(sensors={"d_neutral_m": value}))
+
+    def test_actuator_d_neutral_reaches_its_chain(self):
+        sc = scenario.scenario_from_dict(minimal_dict(actuators=[{"d_neutral_m": 0.02}, {}]))
+        assert [c.d_neutral for c in sc.chains] == [0.02, physics.ActuatorParams().d_neutral]
+
+    def test_controller_deadbands_land_in_config(self):
+        sc = scenario.scenario_from_dict(minimal_dict(
+            controller={"pressure_deadband_pa": 500.0, "curvature_deadband_per_m": 0.5}))
+        assert (sc.control.pressure_deadband, sc.control.curvature_deadband) == (500.0, 0.5)
+        default = scenario.scenario_from_dict(minimal_dict()).control
+        assert default.pressure_deadband == controller.DEFAULT_PRESSURE_DEADBAND
+        assert default.curvature_deadband == controller.DEFAULT_CURVATURE_DEADBAND
+
+    @pytest.mark.parametrize("key", ["pressure_deadband_pa", "curvature_deadband_per_m"])
+    def test_non_positive_deadband_names_path(self, key):
+        with pytest.raises(ScenarioError, match=rf"\$\.controller\.{key}: must be > 0"):
+            scenario.scenario_from_dict(minimal_dict(controller={key: 0.0}))
 
     def test_shipped_names(self):
         names = scenario.shipped_scenario_names()

@@ -112,7 +112,7 @@ class TestInversion:
     def test_pressure_round_trip_within_one_lsb(self):
         rng = np.random.default_rng(11)
         for p in rng.uniform(500.0, psi(12), 1000):
-            frame = measure(p, 0.0, NOISELESS, t=0.0)
+            frame = measure(p, 0.0, NOISELESS)
             reading = counts_to_physical(frame, NOISELESS)
             assert abs(reading.pressure - p) <= PRESSURE_LSB
 
@@ -121,7 +121,7 @@ class TestInversion:
         fsc = NOISELESS.adc.full_scale_counts
         for kappa in rng.uniform(0.1, 70.0, 1000):
             eps = curvature_to_strain(kappa, NOISELESS.d_neutral)
-            frame = measure(0.0, kappa, NOISELESS, t=0.0)
+            frame = measure(0.0, kappa, NOISELESS)
             c = frame.strain_counts
             assert 0 < c < fsc, "operating range must not saturate"
             lsb = max(strain_from_counts(c + 1) - strain_from_counts(c),
@@ -130,7 +130,7 @@ class TestInversion:
             assert abs(reading.strain - eps) <= lsb
 
     def test_zero_state_inverts_to_zero(self):
-        frame = measure(0.0, 0.0, NOISELESS, t=0.0)
+        frame = measure(0.0, 0.0, NOISELESS)
         reading = counts_to_physical(frame, NOISELESS)
         assert reading.pressure == 0.0
         lsb_strain = strain_from_counts(frame.strain_counts + 1) \
@@ -146,30 +146,30 @@ class TestInversion:
             gauge=StrainGaugeParams(noise_sigma=0.0),
             pressure=PressureSensorParams(noise_sigma=0.0, offset_drift=500.0))
         p = psi(5)
-        drifted = counts_to_physical(measure(p, 0.0, chain, t=0.0), chain)
-        plain = counts_to_physical(measure(p, 0.0, NOISELESS, t=0.0), NOISELESS)
+        drifted = counts_to_physical(measure(p, 0.0, chain), chain)
+        plain = counts_to_physical(measure(p, 0.0, NOISELESS), NOISELESS)
         assert abs(drifted.pressure - plain.pressure) <= PRESSURE_LSB
         assert abs(drifted.pressure - p) <= PRESSURE_LSB
 
     def test_ambient_offset_cancelled_for_any_drift(self):
         p = psi(4)
         for ambient in (-800.0, 0.0, 1500.0, 4000.0):
-            frame = measure(p, 0.0, NOISELESS, t=0.0, ambient_offset=ambient)
+            frame = measure(p, 0.0, NOISELESS, ambient_offset=ambient)
             assert frame.reference_pressure == ambient
             reading = counts_to_physical(frame, NOISELESS)
             assert abs(reading.pressure - p) <= PRESSURE_LSB
 
     def test_saturation_flagged_not_fatal(self):
         fsc = NOISELESS.adc.full_scale_counts
-        high = SensorFrame(t=0.0, strain_counts=fsc, pressure_counts=fsc)
-        low = SensorFrame(t=0.0, strain_counts=0, pressure_counts=0)
+        high = SensorFrame(strain_counts=fsc, pressure_counts=fsc)
+        low = SensorFrame(strain_counts=0, pressure_counts=0)
         for frame in (high, low):
             reading = counts_to_physical(frame, NOISELESS)
             assert reading.saturated
             assert np.isfinite(reading.pressure)
 
     def test_calibration_record_overrides_nominal(self, ideal_cal):
-        frame = measure(psi(5), 20.0, NOISELESS, t=0.0)
+        frame = measure(psi(5), 20.0, NOISELESS)
         with_cal = counts_to_physical(frame, NOISELESS, ideal_cal)
         without = counts_to_physical(frame, NOISELESS)
         assert with_cal.pressure == pytest.approx(without.pressure, abs=1e-9)
@@ -232,7 +232,7 @@ class TestValidation:
 
 # --- the fused measure / counts_to_physical against the kept primitives ------
 
-def measure_oracle(pressure, curvature, chain, t, rng=None, ambient_offset=0.0):
+def measure_oracle(pressure, curvature, chain, rng=None, ambient_offset=0.0):
     """measure() as the composition of the public forward primitives."""
     eps = curvature_to_strain(curvature, chain.d_neutral)
     r = strain_to_resistance(eps, chain.gauge)
@@ -240,7 +240,7 @@ def measure_oracle(pressure, curvature, chain, t, rng=None, ambient_offset=0.0):
     offset = chain.pressure.offset_drift + ambient_offset
     p_channel = max(pressure + offset, 0.0)
     pressure_counts = pressure_to_counts(p_channel, chain.pressure, chain.adc, rng)
-    return SensorFrame(t=t, strain_counts=strain_counts, pressure_counts=pressure_counts,
+    return SensorFrame(strain_counts=strain_counts, pressure_counts=pressure_counts,
                        reference_pressure=offset)
 
 
@@ -297,9 +297,8 @@ class TestFusedPathParity:
     def test_measure_matches_primitives(self, chain, pressure, curvature, ambient, seed):
         fused_rng, oracle_rng = DeterministicRng(seed), DeterministicRng(seed)
         for _ in range(3):
-            frame = measure(pressure, curvature, chain, 0.25, fused_rng, ambient)
-            assert frame == measure_oracle(pressure, curvature, chain, 0.25, oracle_rng,
-                                           ambient)
+            frame = measure(pressure, curvature, chain, fused_rng, ambient)
+            assert frame == measure_oracle(pressure, curvature, chain, oracle_rng, ambient)
             assert fused_rng._state == oracle_rng._state
 
     @settings(max_examples=150, deadline=None)
@@ -316,33 +315,33 @@ class TestFusedPathParity:
                "fitted": fitted_record(r0, r_lead, d_neutral),
                "fitted_channel": fitted_record(r0, r_lead, d_neutral,
                                                ChannelCal(gain, offset, 0.0))}[cal_kind]
-        frame = SensorFrame(t=0.0, strain_counts=counts[0], pressure_counts=counts[1],
+        frame = SensorFrame(strain_counts=counts[0], pressure_counts=counts[1],
                             reference_pressure=reference)
         assert outcome(counts_to_physical, frame, chain, cal) == \
             outcome(counts_oracle, frame, chain, cal)
 
     @pytest.mark.parametrize("pressure,curvature", [
-        (1e4, float("nan")), (1e4, -0.1), (float("nan"), 5.0),
-    ], ids=["curvature_nan", "curvature_negative", "pressure_nan"])
+        (1e4, float("nan")), (1e4, -0.1), (float("nan"), 5.0), (1e4, float("inf")),
+    ], ids=["curvature_nan", "curvature_negative", "pressure_nan", "curvature_inf"])
     def test_invalid_measure_inputs_raise_as_primitives_do(self, pressure, curvature):
         for chain in (NOISELESS, SensorChain()):
             fused, oracle = DeterministicRng(3), DeterministicRng(3)
-            expected = outcome(measure_oracle, pressure, curvature, chain, 0.0, oracle)
+            expected = outcome(measure_oracle, pressure, curvature, chain, oracle)
             assert expected[0] is DomainError
-            assert outcome(measure, pressure, curvature, chain, 0.0, fused) == expected
+            assert outcome(measure, pressure, curvature, chain, fused) == expected
             assert fused._state == oracle._state
 
     def test_noise_without_rng_raises_as_primitives_do(self):
-        expected = outcome(measure_oracle, 1e4, 5.0, SensorChain(), 0.0)
+        expected = outcome(measure_oracle, 1e4, 5.0, SensorChain())
         assert expected[0] is DomainError
-        assert outcome(measure, 1e4, 5.0, SensorChain(), 0.0) == expected
+        assert outcome(measure, 1e4, 5.0, SensorChain()) == expected
 
     @pytest.mark.parametrize("r0,r_lead", [(0.0, 0.2), (-1.0, 0.2), (float("nan"), 0.2),
                                            (2.0, -0.1), (2.0, float("nan"))],
                              ids=["r0_zero", "r0_negative", "r0_nan", "r_lead_negative",
                                   "r_lead_nan"])
     def test_invalid_fitted_gauge_raises_as_constructor_does(self, r0, r_lead):
-        frame = measure(psi(5), 20.0, NOISELESS, t=0.0)
+        frame = measure(psi(5), 20.0, NOISELESS)
         cal = fitted_record(r0, r_lead, 0.01)
         expected = outcome(counts_oracle, frame, NOISELESS, cal)
         assert expected[0] is DomainError
