@@ -285,7 +285,8 @@ def load_record(path) -> CalibrationRecord:
     Malformed input raises RecordError naming the file and the JSON key:
     text that is not JSON, a document that is not an object, missing or
     unknown keys, non-numeric or non-finite numbers, a malformed
-    pressure_channel or fit_residuals, and a non-integer warmup_cycles.
+    pressure_channel or fit_residuals, and a non-integer warmup_cycles or
+    one below WARMUP_CYCLES_REQUIRED.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -312,5 +313,8 @@ def load_record(path) -> CalibrationRecord:
     warmup = payload.get("warmup_cycles", WARMUP_CYCLES_REQUIRED)
     if not isinstance(warmup, int) or isinstance(warmup, bool):
         raise RecordError(f"{root}.warmup_cycles: expected an integer, got {warmup!r}")
+    if warmup < WARMUP_CYCLES_REQUIRED:
+        raise RecordError(f"{root}.warmup_cycles: {warmup} warm-up inflations recorded; "
+                          f"fits are only valid after >= {WARMUP_CYCLES_REQUIRED}")
     return CalibrationRecord(pressure_channel=channel, fit_residuals=residuals,
                              warmup_cycles=warmup, **numbers)

@@ -171,10 +171,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SofthandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SofthandError, OSError) as exc:  # OSError: a path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -69,27 +69,24 @@ class Frame:
     payload: bytes = b""
 
 
-def _check_actuator_id(actuator_id: int) -> None:
+def encode(frame: Frame) -> bytes:
+    """Bit-exact serialization of a frame: one bytes for sync..payload, one CRC pass."""
+    command, actuator_id, payload = frame.command, frame.actuator_id, frame.payload
+    if len(payload) > MAX_PAYLOAD:
+        raise EncodeError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
+    if not (0 <= command <= 0xFF):
+        raise EncodeError(f"command byte out of range: {command}")
     if not (0 <= actuator_id <= MAX_ACTUATOR_ID or actuator_id == BROADCAST_ID):
         raise EncodeError(f"actuator_id must be 0..{MAX_ACTUATOR_ID} or 0xFF, got {actuator_id}")
-
-
-def encode(frame: Frame) -> bytes:
-    """Bit-exact serialization of a frame."""
-    if len(frame.payload) > MAX_PAYLOAD:
-        raise EncodeError(f"payload of {len(frame.payload)} bytes exceeds {MAX_PAYLOAD}")
-    if not (0 <= frame.command <= 0xFF):
-        raise EncodeError(f"command byte out of range: {frame.command}")
-    _check_actuator_id(frame.actuator_id)
-    body = bytes([len(frame.payload), frame.command, frame.actuator_id]) + frame.payload
-    return bytes([SYNC]) + body + bytes([crc8(body)])
+    head = bytes((SYNC, len(payload), command, actuator_id)) + payload
+    return head + crc8(head[1:]).to_bytes(1, "big")
 
 
 class FrameDecoder:
     """Streaming decoder with diagnostics counters. Accepts any byte garbage."""
 
     def __init__(self):
-        self._buf = bytearray()
+        self._buf = b""
         self.frames_decoded = 0
         self.crc_errors = 0
         self.bytes_skipped = 0
@@ -99,8 +96,9 @@ class FrameDecoder:
 
         A buffer that ends inside a potential frame keeps it for the next feed.
         """
-        self._buf += data
-        buf = self._buf
+        if not data:  # the buffer holds at most an undecided partial frame
+            return []
+        buf = self._buf + data
         frames: list[Frame] = []
         pos = 0
         n = len(buf)
@@ -123,21 +121,21 @@ class FrameDecoder:
             total = _MIN_FRAME + length
             if n - pos < total:
                 break
-            body = bytes(buf[pos + 1:pos + _HEADER_LEN + length])
-            if crc8(body) != buf[pos + _HEADER_LEN + length]:
+            end = pos + _HEADER_LEN + length
+            if crc8(buf[pos + 1:end]) != buf[end]:
                 self.crc_errors += 1
                 self.bytes_skipped += 1
                 pos += 1
                 continue
-            actuator_id = body[2]
+            actuator_id = buf[pos + 3]
             if actuator_id > MAX_ACTUATOR_ID and actuator_id != BROADCAST_ID:
                 self.bytes_skipped += 1
                 pos += 1
                 continue
-            frames.append(Frame(command=body[1], actuator_id=actuator_id, payload=body[3:]))
+            frames.append(Frame(buf[pos + 2], actuator_id, buf[pos + _HEADER_LEN:end]))
             self.frames_decoded += 1
             pos += total
-        del buf[:pos]
+        self._buf = buf[pos:]
         return frames
 
 
@@ -266,36 +264,44 @@ def encode_telemetry(actuator_id: int, t_ms: int, pressure_counts: int,
 def parse_telemetry(frame: Frame) -> Telemetry | None:
     if frame.command != CMD_TELEMETRY or len(frame.payload) != _TELEMETRY_STRUCT.size:
         return None
-    t_ms, pressure_counts, strain_counts, fsm_mode = _TELEMETRY_STRUCT.unpack(frame.payload)
-    return Telemetry(t_ms, pressure_counts, strain_counts, fsm_mode)
+    return Telemetry(*_TELEMETRY_STRUCT.unpack(frame.payload))
 
 
 # --- simulated serial bus -------------------------------------------------
 
 class _Channel:
+    """One direction of the bus: a queue of (delivery time, chunk), one entry per send."""
+
     def __init__(self, loss_rate: float, bit_error_rate: float, latency_s: float,
                  rng: DeterministicRng):
         self._loss = loss_rate
         self._ber = bit_error_rate
         self._latency = latency_s
         self._rng = rng
-        self._queue: deque[tuple[float, int]] = deque()
+        self._queue: deque[tuple[float, bytes]] = deque()
 
     def send(self, data: bytes, t: float = 0.0) -> None:
-        for byte in data:
-            if self._loss > 0.0 and self._rng.random() < self._loss:
-                continue
-            if self._ber > 0.0:
-                for bit in range(8):
-                    if self._rng.random() < self._ber:
-                        byte ^= 1 << bit
-            self._queue.append((t + self._latency, byte))
+        if self._loss > 0.0 or self._ber > 0.0:  # per byte: a loss draw, then 8 bit draws
+            survivors = bytearray()
+            for byte in data:
+                if self._loss > 0.0 and self._rng.random() < self._loss:
+                    continue
+                if self._ber > 0.0:
+                    for bit in range(8):
+                        if self._rng.random() < self._ber:
+                            byte ^= 1 << bit
+                survivors.append(byte)
+            data = survivors
+        # An empty chunk at the head would hold back later sends with earlier
+        # times; bytes() copies a caller's bytearray, so later edits stay out.
+        if data:
+            self._queue.append((t + self._latency, bytes(data)))
 
     def recv(self, t: float | None = None) -> bytes:
-        out = bytearray()
+        chunks = []
         while self._queue and (t is None or self._queue[0][0] <= t):
-            out.append(self._queue.popleft()[1])
-        return bytes(out)
+            chunks.append(self._queue.popleft()[1])
+        return b"".join(chunks)
 
 
 class SimulatedBus:

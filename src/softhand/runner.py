@@ -62,6 +62,7 @@ class HandDevice:
         self.unknown_commands = 0
         self._stream_period_ms: list[int | None] = [None] * n_fingers
         self._last_stream_ms: list[int] = [0] * n_fingers
+        self._streaming = False  # any finger has a stream period
         self._state_requests: set[int] = set()
 
     def _finger_ids(self, actuator_id: int) -> range:
@@ -90,17 +91,20 @@ class HandDevice:
                 else:
                     fsms[idx] = controller.apply_command(fsms[idx], command, t, self.config)
             self.fsms = tuple(fsms)
+            self._streaming = any(p is not None for p in self._stream_period_ms)
 
     def tick(self, frames: list[sensors.SensorFrame],
              readings: list[sensors.PhysicalReading], t: float
              ) -> tuple[tuple[physics.ValvePair, ...], bytes,
                         list[tuple[int, controller.Mode, controller.Mode]]]:
         """Run one control tick; returns the valves, outgoing bytes, transitions."""
-        old_modes = [f.mode for f in self.fsms]
+        old_fsms = self.fsms
         self.fsms, valves = controller.hand_controller_tick(
-            self.fsms, tuple(readings), t, self.config)
-        transitions = [(i, old, new.mode) for i, (old, new) in
-                       enumerate(zip(old_modes, self.fsms)) if old is not new.mode]
+            old_fsms, tuple(readings), t, self.config)
+        transitions = [(i, old.mode, new.mode) for i, (old, new) in
+                       enumerate(zip(old_fsms, self.fsms)) if old.mode is not new.mode]
+        if not (self._streaming or self._state_requests):
+            return valves, b"", transitions
         t_ms = round(t * 1000.0)
         out = bytearray()
         for i, frame in enumerate(frames):

@@ -339,8 +339,12 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not a UTF-8 text file ({exc})") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,18 +1,20 @@
 """What the benchmark in perfbench/ relies on, checked here so a break fails fast.
 
 perfbench wraps every call site in perfbench/layers.json by its dotted path,
-and the calibration_batch workload takes its simulated time from the number
-of controller.fsm_tick calls. A rename or a rerouted loop would otherwise
-fail only the benchmark run.
+the calibration_batch workload takes its simulated time from the number of
+controller.fsm_tick calls, and grasp_sweep reports protocol.encode calls as
+its frames-encoded count. A rename or a rerouted loop would otherwise fail
+only the benchmark run, or silently change a reported count.
 """
 
+import dataclasses
 import importlib
 import json
 from pathlib import Path
 
 import pytest
 
-from softhand import calibration, controller, physics, sensors
+from softhand import calibration, controller, physics, protocol, runner, scenario, sensors
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
 
@@ -32,20 +34,41 @@ def test_traced_name_is_public_callable(name):
     assert callable(owner), name
 
 
+def count_calls(monkeypatch, calls, owner, attr):
+    """Wrap ``owner.attr`` so that each call adds one to ``calls[attr]``."""
+    fn = getattr(owner, attr)
+    calls[attr] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[attr] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
 def test_calibration_run_ticks_fsm_once_per_physics_step(monkeypatch):
-    calls = {"fsm_tick": 0, "step": 0}
-
-    def counted(module, attr):
-        fn = getattr(module, attr)
-
-        def wrapper(*args, **kwargs):
-            calls[attr] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, attr, wrapper)
-
-    counted(controller, "fsm_tick")
-    counted(physics, "step")
+    calls = {}
+    count_calls(monkeypatch, calls, controller, "fsm_tick")
+    count_calls(monkeypatch, calls, physics, "step")
     calibration.simulate_calibration_run(physics.ActuatorParams(), sensors.SensorChain(),
                                          [40e3], seed=1, settle_s=0.1, samples_per_level=2)
     assert calls["fsm_tick"] > 0
     assert calls["fsm_tick"] == calls["step"]
+
+
+def test_streamed_run_wire_counts(monkeypatch):
+    # grasp_sweep's shape: a broadcast 5 ms stream_start at t=0 ahead of the
+    # fixture's own commands, so every finger sends one telemetry frame per
+    # 5 ms tick, each encoded through protocol.encode.
+    base = scenario.load_shipped_scenario("cylinder_r74mm")
+    stream = scenario.ScheduledCommand(t_s=0.0, actuator_id=protocol.BROADCAST_ID,
+                                       command=protocol.StreamStart(5))
+    sc = dataclasses.replace(base, commands=(stream,) + base.commands)
+    n_ticks = round(sc.duration_s / sc.tick_s)
+    calls = {}
+    count_calls(monkeypatch, calls, protocol, "encode")
+    count_calls(monkeypatch, calls, runner.HandDevice, "tick")
+    result = runner.run_scenario(sc)
+    assert sc.n_fingers == 3 and n_ticks > 0
+    assert calls["tick"] == n_ticks
+    assert calls["encode"] == len(sc.commands) + 3 * n_ticks
+    assert result.wire_telemetry_count == 3 * n_ticks

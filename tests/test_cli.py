@@ -65,6 +65,13 @@ class TestRunVerb:
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("run", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 2
 
+    def test_non_utf8_scenario_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + '{"duration_s": 1.0}'.encode("utf-16-le"))
+        assert run_cli("run", str(bad), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{bad}: not a UTF-8 text file" in err
+
     def test_fault_at_end_exits_1(self, tmp_path):
         # Curvature target above the object cap: unreachable, times out into
         # Fault, which is still the terminal mode at the end of the run.
@@ -173,6 +180,27 @@ def run_dir(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{path}", "--out", "{out}"],
+    ["grasp", "classify", "{path}", "--reference", "{reference}"],
+    ["grasp", "classify", "{telemetry}", "--reference", "{path}"],
+    ["grasp", "classify", "{telemetry}", "--reference", "{reference}", "--cal", "{path}"],
+    ["figure", "{path}", "--kind", "phase_orbit"],
+    ["calibrate", "pressure-curvature", "{path}", "--warmup-cycles", "10"],
+], ids=["run", "classify_telemetry", "classify_reference", "classify_cal", "figure",
+        "calibrate_pressure_curvature"])
+def test_directory_input_exits_2(run_dir, tmp_path, capsys, argv):
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    paths = {"path": directory, "out": tmp_path / "out",
+             "telemetry": run_dir / "cylinder_r74mm_telemetry.csv",
+             "reference": run_dir / "empty_grasp_telemetry.csv"}
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(directory) in captured.err
+
+
 class TestGraspAndFigureVerbs:
     def test_classify_against_reference(self, run_dir, capsys):
         code = run_cli("grasp", "classify", str(run_dir / "cylinder_r74mm_telemetry.csv"),
@@ -273,8 +301,9 @@ class TestClassifyCalRecord:
          "$.pressure_channel: expected a JSON object"),
         (json.dumps(dict(IDEAL_RECORD, pressure_channel={"gain_pa_per_count": 25.0})),
          "$.pressure_channel.offset_pa: required key missing"),
+        (json.dumps(dict(IDEAL_RECORD, warmup_cycles=3)), "$.warmup_cycles: 3 warm-up"),
     ], ids=["not_json", "not_object", "missing_key", "unknown_key", "non_numeric",
-            "non_finite", "channel_not_object", "channel_missing_key"])
+            "non_finite", "channel_not_object", "channel_missing_key", "cold_warmup"])
     def test_malformed_record_exits_2(self, run_dir, tmp_path, capsys, text, names):
         cal = tmp_path / "cal.json"
         cal.write_text(text)

@@ -1,12 +1,16 @@
 import struct
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softhand import controller, protocol, sensors
 from softhand.errors import DomainError, EncodeError
 from softhand.protocol import (BROADCAST_ID, CMD_STOP, CMD_VENT, Frame, FrameDecoder,
                                SimulatedBus, crc8, encode)
+from softhand.rand import DeterministicRng
 
 
 def crc8_reference(data, poly=0x07, init=0x00):
@@ -279,3 +283,93 @@ class TestLossyCommandRetry:
                     break
             assert acked, f"trial {trial} never acknowledged"
             assert device.fsms[0].target == controller.pressure_target(50e3)
+
+
+class PerByteChannel:
+    """The bus channel as it was before chunking: one (t, byte) queue entry per byte."""
+
+    def __init__(self, loss_rate, bit_error_rate, latency_s, rng):
+        self._loss = loss_rate
+        self._ber = bit_error_rate
+        self._latency = latency_s
+        self._rng = rng
+        self._queue = deque()
+
+    def send(self, data, t=0.0):
+        for byte in data:
+            if self._loss > 0.0 and self._rng.random() < self._loss:
+                continue
+            if self._ber > 0.0:
+                for bit in range(8):
+                    if self._rng.random() < self._ber:
+                        byte ^= 1 << bit
+            self._queue.append((t + self._latency, byte))
+
+    def recv(self, t=None):
+        out = bytearray()
+        while self._queue and (t is None or self._queue[0][0] <= t):
+            out.append(self._queue.popleft()[1])
+        return bytes(out)
+
+
+def rate(high):
+    return st.one_of(st.just(0.0), st.floats(0.0, high, exclude_min=True))
+
+
+times = st.floats(0.0, 1.0)
+channel_ops = st.lists(st.one_of(
+    st.tuples(st.just("send"), st.binary(max_size=40), times),
+    st.tuples(st.just("recv"), st.one_of(st.none(), times))), max_size=30)
+
+
+def flip_bit(wire, index, bit):
+    corrupted = bytearray(wire)
+    corrupted[index % len(corrupted)] ^= 1 << bit
+    return bytes(corrupted)
+
+
+def decoder_segments():
+    """Valid frames, corrupted frames and random bytes, concatenated."""
+    frame = st.builds(Frame, st.integers(0, 255),
+                      st.sampled_from([0, 1, 2, 3, 4, 5, BROADCAST_ID]),
+                      st.binary(max_size=protocol.MAX_PAYLOAD))
+    flipped = st.tuples(frame, st.integers(0, 10**6), st.integers(0, 7)).map(
+        lambda f: flip_bit(encode(f[0]), f[1], f[2]))
+    return st.lists(st.one_of(frame.map(encode), flipped, st.binary(max_size=50)),
+                    max_size=12).map(b"".join)
+
+
+def decode_all(pieces):
+    decoder = FrameDecoder()
+    frames = [frame for piece in pieces for frame in decoder.feed(piece)]
+    return frames, (decoder.frames_decoded, decoder.crc_errors, decoder.bytes_skipped)
+
+
+class TestWireProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=channel_ops, monotone=st.booleans(), seed=st.integers(0, 2**64 - 1),
+           latency=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+           loss=rate(0.5), ber=rate(0.05))
+    def test_chunked_channel_delivers_as_per_byte_channel(self, ops, monotone, seed,
+                                                           latency, loss, ber):
+        if monotone:  # the same ops, their times made non-decreasing
+            clock = iter(sorted(op[-1] for op in ops if op[-1] is not None))
+            ops = [op if op[-1] is None else (*op[:-1], next(clock)) for op in ops]
+        chunked = protocol._Channel(loss, ber, latency, DeterministicRng(seed))
+        per_byte = PerByteChannel(loss, ber, latency, DeterministicRng(seed))
+        for op, *args in ops:
+            if op == "send":
+                chunked.send(*args)
+                per_byte.send(*args)
+            else:
+                assert chunked.recv(*args) == per_byte.recv(*args)
+            assert chunked._rng._state == per_byte._rng._state
+        assert chunked.recv() == per_byte.recv()
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=st.one_of(decoder_segments(), st.binary(max_size=300)),
+           cuts=st.lists(st.integers(0, 400), max_size=8))
+    def test_decoder_split_anywhere_equals_whole(self, stream, cuts):
+        bounds = sorted({min(c, len(stream)) for c in cuts})
+        pieces = [stream[a:b] for a, b in zip([0, *bounds], [*bounds, len(stream)])]
+        assert decode_all(pieces) == decode_all([stream])

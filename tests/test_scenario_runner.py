@@ -119,6 +119,12 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioError, match=r"broken\.json:3:"):
             scenario.load_scenario(path)
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"duration_s": 1.0}'.encode("utf-16-le"))
+        with pytest.raises(ScenarioError, match=r"utf16\.json: not a UTF-8 text file"):
+            scenario.load_scenario(path)
+
     def test_actuator_override_applied(self):
         sc = scenario.scenario_from_dict(minimal_dict(
             actuators=[{"slope_per_m_pa": 1e-3}, {}, {}]))
