@@ -35,8 +35,7 @@ def main():
         bus.host_send(protocol.encode_command(target, 0), t)
         bus.host_send(protocol.encode_command(protocol.GetState(), 0), t)
         device.feed(bus.device_recv(), t)
-        frame = sensors.SensorFrame(strain_counts=1470, pressure_counts=0)
-        _, out, _ = device.tick([frame], [sensors.PhysicalReading(0.0, 0.0, 0.0)], t)
+        _, out, _ = device.tick([(1470, 0, sensors.PhysicalReading(0.0, 0.0, 0.0))], t)
         bus.device_send(out, t)
         for response in host.feed(bus.host_recv()):
             telemetry = protocol.parse_telemetry(response)

@@ -194,9 +194,8 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     pressure/curvature data is gathered on the bench. Returned values are
     the noisy, quantized measurements, not the simulator truth.
     """
-    rng = DeterministicRng(seed)
     config = controller.ControllerConfig(p_max=params.p_max)
-    cal = ideal_record(params, chain)
+    path = sensors.SensorPath(chain, ideal_record(params, chain), DeterministicRng(seed))
     state = physics.ActuatorState()
     fsm = controller.FsmState()
     tick = config.tick_period_s
@@ -208,8 +207,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
         fsm = controller.set_target(fsm, controller.pressure_target(level), t, config)
         held_since = None
         while True:
-            frame = sensors.measure(state.pressure, state.curvature, chain, rng)
-            reading = sensors.counts_to_physical(frame, chain, cal)
+            _, _, reading = path.sample(state.pressure, state.curvature)
             fsm, valves = controller.fsm_tick(fsm, reading, t, config)
             state = physics.step(state, params, valves, dt=dt, circuit=circuit, n_steps=n_sub)
             t += tick
@@ -223,8 +221,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
             else:
                 held_since = None
         for _ in range(samples_per_level):
-            frame = sensors.measure(state.pressure, state.curvature, chain, rng)
-            reading = sensors.counts_to_physical(frame, chain, cal)
+            _, _, reading = path.sample(state.pressure, state.curvature)
             p_out.append(reading.pressure)
             k_out.append(reading.curvature)
     return CalibrationData(pressures=np.array(p_out), curvatures=np.array(k_out),

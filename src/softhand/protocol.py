@@ -15,6 +15,7 @@ swallow a later valid frame.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -317,8 +318,8 @@ class SimulatedBus:
         for name, rate in (("loss_rate", loss_rate), ("bit_error_rate", bit_error_rate)):
             if not (0.0 <= rate < 1.0):
                 raise DomainError(f"{name} must be in [0, 1), got {rate}")
-        if latency_s < 0.0:
-            raise DomainError(f"latency_s must be >= 0, got {latency_s}")
+        if not (0.0 <= latency_s < math.inf):
+            raise DomainError(f"latency_s must be finite and >= 0, got {latency_s}")
         root = DeterministicRng(seed)
         self._down = _Channel(loss_rate, bit_error_rate, latency_s, root.spawn(1))
         self._up = _Channel(loss_rate, bit_error_rate, latency_s, root.spawn(2))

@@ -4,11 +4,16 @@ A SplitMix64 stream feeds a rational inverse-normal-CDF approximation
 (max relative error ~1.15e-9, Acklam's coefficients), so a given seed
 produces the same byte-identical telemetry everywhere: no dependence on
 numpy's generator internals, and the only libm call is log() in the tails.
+``normals`` draws a block of the same Gaussians in numpy, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -16,7 +21,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Acklam's inverse normal CDF: for _P_LOW <= p <= _P_HIGH a ratio of
 # polynomials in r = (p - 0.5)^2, in each tail one in
 # q = sqrt(-2 log(min(p, 1 - p))). Its coefficients are literals in
-# DeterministicRng.normal, the only user.
+# DeterministicRng.normal and DeterministicRng.normals.
 _P_LOW = 0.02425
 _P_HIGH = 1.0 - _P_LOW
 
@@ -70,6 +75,46 @@ class DeterministicRng:
              / ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
                   + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0))
         return (x if p < _P_LOW else -x) * sigma
+
+    def normals(self, n: int) -> np.ndarray:
+        """n standard Gaussians: bit for bit n calls of ``normal(1.0)``, same state after.
+
+        The SplitMix64 steps and the central branch run elementwise over
+        uint64/float64 arrays in the order ``normal`` evaluates them (numpy
+        rounds each + - * / as Python does and fuses nothing). The draws
+        that land in a tail, about 5 %, are finished with scalar
+        ``math.log``, whose results ``np.log`` does not always match.
+        """
+        if n < 0:
+            raise DomainError(f"n must be >= 0, got {n}")
+        steps = np.arange(1, n + 1, dtype=np.uint64)
+        z = steps * np.uint64(_GOLDEN) + np.uint64(self._state)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        p = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        q = p - 0.5
+        r = q * q
+        out = ((((((-3.969683028665376e+01 * r + 2.209460984245205e+02) * r
+                   - 2.759285104469687e+02) * r + 1.383577518672690e+02) * r
+                 - 3.066479806614716e+01) * r + 2.506628277459239e+00) * q
+               / (((((-5.447609879822406e+01 * r + 1.615858368580409e+02) * r
+                     - 1.556989798598866e+02) * r + 6.680131188771972e+01) * r
+                   - 1.328068155288572e+01) * r + 1.0))
+        tails = np.flatnonzero((p < _P_LOW) | (p > _P_HIGH))
+        for i, p_tail in zip(tails.tolist(), p[tails].tolist()):
+            low = p_tail < _P_LOW
+            q = math.sqrt(-2.0 * math.log(p_tail if low else 1.0 - p_tail))
+            x = ((((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
+                     - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
+                   + 4.374664141464968e+00) * q + 2.938163982698783e+00)
+                 / ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
+                      + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0))
+            out[i] = x if low else -x
+        return out
 
     def spawn(self, key: int) -> "DeterministicRng":
         """Independent child stream; same (seed, key) always gives the same child."""

@@ -93,28 +93,30 @@ class HandDevice:
             self.fsms = tuple(fsms)
             self._streaming = any(p is not None for p in self._stream_period_ms)
 
-    def tick(self, frames: list[sensors.SensorFrame],
-             readings: list[sensors.PhysicalReading], t: float
+    def tick(self, samples: list[tuple[int, int, sensors.PhysicalReading]], t: float
              ) -> tuple[tuple[physics.ValvePair, ...], bytes,
                         list[tuple[int, controller.Mode, controller.Mode]]]:
-        """Run one control tick; returns the valves, outgoing bytes, transitions."""
+        """Run one control tick on each finger's (strain_counts, pressure_counts, reading).
+
+        Returns the valves, outgoing bytes and FSM transitions.
+        """
         old_fsms = self.fsms
         self.fsms, valves = controller.hand_controller_tick(
-            old_fsms, tuple(readings), t, self.config)
+            old_fsms, tuple(reading for _, _, reading in samples), t, self.config)
         transitions = [(i, old.mode, new.mode) for i, (old, new) in
                        enumerate(zip(old_fsms, self.fsms)) if old.mode is not new.mode]
         if not (self._streaming or self._state_requests):
             return valves, b"", transitions
         t_ms = round(t * 1000.0)
         out = bytearray()
-        for i, frame in enumerate(frames):
+        for i, (strain_counts, pressure_counts, _) in enumerate(samples):
             period = self._stream_period_ms[i]
             due = period is not None and t_ms - self._last_stream_ms[i] >= period
             if due:
                 self._last_stream_ms[i] = t_ms
             if due or i in self._state_requests:
                 out += protocol.encode_telemetry(
-                    i, t_ms, frame.pressure_counts, frame.strain_counts,
+                    i, t_ms, pressure_counts, strain_counts,
                     controller.MODE_TO_WIRE[self.fsms[i].mode])
         self._state_requests.clear()
         return valves, bytes(out), transitions
@@ -173,10 +175,9 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
 
     n = sc.n_fingers
     root = DeterministicRng(seed)
-    sensor_rngs = [root.spawn(100 + i) for i in range(n)]
-    chains = sc.chains
-    ambient = sc.atmosphere_offset_pa
-    cals = [calibration.ideal_record(sc.actuators[i], chains[i]) for i in range(n)]
+    paths = [sensors.SensorPath(chain, calibration.ideal_record(params, chain),
+                                root.spawn(100 + i), sc.atmosphere_offset_pa)
+             for i, (params, chain) in enumerate(zip(sc.actuators, sc.chains))]
     states: tuple[physics.ActuatorState, ...] = tuple(physics.ActuatorState() for _ in range(n))
     objects = sc.objects_per_finger()
     circuit = physics.PneumaticCircuit(pump_pressure=sc.pump_pressure_pa,
@@ -212,10 +213,7 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
                            "curvature_step_per_m": dist.curvature_step_per_m})
             di += 1
 
-        frames = [sensors.measure(s.pressure, s.curvature, chain, rng, ambient)
-                  for s, chain, rng in zip(states, chains, sensor_rngs)]
-        readings = [sensors.counts_to_physical(frame, chain, cal)
-                    for frame, chain, cal in zip(frames, chains, cals)]
+        samples = [path.sample(s.pressure, s.curvature) for path, s in zip(paths, states)]
 
         while ci < len(pending_commands) and pending_commands[ci].t_s <= t + 1e-12:
             cmd = pending_commands[ci]
@@ -226,7 +224,7 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
             ci += 1
         device.feed(bus.device_recv(t), t)
 
-        valves, out_bytes, transitions = device.tick(frames, readings, t)
+        valves, out_bytes, transitions = device.tick(samples, t)
         if out_bytes:
             bus.device_send(out_bytes, t)
         for i, old, new in transitions:
@@ -235,11 +233,11 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
             if new is controller.Mode.FAULT:
                 events.append({"t_s": t, "kind": "fault", "finger": i})
 
-        rows.extend((t, i, r.pressure, s.curvature, r.strain, f.strain_counts,
-                     f.pressure_counts, fsm.mode.value, int(v.inlet), int(v.vent),
+        rows.extend((t, i, r.pressure, s.curvature, r.strain, strain_counts,
+                     pressure_counts, fsm.mode.value, int(v.inlet), int(v.vent),
                      s.contact_force)
-                    for i, (r, s, f, fsm, v) in enumerate(
-                        zip(readings, states, frames, device.fsms, valves)))
+                    for i, ((strain_counts, pressure_counts, r), s, fsm, v) in enumerate(
+                        zip(samples, states, device.fsms, valves)))
 
         states = physics.hand_step(states, sc.actuators, valves, objects, dt, circuit, n_sub)
 

@@ -10,6 +10,11 @@ reference sensor.
 Noise is additive white Gaussian, input-referred at the amplifier (the
 amplified noise, amp_gain * noise_sigma, is what appears at the ADC), and is
 drawn from an explicit seeded stream - no global RNG state.
+
+``SensorPath`` is the closed loop's sampler: ``measure`` then
+``counts_to_physical`` with every constant read once per run and the noise
+drawn in blocks. ``measure``, ``counts_to_physical`` and the per-stage
+functions are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from .units import PSI_TO_PA
 
 if TYPE_CHECKING:  # pragma: no cover
     from .calibration import CalibrationRecord
+
+# Gaussians a SensorPath draws per DeterministicRng.normals call.
+_NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -314,3 +322,115 @@ def counts_to_physical(frame: SensorFrame, chain: SensorChain,
     return PhysicalReading(pressure=pressure, curvature=curvature, strain=strain,
                            strain_saturated=strain_saturated,
                            pressure_saturated=pressure_saturated)
+
+
+def _gaussians(rng: DeterministicRng):
+    """rng's standard Gaussians, in stream order, drawn _NOISE_BLOCK at a time."""
+    while True:
+        yield from rng.normals(_NOISE_BLOCK).tolist()
+
+
+class SensorPath:
+    """One finger's ``measure`` then ``counts_to_physical``, set up once per run.
+
+    Every constant of both functions is read here, and the checks that do
+    not depend on the sample run here once, with the same messages: noise
+    without an rng, and a fitted r0 <= 0 or r_lead < 0. ``sample`` computes
+    the same floats in the same order and keeps the per-sample checks
+    (curvature NaN, infinite or < 0, a NaN channel pressure, the divider
+    voltage at or above excitation). The noise is read ahead in blocks from
+    ``rng``, so the path owns that stream: nothing else may draw from it.
+    Channels with noise_sigma 0 draw nothing, as in ``measure``.
+    """
+
+    __slots__ = ("_d_neutral", "_r0", "_r_lead", "_strain_gain", "_v_excitation",
+                 "_two_r_limit", "_strain_sigma", "_offset", "_fsp", "_fsv_per_fsp",
+                 "_pressure_gain", "_pressure_sigma", "_v_ref", "_fsc", "_channel",
+                 "_fsp_per_fsv", "_r0_hat", "_r_lead_hat", "_d_neutral_hat", "_noise")
+
+    def __init__(self, chain: SensorChain, cal: "CalibrationRecord | None" = None,
+                 rng: DeterministicRng | None = None, ambient_offset: float = 0.0):
+        gauge, sensor, adc = chain.gauge, chain.pressure, chain.adc
+        if (gauge.noise_sigma > 0.0 or sensor.noise_sigma > 0.0) and rng is None:
+            raise DomainError("noise_sigma > 0 requires a seeded rng")
+        if cal is not None:
+            r0, r_lead, d_neutral = cal.r0_hat_ohm, cal.r_lead_hat_ohm, cal.d_neutral_m
+            if not (r0 > 0.0):
+                raise DomainError(f"r0 must be > 0, got {r0}")
+            if not (r_lead >= 0.0):
+                raise DomainError(f"r_lead must be >= 0, got {r_lead}")
+        else:
+            r0, r_lead, d_neutral = gauge.r0, gauge.r_lead, chain.d_neutral
+        # The inverse path's gauge: the record's fit when given, else the chain's.
+        self._r0_hat, self._r_lead_hat, self._d_neutral_hat = r0, r_lead, d_neutral
+        channel = cal.pressure_channel if cal is not None else None
+        self._channel = None if channel is None else (channel.gain_pa_per_count,
+                                                      channel.offset_pa)
+        self._d_neutral = chain.d_neutral
+        self._r0, self._r_lead = gauge.r0, gauge.r_lead
+        self._strain_gain = gauge.amp_gain
+        self._v_excitation = gauge.v_excitation
+        self._two_r_limit = 2.0 * gauge.r_limit
+        self._strain_sigma = gauge.noise_sigma
+        self._offset = sensor.offset_drift + ambient_offset
+        self._fsp = sensor.full_scale_pressure
+        self._fsv_per_fsp = sensor.full_scale_voltage / sensor.full_scale_pressure
+        self._fsp_per_fsv = sensor.full_scale_pressure / sensor.full_scale_voltage
+        self._pressure_gain = sensor.amp_gain
+        self._pressure_sigma = sensor.noise_sigma
+        self._v_ref, self._fsc = adc.v_ref, adc.full_scale_counts
+        self._noise = _gaussians(rng).__next__ if rng is not None else None
+
+    def sample(self, pressure: float, curvature: float
+               ) -> tuple[int, int, PhysicalReading]:
+        """(strain_counts, pressure_counts, reading): measure then counts_to_physical."""
+        if not (0.0 <= curvature < math.inf):
+            raise DomainError(f"curvature must be finite and >= 0, got {curvature}")
+        v_ref, fsc = self._v_ref, self._fsc
+        # round() of a float is already an int: measure's int() is left out.
+
+        eps = self._d_neutral * curvature
+        r = self._r0 * (1.0 + eps) ** 2 + self._r_lead
+        amp_gain = self._strain_gain
+        v_adc = amp_gain * (self._v_excitation * r / (r + self._two_r_limit))
+        if self._strain_sigma > 0.0:
+            v_adc += amp_gain * (self._noise() * self._strain_sigma)
+        if v_adc < 0.0:
+            v_adc = 0.0
+        elif v_adc > v_ref:
+            v_adc = v_ref
+        strain_counts = round(v_adc / v_ref * fsc)
+
+        p_channel = pressure + self._offset
+        if p_channel < 0.0:
+            p_channel = 0.0
+        elif math.isnan(p_channel):
+            raise DomainError(f"pressure must be >= 0, got {p_channel}")
+        fsp = self._fsp
+        amp_gain = self._pressure_gain
+        # min(p_channel, fsp) as measure takes it, without the builtin call.
+        v_adc = amp_gain * ((fsp if fsp < p_channel else p_channel) * self._fsv_per_fsp)
+        if self._pressure_sigma > 0.0:
+            v_adc += amp_gain * (self._noise() * self._pressure_sigma)
+        if v_adc < 0.0:
+            v_adc = 0.0
+        elif v_adc > v_ref:
+            v_adc = v_ref
+        pressure_counts = round(v_adc / v_ref * fsc)
+
+        if self._channel is not None:
+            gain, offset = self._channel
+            p_raw = gain * pressure_counts + offset
+        else:
+            p_raw = pressure_counts / fsc * v_ref / amp_gain * self._fsp_per_fsv
+        v_sensor = strain_counts / fsc * v_ref / self._strain_gain
+        v_excitation = self._v_excitation
+        if v_sensor >= v_excitation:
+            raise DomainError("divider voltage at or above excitation; check gains")
+        r = self._two_r_limit * v_sensor / (v_excitation - v_sensor)
+        ratio = (r - self._r_lead_hat) / self._r0_hat
+        strain = math.sqrt(ratio) - 1.0 if ratio > 0.0 else -1.0
+        return strain_counts, pressure_counts, PhysicalReading(
+            p_raw - self._offset, (0.0 if strain < 0.0 else strain) / self._d_neutral_hat,
+            strain, strain_counts <= 0 or strain_counts >= fsc,
+            pressure_counts <= 0 or pressure_counts >= fsc)

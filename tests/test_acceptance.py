@@ -215,8 +215,7 @@ def test_criterion_09_protocol_robustness():
             bus.host_send(protocol.encode_command(protocol.SetPressureTarget(50e3), 0), t)
             bus.host_send(protocol.encode_command(protocol.GetState(), 0), t)
             device.feed(bus.device_recv(), t)
-            frame = sensors.SensorFrame(strain_counts=0, pressure_counts=0)
-            _, out, _ = device.tick([frame], [sensors.PhysicalReading(0.0, 0.0, 0.0)], t)
+            _, out, _ = device.tick([(0, 0, sensors.PhysicalReading(0.0, 0.0, 0.0))], t)
             bus.device_send(out, t)
             for response in host.feed(bus.host_recv()):
                 telemetry_frame = protocol.parse_telemetry(response)

@@ -215,6 +215,11 @@ class TestSimulatedBus:
         with pytest.raises(DomainError):
             SimulatedBus(bit_error_rate=-0.1)
 
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf"), -0.1])
+    def test_invalid_latency_rejected(self, latency):
+        with pytest.raises(DomainError, match="latency_s must be finite and >= 0"):
+            SimulatedBus(latency_s=latency)
+
     def test_telemetry_integrity_bit_exact_or_dropped(self):
         # Corrupted frames must fail the CRC and be dropped, never accepted
         # with altered content. The payload encodes its own index so any
@@ -271,8 +276,7 @@ class TestLossyCommandRetry:
                 bus.host_send(protocol.encode_command(target, 0), t)
                 bus.host_send(protocol.encode_command(protocol.GetState(), 0), t)
                 device.feed(bus.device_recv(), t)
-                frame = sensors.SensorFrame(strain_counts=0, pressure_counts=0)
-                _, out, _ = device.tick([frame], [sensors.PhysicalReading(0.0, 0.0, 0.0)], t)
+                _, out, _ = device.tick([(0, 0, sensors.PhysicalReading(0.0, 0.0, 0.0))], t)
                 bus.device_send(out, t)
                 for response in host.feed(bus.host_recv()):
                     telemetry = protocol.parse_telemetry(response)

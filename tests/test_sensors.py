@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -353,6 +354,85 @@ class TestFusedPathParity:
                 SensorChain(d_neutral=d_neutral)
 
 
+# --- SensorPath against measure then counts_to_physical --------------------
+
+def reference_samples(inputs, chain, cal, rng, ambient):
+    """What SensorPath.sample returns for each input, by measure then counts_to_physical."""
+    def one(pressure, curvature):
+        frame = measure(pressure, curvature, chain, rng, ambient)
+        return (frame.strain_counts, frame.pressure_counts,
+                counts_to_physical(frame, chain, cal))
+    return [outcome(one, p, c) for p, c in inputs]
+
+
+def path_samples(inputs, chain, cal, rng, ambient):
+    path = sensors.SensorPath(chain, cal, rng, ambient)
+    return [outcome(path.sample, p, c) for p, c in inputs]
+
+
+class TestSensorPathParity:
+    @settings(max_examples=40, deadline=None)
+    @given(chain=sensor_chains(), ambient=st.floats(-5e3, 5e3), seed=st.integers(0, 2 ** 64 - 1),
+           cal_kind=st.sampled_from(("none", "ideal", "fitted", "fitted_channel")),
+           r0=st.floats(0.5, 4.0), r_lead=st.floats(0.0, 1.0), d_neutral=st.floats(0.002, 0.03),
+           gain=st.floats(1.0, 40.0), offset=st.floats(-2e3, 2e3),
+           extra=st.integers(1, sensors._NOISE_BLOCK), inputs_seed=st.integers(0, 2 ** 32 - 1))
+    def test_samples_match_measure_then_counts_to_physical(self, chain, ambient, seed, cal_kind,
+                                                           r0, r_lead, d_neutral, gain, offset,
+                                                           extra, inputs_seed):
+        # More samples than one block holds draws, so every noise setting
+        # (0, 1 or 2 draws per sample) reads past at least one block boundary.
+        cal = {"none": None,
+               "ideal": calibration.ideal_record(ActuatorParams(), chain),
+               "fitted": fitted_record(r0, r_lead, d_neutral),
+               "fitted_channel": fitted_record(r0, r_lead, d_neutral,
+                                               ChannelCal(gain, offset, 0.0))}[cal_kind]
+        inputs_rng = random.Random(inputs_seed)
+        inputs = [(inputs_rng.uniform(0.0, 120e3), inputs_rng.uniform(0.0, 150.0))
+                  for _ in range(sensors._NOISE_BLOCK + extra)]
+        assert path_samples(inputs, chain, cal, DeterministicRng(seed), ambient) == \
+            reference_samples(inputs, chain, cal, DeterministicRng(seed), ambient)
+
+    @pytest.mark.parametrize("pressure,curvature", [
+        (1e4, float("nan")), (1e4, -0.1), (float("nan"), 5.0), (1e4, float("inf")),
+    ], ids=["curvature_nan", "curvature_negative", "pressure_nan", "curvature_inf"])
+    def test_invalid_sample_raises_as_reference_does(self, pressure, curvature):
+        # A valid sample on each side: after the error the path still reads
+        # the stream where the reference does.
+        inputs = [(2e4, 3.0), (pressure, curvature), (3e4, 8.0)]
+        for chain in (NOISELESS, SensorChain()):
+            expected = reference_samples(inputs, chain, None, DeterministicRng(3), 0.0)
+            assert expected[1][0] is DomainError
+            assert path_samples(inputs, chain, None, DeterministicRng(3), 0.0) == expected
+
+    def test_divider_at_excitation_raises_as_reference_does(self):
+        # A low gain and a large strain noise put about half the strain
+        # readings above excitation once inverted.
+        chain = replace(NOISELESS, gauge=StrainGaugeParams(r_limit=1e-3, amp_gain=0.5,
+                                                           noise_sigma=0.5))
+        inputs = [(1e4, 100.0)] * 20
+        expected = reference_samples(inputs, chain, None, DeterministicRng(8), 0.0)
+        assert (DomainError, "divider voltage at or above excitation; check gains") in expected
+        assert path_samples(inputs, chain, None, DeterministicRng(8), 0.0) == expected
+
+    def test_noise_without_rng_raises_as_reference_does(self):
+        for chain in (SensorChain(), replace(NOISELESS, gauge=StrainGaugeParams()),
+                      replace(NOISELESS, pressure=PressureSensorParams())):
+            expected = outcome(measure, 1e4, 5.0, chain)
+            assert expected[0] is DomainError
+            assert outcome(sensors.SensorPath, chain) == expected
+
+    @pytest.mark.parametrize("r0,r_lead", [(0.0, 0.2), (-1.0, 0.2), (float("nan"), 0.2),
+                                           (2.0, -0.1), (2.0, float("nan"))],
+                             ids=["r0_zero", "r0_negative", "r0_nan", "r_lead_negative",
+                                  "r_lead_nan"])
+    def test_invalid_fitted_gauge_raises_as_reference_does(self, r0, r_lead):
+        cal = fitted_record(r0, r_lead, 0.01)
+        expected = outcome(counts_to_physical, measure(psi(5), 20.0, NOISELESS), NOISELESS, cal)
+        assert expected[0] is DomainError
+        assert outcome(sensors.SensorPath, NOISELESS, cal) == expected
+
+
 class TestGaussianDraw:
     def test_draw_consumes_one_uniform(self):
         a, b = DeterministicRng(17), DeterministicRng(17)
@@ -372,3 +452,30 @@ class TestGaussianDraw:
             assert math.isclose(z, exact, rel_tol=1.2e-9, abs_tol=1e-12)
             tails += not (0.02425 <= p <= 0.97575)
         assert 600 < tails < 1400
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 3000))
+    def test_block_draw_matches_scalar_draws(self, seed, n):
+        block, scalar = DeterministicRng(seed), DeterministicRng(seed)
+        drawn = block.normals(n)
+        assert drawn.dtype == np.float64 and drawn.shape == (n,)
+        assert [z.hex() for z in drawn.tolist()] == [scalar.normal(1.0).hex() for _ in range(n)]
+        assert block._state == scalar._state
+
+    def test_block_draw_rejects_negative_count(self):
+        rng = DeterministicRng(11)
+        with pytest.raises(DomainError, match="n must be >= 0"):
+            rng.normals(-1)
+        assert rng._state == DeterministicRng(11)._state
+
+    def test_block_draw_matches_scalar_draws_in_both_tails(self):
+        # About 500 draws land in each tail. On an x86-64 host with AVX-512,
+        # one of them is a draw where numpy's vectorised log differs from
+        # math.log in the last bit, so tails finished with np.log fail here.
+        n = 20_000
+        block, scalar, uniform = DeterministicRng(29), DeterministicRng(29), DeterministicRng(29)
+        drawn = block.normals(n).tolist()
+        assert [z.hex() for z in drawn] == [scalar.normal(1.0).hex() for _ in range(n)]
+        p = [uniform.random() for _ in range(n)]
+        assert sum(x < 0.02425 for x in p) > 400 and sum(x > 0.97575 for x in p) > 400
+        assert block._state == scalar._state == uniform._state
