@@ -280,6 +280,16 @@ def fitted_record(r0, r_lead, d_neutral, channel=None):
                              d_neutral_m=d_neutral, pressure_channel=channel)
 
 
+def record_of_kind(kind, chain, r0, r_lead, d_neutral, gain, offset):
+    """No record, the chain's ideal one, or a fitted one without or with a pressure channel."""
+    if kind == "none":
+        return None
+    if kind == "ideal":
+        return calibration.ideal_record(ActuatorParams(), chain)
+    channel = ChannelCal(gain, offset, 0.0) if kind == "fitted_channel" else None
+    return fitted_record(r0, r_lead, d_neutral, channel)
+
+
 @st.composite
 def sensor_chains(draw):
     return SensorChain(
@@ -311,11 +321,7 @@ class TestFusedPathParity:
            gain=st.floats(1.0, 40.0), offset=st.floats(-2e3, 2e3))
     def test_counts_to_physical_matches_primitives(self, chain, counts, reference, cal_kind,
                                                    r0, r_lead, d_neutral, gain, offset):
-        cal = {"none": None,
-               "ideal": calibration.ideal_record(ActuatorParams(), chain),
-               "fitted": fitted_record(r0, r_lead, d_neutral),
-               "fitted_channel": fitted_record(r0, r_lead, d_neutral,
-                                               ChannelCal(gain, offset, 0.0))}[cal_kind]
+        cal = record_of_kind(cal_kind, chain, r0, r_lead, d_neutral, gain, offset)
         frame = SensorFrame(strain_counts=counts[0], pressure_counts=counts[1],
                             reference_pressure=reference)
         assert outcome(counts_to_physical, frame, chain, cal) == \
@@ -382,11 +388,7 @@ class TestSensorPathParity:
                                                            extra, inputs_seed):
         # More samples than one block holds draws, so every noise setting
         # (0, 1 or 2 draws per sample) reads past at least one block boundary.
-        cal = {"none": None,
-               "ideal": calibration.ideal_record(ActuatorParams(), chain),
-               "fitted": fitted_record(r0, r_lead, d_neutral),
-               "fitted_channel": fitted_record(r0, r_lead, d_neutral,
-                                               ChannelCal(gain, offset, 0.0))}[cal_kind]
+        cal = record_of_kind(cal_kind, chain, r0, r_lead, d_neutral, gain, offset)
         inputs_rng = random.Random(inputs_seed)
         inputs = [(inputs_rng.uniform(0.0, 120e3), inputs_rng.uniform(0.0, 150.0))
                   for _ in range(sensors._NOISE_BLOCK + extra)]
