@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import controller, physics, sensors
-from .errors import FitError, RecordError, WarmupError
+from .errors import DomainError, FitError, RecordError, WarmupError
 from .rand import DeterministicRng
 from .scenario import _finite
 from .units import PSI_TO_PA
@@ -75,6 +75,14 @@ class CalibrationRecord:
         for name, value in (("slope", self.slope_hat_per_m_pa), ("threshold", self.p_threshold_hat_pa)):
             if not np.isfinite(value):
                 raise FitError(f"non-finite fitted {name}: {value}")
+        # The sensor inverse and the radius estimate divide by r0 and d_neutral
+        # and subtract r_lead, so they are checked here, once, not per use.
+        if not (self.r0_hat_ohm > 0.0):
+            raise DomainError(f"r0_hat_ohm: must be > 0, got {self.r0_hat_ohm}")
+        if not (self.r_lead_hat_ohm >= 0.0):
+            raise DomainError(f"r_lead_hat_ohm: must be >= 0, got {self.r_lead_hat_ohm}")
+        if not (self.d_neutral_m > 0.0):
+            raise DomainError(f"d_neutral_m: must be > 0, got {self.d_neutral_m}")
 
 
 def ideal_record(params: physics.ActuatorParams, chain: sensors.SensorChain) -> CalibrationRecord:
@@ -282,8 +290,9 @@ def load_record(path) -> CalibrationRecord:
     Malformed input raises RecordError naming the file and the JSON key:
     text that is not JSON, a document that is not an object, missing or
     unknown keys, non-numeric or non-finite numbers, a malformed
-    pressure_channel or fit_residuals, and a non-integer warmup_cycles or
-    one below WARMUP_CYCLES_REQUIRED.
+    pressure_channel or fit_residuals, a non-integer warmup_cycles or one
+    below WARMUP_CYCLES_REQUIRED, and a fitted gauge CalibrationRecord
+    rejects: r0_hat_ohm <= 0, r_lead_hat_ohm < 0 or d_neutral_m <= 0.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -313,5 +322,8 @@ def load_record(path) -> CalibrationRecord:
     if warmup < WARMUP_CYCLES_REQUIRED:
         raise RecordError(f"{root}.warmup_cycles: {warmup} warm-up inflations recorded; "
                           f"fits are only valid after >= {WARMUP_CYCLES_REQUIRED}")
-    return CalibrationRecord(pressure_channel=channel, fit_residuals=residuals,
-                             warmup_cycles=warmup, **numbers)
+    try:
+        return CalibrationRecord(pressure_channel=channel, fit_residuals=residuals,
+                                 warmup_cycles=warmup, **numbers)
+    except DomainError as exc:  # its message starts with the offending key
+        raise RecordError(f"{root}.{exc}") from None

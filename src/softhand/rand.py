@@ -48,14 +48,9 @@ class DeterministicRng:
     def normal(self, sigma: float = 1.0) -> float:
         """Zero-mean Gaussian with standard deviation ``sigma``.
 
-        One SplitMix64 step, the ``random()`` mapping to (0, 1) and the
-        inverse CDF, all in this body: the measurement hot path draws twice
-        per finger per control tick.
+        The inverse normal CDF of one ``random()`` draw, scaled by ``sigma``.
         """
-        z = self._state = (self._state + _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        p = (((z ^ (z >> 31)) >> 11) + 0.5) * 2.0 ** -53
+        p = self.random()
         if p < _P_LOW:
             q = math.sqrt(-2.0 * math.log(p))
         elif p > _P_HIGH:

@@ -11,16 +11,16 @@ Noise is additive white Gaussian, input-referred at the amplifier (the
 amplified noise, amp_gain * noise_sigma, is what appears at the ADC), and is
 drawn from an explicit seeded stream - no global RNG state.
 
-``SensorPath`` is the closed loop's sampler: ``measure`` then
-``counts_to_physical`` with every constant read once per run and the noise
-drawn in blocks. ``measure``, ``counts_to_physical`` and the per-stage
-functions are the reference it is tested against.
+``measure`` and ``counts_to_physical`` are compositions of the per-stage
+functions. ``SensorPath`` is the closed loop's sampler and the one fused
+sensor path: ``measure`` then ``counts_to_physical`` with every constant
+read once per run and the noise drawn in blocks, tested against those two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -219,55 +219,16 @@ def measure(pressure: float, curvature: float, chain: SensorChain,
     """Sample both channels of one finger.
 
     The analog pressure channel sees the chamber pressure plus the total
-    common-mode offset (sensor drift + ambient disturbance); the differential
-    reference measures that same offset, so inversion can remove it.
-
-    This is curvature_to_strain -> strain_to_resistance ->
-    resistance_to_counts and pressure_to_counts in one body, the same floats
-    in the same order. It keeps the checks a valid chain does not already
-    rule out: curvature NaN, infinite or < 0, and a NaN channel pressure.
-    (With d_neutral > 0 the strain is >= 0, so the resistance is > 0.)
+    common-mode offset (sensor drift + ambient disturbance), clamped at 0;
+    the differential reference measures that same offset, so inversion can
+    remove it. The strain channel draws its noise before the pressure channel.
     """
-    if not (0.0 <= curvature < math.inf):
-        raise DomainError(f"curvature must be finite and >= 0, got {curvature}")
-    gauge, adc = chain.gauge, chain.adc
-    v_ref = adc.v_ref
-    fsc = adc.full_scale_counts
-
-    eps = chain.d_neutral * curvature
-    r = gauge.r0 * (1.0 + eps) ** 2 + gauge.r_lead
-    amp_gain = gauge.amp_gain
-    v_adc = amp_gain * (gauge.v_excitation * r / (r + 2.0 * gauge.r_limit))
-    if gauge.noise_sigma > 0.0:
-        if rng is None:
-            raise DomainError("noise_sigma > 0 requires a seeded rng")
-        v_adc += amp_gain * rng.normal(gauge.noise_sigma)
-    # min(max(v_adc, 0.0), v_ref), as _quantize clamps, without the builtin calls.
-    if v_adc < 0.0:
-        v_adc = 0.0
-    elif v_adc > v_ref:
-        v_adc = v_ref
-    strain_counts = int(round(v_adc / v_ref * fsc))
-
-    sensor = chain.pressure
-    offset = sensor.offset_drift + ambient_offset
-    p_channel = pressure + offset
-    if p_channel < 0.0:
-        p_channel = 0.0
-    elif math.isnan(p_channel):
-        raise DomainError(f"pressure must be >= 0, got {p_channel}")
-    fsp = sensor.full_scale_pressure
-    amp_gain = sensor.amp_gain
-    v_adc = amp_gain * (min(p_channel, fsp) * (sensor.full_scale_voltage / fsp))
-    if sensor.noise_sigma > 0.0:
-        if rng is None:
-            raise DomainError("noise_sigma > 0 requires a seeded rng")
-        v_adc += amp_gain * rng.normal(sensor.noise_sigma)
-    if v_adc < 0.0:
-        v_adc = 0.0
-    elif v_adc > v_ref:
-        v_adc = v_ref
-    pressure_counts = int(round(v_adc / v_ref * fsc))
+    eps = curvature_to_strain(curvature, chain.d_neutral)
+    r = strain_to_resistance(eps, chain.gauge)
+    strain_counts = resistance_to_counts(r, chain.gauge, chain.adc, rng)
+    offset = chain.pressure.offset_drift + ambient_offset
+    pressure_counts = pressure_to_counts(max(pressure + offset, 0.0), chain.pressure,
+                                         chain.adc, rng)
     return SensorFrame(strain_counts=strain_counts, pressure_counts=pressure_counts,
                        reference_pressure=offset)
 
@@ -281,47 +242,24 @@ def counts_to_physical(frame: SensorFrame, chain: SensorChain,
     the chain's nominal values. The atmospheric offset is removed by
     subtracting reference_pressure from the inverted pressure. Counts pinned
     at 0 or full scale are flagged saturated but still inverted.
-
-    This is pressure_counts_to_pa, strain_counts_to_resistance and
-    resistance_to_strain in one body, the same floats in the same order. The
-    fitted r0 and r_lead are checked as StrainGaugeParams checks them.
     """
-    adc = chain.adc
-    fsc = adc.full_scale_counts
-    strain_counts = frame.strain_counts
-    pressure_counts = frame.pressure_counts
-    strain_saturated = strain_counts <= 0 or strain_counts >= fsc
-    pressure_saturated = pressure_counts <= 0 or pressure_counts >= fsc
-
+    adc, gauge, d_neutral = chain.adc, chain.gauge, chain.d_neutral
+    if cal is not None:
+        gauge = replace(gauge, r0=cal.r0_hat_ohm, r_lead=cal.r_lead_hat_ohm)
+        d_neutral = cal.d_neutral_m
     if cal is not None and cal.pressure_channel is not None:
-        p_raw = (cal.pressure_channel.gain_pa_per_count * pressure_counts
+        p_raw = (cal.pressure_channel.gain_pa_per_count * frame.pressure_counts
                  + cal.pressure_channel.offset_pa)
     else:
-        sensor = chain.pressure
-        p_raw = (pressure_counts / fsc * adc.v_ref / sensor.amp_gain
-                 * (sensor.full_scale_pressure / sensor.full_scale_voltage))
-    pressure = p_raw - frame.reference_pressure
-
-    gauge = chain.gauge
-    if cal is not None:
-        r0, r_lead, d_neutral = cal.r0_hat_ohm, cal.r_lead_hat_ohm, cal.d_neutral_m
-        if not (r0 > 0.0):
-            raise DomainError(f"r0 must be > 0, got {r0}")
-        if not (r_lead >= 0.0):
-            raise DomainError(f"r_lead must be >= 0, got {r_lead}")
-    else:
-        r0, r_lead, d_neutral = gauge.r0, gauge.r_lead, chain.d_neutral
-    v_sensor = strain_counts / fsc * adc.v_ref / gauge.amp_gain
-    v_excitation = gauge.v_excitation
-    if v_sensor >= v_excitation:
-        raise DomainError("divider voltage at or above excitation; check gains")
-    r = 2.0 * gauge.r_limit * v_sensor / (v_excitation - v_sensor)
-    ratio = (r - r_lead) / r0
-    strain = math.sqrt(ratio) - 1.0 if ratio > 0.0 else -1.0
-    curvature = max(strain, 0.0) / d_neutral
-    return PhysicalReading(pressure=pressure, curvature=curvature, strain=strain,
-                           strain_saturated=strain_saturated,
-                           pressure_saturated=pressure_saturated)
+        p_raw = pressure_counts_to_pa(frame.pressure_counts, chain.pressure, adc)
+    r = strain_counts_to_resistance(frame.strain_counts, gauge, adc)
+    strain = resistance_to_strain(r, gauge)
+    fsc = adc.full_scale_counts
+    return PhysicalReading(
+        pressure=p_raw - frame.reference_pressure, curvature=max(strain, 0.0) / d_neutral,
+        strain=strain,
+        strain_saturated=frame.strain_counts <= 0 or frame.strain_counts >= fsc,
+        pressure_saturated=frame.pressure_counts <= 0 or frame.pressure_counts >= fsc)
 
 
 def _gaussians(rng: DeterministicRng):
@@ -333,10 +271,11 @@ def _gaussians(rng: DeterministicRng):
 class SensorPath:
     """One finger's ``measure`` then ``counts_to_physical``, set up once per run.
 
-    Every constant of both functions is read here, and the checks that do
-    not depend on the sample run here once, with the same messages: noise
-    without an rng, and a fitted r0 <= 0 or r_lead < 0. ``sample`` computes
-    the same floats in the same order and keeps the per-sample checks
+    Every constant of both functions is read here, and the one check that
+    does not depend on the sample, noise without an rng, runs here once with
+    the same message. The fitted gauge needs no check: ``CalibrationRecord``
+    rejects r0 <= 0, r_lead < 0 and d_neutral <= 0 when built. ``sample``
+    computes the same floats in the same order and keeps the per-sample checks
     (curvature NaN, infinite or < 0, a NaN channel pressure, the divider
     voltage at or above excitation). The noise is read ahead in blocks from
     ``rng``, so the path owns that stream: nothing else may draw from it.
@@ -355,10 +294,6 @@ class SensorPath:
             raise DomainError("noise_sigma > 0 requires a seeded rng")
         if cal is not None:
             r0, r_lead, d_neutral = cal.r0_hat_ohm, cal.r_lead_hat_ohm, cal.d_neutral_m
-            if not (r0 > 0.0):
-                raise DomainError(f"r0 must be > 0, got {r0}")
-            if not (r_lead >= 0.0):
-                raise DomainError(f"r_lead must be >= 0, got {r_lead}")
         else:
             r0, r_lead, d_neutral = gauge.r0, gauge.r_lead, chain.d_neutral
         # The inverse path's gauge: the record's fit when given, else the chain's.

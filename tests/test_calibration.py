@@ -1,19 +1,35 @@
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softhand import calibration, sensors
-from softhand.calibration import (CalibrationData, CalibrationRecord,
+from softhand.calibration import (CalibrationData, CalibrationRecord, ChannelCal,
                                   calibrate_channel_against_reference, fit_pressure_curvature,
                                   fit_strain_resistance, simulate_calibration_run,
                                   threshold_from_fit)
-from softhand.errors import FitError, WarmupError
+from softhand.errors import DomainError, FitError, WarmupError
 from softhand.sensors import SensorFrame
 from softhand.units import psi
 
 TRUE_SLOPE = 0.754e-3  # 1/(m*Pa), the hand-checked synthetic line
 CAL_LEVELS = tuple(30e3 + 5e3 * k for k in range(1, 6))  # 35..55 kPa holds
+FITTED = dict(p_threshold_hat_pa=30e3, slope_hat_per_m_pa=2.5e-3, kappa0_hat_per_m=1.0,
+              r0_hat_ohm=2.0, r_lead_hat_ohm=0.2, d_neutral_m=0.01)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+RECORDS = st.builds(
+    CalibrationRecord, p_threshold_hat_pa=FINITE, slope_hat_per_m_pa=FINITE,
+    kappa0_hat_per_m=FINITE, r0_hat_ohm=POSITIVE,
+    r_lead_hat_ohm=st.floats(min_value=0.0, allow_infinity=False), d_neutral_m=POSITIVE,
+    pressure_channel=st.none() | st.builds(ChannelCal, FINITE, FINITE, FINITE),
+    fit_residuals=st.dictionaries(st.text(), FINITE, max_size=4),
+    warmup_cycles=st.integers(calibration.WARMUP_CYCLES_REQUIRED, 10 ** 6))
 
 
 def synthetic_line(pressures, slope=TRUE_SLOPE, p_threshold=30e3, kappa0=1.0):
@@ -157,6 +173,21 @@ class TestWarmupGate:
             calibration.build_record(data, default_chain)
 
 
+class TestRecordInvariants:
+    @pytest.mark.parametrize("key,value", [
+        ("r0_hat_ohm", 0.0), ("r0_hat_ohm", -1.0), ("r0_hat_ohm", float("nan")),
+        ("r_lead_hat_ohm", -0.1), ("r_lead_hat_ohm", float("nan")),
+        ("d_neutral_m", 0.0), ("d_neutral_m", -0.01), ("d_neutral_m", float("nan")),
+    ], ids=["r0_zero", "r0_negative", "r0_nan", "r_lead_negative", "r_lead_nan",
+            "d_neutral_zero", "d_neutral_negative", "d_neutral_nan"])
+    def test_fitted_gauge_out_of_range_rejected(self, key, value):
+        with pytest.raises(DomainError, match=rf"^{key}: must be >=? 0, got {value}$"):
+            CalibrationRecord(**dict(FITTED, **{key: value}))
+
+    def test_zero_lead_resistance_accepted(self):
+        assert CalibrationRecord(**dict(FITTED, r_lead_hat_ohm=0.0)).r_lead_hat_ohm == 0.0
+
+
 class TestIdentifiabilityLoop:
     def test_simulated_run_recovers_parameters(self, default_params, default_chain):
         data = simulate_calibration_run(default_params, default_chain, CAL_LEVELS,
@@ -196,3 +227,11 @@ class TestRecordFiles:
         path = tmp_path / "record.json"
         calibration.save_record(record, path)
         assert calibration.load_record(path) == record
+
+    @settings(max_examples=50, deadline=None)
+    @given(record=RECORDS)
+    def test_any_valid_record_round_trips(self, record):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "record.json")
+            calibration.save_record(record, path)
+            assert calibration.load_record(path) == record

@@ -302,8 +302,17 @@ class TestClassifyCalRecord:
         (json.dumps(dict(IDEAL_RECORD, pressure_channel={"gain_pa_per_count": 25.0})),
          "$.pressure_channel.offset_pa: required key missing"),
         (json.dumps(dict(IDEAL_RECORD, warmup_cycles=3)), "$.warmup_cycles: 3 warm-up"),
+        (json.dumps(dict(IDEAL_RECORD, d_neutral_m=0)), "$.d_neutral_m: must be > 0, got 0.0"),
+        (json.dumps(dict(IDEAL_RECORD, d_neutral_m=-0.01)),
+         "$.d_neutral_m: must be > 0, got -0.01"),
+        (json.dumps(dict(IDEAL_RECORD, r0_hat_ohm=0)), "$.r0_hat_ohm: must be > 0, got 0.0"),
+        (json.dumps(dict(IDEAL_RECORD, r0_hat_ohm=-1)), "$.r0_hat_ohm: must be > 0, got -1.0"),
+        (json.dumps(dict(IDEAL_RECORD, r_lead_hat_ohm=-0.1)),
+         "$.r_lead_hat_ohm: must be >= 0, got -0.1"),
     ], ids=["not_json", "not_object", "missing_key", "unknown_key", "non_numeric",
-            "non_finite", "channel_not_object", "channel_missing_key", "cold_warmup"])
+            "non_finite", "channel_not_object", "channel_missing_key", "cold_warmup",
+            "d_neutral_zero", "d_neutral_negative", "r0_zero", "r0_negative",
+            "r_lead_negative"])
     def test_malformed_record_exits_2(self, run_dir, tmp_path, capsys, text, names):
         cal = tmp_path / "cal.json"
         cal.write_text(text)
