@@ -289,6 +289,52 @@ def sensor_chains(draw):
         d_neutral=draw(st.floats(0.002, 0.03)))
 
 
+INVALID_FITTED_GAUGES = pytest.mark.parametrize(
+    "r0,r_lead", [(0.0, 0.2), (-1.0, 0.2), (float("nan"), 0.2), (2.0, -0.1), (2.0, float("nan"))],
+    ids=["r0_zero", "r0_negative", "r0_nan", "r_lead_negative", "r_lead_nan"])
+
+
+# --- measure and counts_to_physical against their stage functions ----------
+
+class TestFusedPathParity:
+    @pytest.mark.parametrize("pressure,curvature", [
+        (1e4, float("nan")), (1e4, -0.1), (float("nan"), 5.0), (1e4, float("inf")),
+    ], ids=["curvature_nan", "curvature_negative", "pressure_nan", "curvature_inf"])
+    def test_invalid_measure_inputs_raise_as_primitives_do(self, pressure, curvature):
+        for chain in (NOISELESS, SensorChain()):
+            rng, uniform = DeterministicRng(3), DeterministicRng(3)
+            if math.isfinite(curvature) and curvature >= 0.0:
+                # The strain channel is sampled, and draws its noise, first.
+                if chain.gauge.noise_sigma > 0.0:
+                    uniform.random()
+                expected = outcome(pressure_to_counts, pressure, chain.pressure, chain.adc,
+                                   uniform)
+            else:
+                expected = outcome(curvature_to_strain, curvature, chain.d_neutral)
+            assert expected[0] is DomainError
+            assert outcome(measure, pressure, curvature, chain, rng) == expected
+            assert rng._state == uniform._state
+
+    def test_noise_without_rng_raises_as_primitives_do(self):
+        noisy_gauge, noisy_pressure = StrainGaugeParams(), PressureSensorParams()
+        expected = outcome(resistance_to_counts, noisy_gauge.r0, noisy_gauge, NOISELESS.adc)
+        assert expected == (DomainError, "noise_sigma > 0 requires a seeded rng")
+        assert outcome(pressure_to_counts, 1e4, noisy_pressure, NOISELESS.adc) == expected
+        for chain in (SensorChain(), replace(NOISELESS, gauge=noisy_gauge),
+                      replace(NOISELESS, pressure=noisy_pressure)):
+            assert outcome(measure, 1e4, 5.0, chain) == expected
+
+    @INVALID_FITTED_GAUGES
+    def test_invalid_fitted_gauge_raises_as_constructor_does(self, r0, r_lead):
+        # counts_to_physical builds the fitted gauge from the record; the
+        # record refuses, when it is built, what the gauge's constructor refuses.
+        frame = measure(psi(5), 20.0, NOISELESS)
+        assert outcome(lambda: replace(NOISELESS.gauge, r0=r0, r_lead=r_lead))[0] is DomainError
+        assert outcome(lambda: counts_to_physical(frame, NOISELESS,
+                                                  fitted_record(r0, r_lead, 0.01)))[0] \
+            is DomainError
+
+
 # --- SensorPath against measure then counts_to_physical --------------------
 
 def reference_samples(inputs, chain, cal, rng, ambient):
@@ -370,6 +416,17 @@ class TestSensorPathParity:
             expected = outcome(measure, 1e4, 5.0, chain)
             assert expected == (DomainError, "noise_sigma > 0 requires a seeded rng")
             assert outcome(sensors.SensorPath, chain) == expected
+
+    @INVALID_FITTED_GAUGES
+    def test_invalid_fitted_gauge_raises_as_reference_does(self, r0, r_lead):
+        # The record refuses the gauge when built, so the path and the
+        # reference stop at the same point with the same error.
+        frame = measure(psi(5), 20.0, NOISELESS)
+        expected = outcome(lambda: counts_to_physical(frame, NOISELESS,
+                                                      fitted_record(r0, r_lead, 0.01)))
+        assert expected[0] is DomainError
+        assert outcome(lambda: sensors.SensorPath(NOISELESS, fitted_record(r0, r_lead, 0.01))) \
+            == expected
 
 
 class TestGaussianDraw:
