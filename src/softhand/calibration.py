@@ -52,6 +52,14 @@ class ChannelCal:
     offset_pa: float
     rms_pa: float
 
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            _finite(value, key, DomainError)
+
+
+_RECORD_NUMBERS = ("p_threshold_hat_pa", "slope_hat_per_m_pa", "kappa0_hat_per_m",
+                   "r0_hat_ohm", "r_lead_hat_ohm", "d_neutral_m")
+
 
 @dataclass(frozen=True)
 class CalibrationRecord:
@@ -72,9 +80,6 @@ class CalibrationRecord:
             raise WarmupError(
                 f"calibration recorded after {self.warmup_cycles} warm-up inflations; "
                 f"{WARMUP_CYCLES_REQUIRED} are required before the elastomer response settles")
-        for name, value in (("slope", self.slope_hat_per_m_pa), ("threshold", self.p_threshold_hat_pa)):
-            if not np.isfinite(value):
-                raise FitError(f"non-finite fitted {name}: {value}")
         # The sensor inverse and the radius estimate divide by r0 and d_neutral
         # and subtract r_lead, so they are checked here, once, not per use.
         if not (self.r0_hat_ohm > 0.0):
@@ -83,6 +88,11 @@ class CalibrationRecord:
             raise DomainError(f"r_lead_hat_ohm: must be >= 0, got {self.r_lead_hat_ohm}")
         if not (self.d_neutral_m > 0.0):
             raise DomainError(f"d_neutral_m: must be > 0, got {self.d_neutral_m}")
+        # Every number must survive save_record -> load_record (JSON has no NaN/inf).
+        for key in _RECORD_NUMBERS:
+            _finite(getattr(self, key), key, DomainError)
+        for key, value in self.fit_residuals.items():
+            _finite(value, f"fit_residuals.{key}", DomainError)
 
 
 def ideal_record(params: physics.ActuatorParams, chain: sensors.SensorChain) -> CalibrationRecord:
@@ -204,20 +214,18 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     """
     config = controller.ControllerConfig(p_max=params.p_max)
     path = sensors.SensorPath(chain, ideal_record(params, chain), DeterministicRng(seed))
-    state = physics.ActuatorState()
     fsm = controller.FsmState()
     tick = config.tick_period_s
-    n_sub = physics.substeps(tick, dt)
-    circuit = physics.PneumaticCircuit()
+    plant = physics.FingerPlant(params, dt=dt, n_steps=physics.substeps(tick, dt))
     p_out, k_out = [], []
     t = 0.0
     for level in levels_pa:
         fsm = controller.set_target(fsm, controller.pressure_target(level), t, config)
         held_since = None
         while True:
-            _, _, reading = path.sample(state.pressure, state.curvature)
+            _, _, reading = path.sample(plant.pressure, plant.curvature)
             fsm, valves = controller.fsm_tick(fsm, reading, t, config)
-            state = physics.step(state, params, valves, dt=dt, circuit=circuit, n_steps=n_sub)
+            plant.advance(valves)
             t += tick
             if fsm.mode is controller.Mode.FAULT:
                 raise FitError(f"calibration servo faulted at level {level} Pa")
@@ -229,7 +237,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
             else:
                 held_since = None
         for _ in range(samples_per_level):
-            _, _, reading = path.sample(state.pressure, state.curvature)
+            _, _, reading = path.sample(plant.pressure, plant.curvature)
             p_out.append(reading.pressure)
             k_out.append(reading.curvature)
     return CalibrationData(pressures=np.array(p_out), curvatures=np.array(k_out),
@@ -266,8 +274,6 @@ def save_record(record: CalibrationRecord, path) -> None:
         fh.write("\n")
 
 
-_RECORD_NUMBERS = ("p_threshold_hat_pa", "slope_hat_per_m_pa", "kappa0_hat_per_m",
-                   "r0_hat_ohm", "r_lead_hat_ohm", "d_neutral_m")
 _CHANNEL_NUMBERS = tuple(f.name for f in fields(ChannelCal))
 
 

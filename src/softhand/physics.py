@@ -6,12 +6,12 @@ curvature lags a piecewise-linear steady-state curve with a first-order
 viscoelastic time constant. A rigid cylindrical object caps the curvature at
 1/radius and converts the blocked bending into contact force.
 
-The plant's input is one ValvePair per finger, the same type the valve FSM
-returns, so a closed loop hands the controller's output straight to step or
-hand_step. PneumaticCircuit holds only what is fixed for a whole run: the
-pump pressure and whether the fingers share its flow. One call advances
-n_steps substeps (a closed loop passes a whole control tick's worth), so
-the checks and the parameter lookups run once per tick, not per substep.
+The plant's input is one ValvePair per finger, the type the valve FSM
+returns. PneumaticCircuit holds what is fixed for a run: the pump pressure
+and whether the fingers share its flow. A closed loop holds one FingerPlant
+per finger per run, which reads the parameters and checks dt and the start
+state once and owns the state as floats; each advance runs a control tick's
+n_steps substeps. step and hand_step build a plant and advance it once.
 
 Units: gauge Pa, 1/m, N, s. Integration is explicit Euler; the time
 constants are >= 0.1 s so any dt <= 10 ms has a wide stability margin.
@@ -162,6 +162,87 @@ def substeps(tick: float, dt: float) -> int:
     return n_sub
 
 
+def _check_state(p: float, kappa: float, p_max: float) -> None:
+    if math.isnan(p) or not (0.0 <= p <= p_max):
+        raise DomainError(f"state pressure {p} outside [0, {p_max}]")
+    if not (0.0 <= kappa < math.inf):
+        raise DomainError(f"state curvature {kappa} must be finite and >= 0")
+
+
+class FingerPlant:
+    """One finger for a whole run: constants read, and dt, n_steps and state checked, once."""
+
+    __slots__ = ("pressure", "curvature", "contact_force", "_p_max", "_k_fill", "_consts")
+
+    def __init__(self, params: ActuatorParams, obj: RigidObject | None = None,
+                 dt: float = DEFAULT_DT, circuit: PneumaticCircuit = PneumaticCircuit(),
+                 n_steps: int = 1, state: ActuatorState = ActuatorState()):
+        _check_dt(dt)
+        if n_steps < 1:
+            raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+        _check_state(state.pressure, state.curvature, params.p_max)
+        self.pressure, self.curvature = state.pressure, state.curvature
+        self.contact_force = state.contact_force
+        self._p_max, self._k_fill = params.p_max, params.k_fill
+        self._consts = (dt, n_steps, params.p_max, circuit.pump_pressure, -params.k_vent,
+                        params.p_threshold, params.kappa_at_threshold, params.slope_m,
+                        params.force_gain, params.tau_inflate, params.tau_deflate,
+                        None if obj is None else 1.0 / obj.radius)
+
+    @property
+    def state(self) -> ActuatorState:
+        return ActuatorState(self.pressure, self.curvature, self.contact_force)
+
+    def kick(self, d_pressure: float, d_curvature: float) -> None:
+        """Add a disturbance, clamped into [0, p_max] x [0, inf); a non-finite result fails."""
+        p = min(max(self.pressure + d_pressure, 0.0), self._p_max)
+        kappa = max(self.curvature + d_curvature, 0.0)
+        _check_state(p, kappa, self._p_max)
+        self.pressure, self.curvature = p, kappa
+
+    def advance(self, valves: ValvePair, fill_scale: float = 1.0) -> None:
+        """Run n_steps substeps of dt with the given valves (see step for the equations)."""
+        (dt, n_steps, p_max, pump, neg_k_vent, p_threshold, kappa_at_threshold, slope_m,
+         force_gain, tau_inflate, tau_deflate, obj_cap) = self._consts
+        p, kappa = self.pressure, self.curvature
+        inlet, vent = valves.inlet, valves.vent
+        fill_rate = fill_scale * self._k_fill
+        inf = math.inf
+        for _ in range(n_steps):
+            if inlet:
+                dpdt = fill_rate * (pump - p)
+            elif vent:
+                dpdt = neg_k_vent * p
+            else:
+                dpdt = 0.0
+            # min(max(p + dt * dpdt, 0.0), p_max) without the two builtin calls.
+            p = p + dt * dpdt
+            if p < 0.0:
+                p = 0.0
+            elif p > p_max:
+                p = p_max
+
+            # steady_state_curvature(p), whose range check p satisfies here.
+            if p < p_threshold:
+                kappa_target = 0.0
+            else:
+                kappa_target = kappa_at_threshold + slope_m * (p - p_threshold)
+            cap = inf
+            force = 0.0
+            if obj_cap is not None and kappa_target >= obj_cap:
+                cap = obj_cap
+                force = force_gain * (kappa_target - cap)
+                kappa_target = cap
+
+            tau = tau_inflate if kappa_target > kappa else tau_deflate
+            kappa = kappa + dt * (kappa_target - kappa) / tau
+            if kappa > cap:
+                kappa = cap
+            if kappa < 0.0:
+                kappa = 0.0
+        self.pressure, self.curvature, self.contact_force = p, kappa, force
+
+
 def step(state: ActuatorState, params: ActuatorParams, valves: ValvePair,
          obj: RigidObject | None = None, dt: float = DEFAULT_DT,
          circuit: PneumaticCircuit = PneumaticCircuit(),
@@ -176,66 +257,21 @@ def step(state: ActuatorState, params: ActuatorParams, valves: ValvePair,
     object cap). While the steady-state curvature reaches the cap the finger
     squeezes instead of bending: contact force = force_gain * (kappa_ss - cap).
 
-    dt and the input state are checked once per call; every substep then
-    stays in [0, p_max] x [0, inf) by construction, so n_steps substeps give
-    exactly the floats of n_steps chained single-step calls.
+    This is FingerPlant built from state and advanced once, so n_steps
+    substeps give exactly the floats of n_steps chained single-step calls.
     """
-    _check_dt(dt)
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    p = state.pressure
-    kappa = state.curvature
-    p_max = params.p_max
-    if math.isnan(p) or not (0.0 <= p <= p_max):
-        raise DomainError(f"state pressure {p} outside [0, {p_max}]")
-    if not (0.0 <= kappa < math.inf):
-        raise DomainError(f"state curvature {kappa} must be finite and >= 0")
+    plant = FingerPlant(params, obj, dt, circuit, n_steps, state)
+    plant.advance(valves, fill_scale)
+    return plant.state
 
-    inlet, vent = valves.inlet, valves.vent
-    fill_rate = fill_scale * params.k_fill
-    pump = circuit.pump_pressure
-    neg_k_vent = -params.k_vent
-    p_threshold = params.p_threshold
-    kappa_at_threshold = params.kappa_at_threshold
-    slope_m = params.slope_m
-    force_gain = params.force_gain
-    tau_inflate = params.tau_inflate
-    tau_deflate = params.tau_deflate
-    obj_cap = None if obj is None else 1.0 / obj.radius
-    inf = math.inf
-    for _ in range(n_steps):
-        if inlet:
-            dpdt = fill_rate * (pump - p)
-        elif vent:
-            dpdt = neg_k_vent * p
-        else:
-            dpdt = 0.0
-        # min(max(p + dt * dpdt, 0.0), p_max) without the two builtin calls.
-        p = p + dt * dpdt
-        if p < 0.0:
-            p = 0.0
-        elif p > p_max:
-            p = p_max
 
-        # steady_state_curvature(p), whose range check p satisfies here.
-        if p < p_threshold:
-            kappa_target = 0.0
-        else:
-            kappa_target = kappa_at_threshold + slope_m * (p - p_threshold)
-        cap = inf
-        force = 0.0
-        if obj_cap is not None and kappa_target >= obj_cap:
-            cap = obj_cap
-            force = force_gain * (kappa_target - cap)
-            kappa_target = cap
-
-        tau = tau_inflate if kappa_target > kappa else tau_deflate
-        kappa = kappa + dt * (kappa_target - kappa) / tau
-        if kappa > cap:
-            kappa = cap
-        if kappa < 0.0:
-            kappa = 0.0
-    return ActuatorState(p, kappa, force)
+def pump_fill_scale(circuit: PneumaticCircuit, valves) -> float:
+    """Share of the fill rate each open inlet gets: 1/open inlets with a shared pump, else 1."""
+    if circuit.share_pump_flow:
+        open_inlets = sum(1 for v in valves if v.inlet)
+        if open_inlets > 1:
+            return 1.0 / open_inlets
+    return 1.0
 
 
 def hand_step(states: tuple[ActuatorState, ...], params: tuple[ActuatorParams, ...],
@@ -248,19 +284,15 @@ def hand_step(states: tuple[ActuatorState, ...], params: tuple[ActuatorParams, .
     Fingers are dynamically independent (a shared object constrains each
     contacting finger separately), so each finger takes its n_steps substeps
     in one step call; with circuit.share_pump_flow the fill rate divides
-    among the fingers whose inlets are open. Per-finger errors are re-raised
-    with the finger index attached.
+    among the fingers whose inlets are open (pump_fill_scale). Per-finger
+    errors are re-raised with the finger index attached.
     """
     n = len(states)
     if not (len(params) == n and len(objects) == n and len(valves) == n):
         raise DomainError(
             f"mismatched finger counts: {n} states, {len(params)} params, "
             f"{len(objects)} objects, {len(valves)} valve pairs")
-    fill_scale = 1.0
-    if circuit.share_pump_flow:
-        open_inlets = sum(1 for v in valves if v.inlet)
-        if open_inlets > 1:
-            fill_scale = 1.0 / open_inlets
+    fill_scale = pump_fill_scale(circuit, valves)
     out = []
     for i in range(n):
         try:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,10 +178,10 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
     paths = [sensors.SensorPath(chain, calibration.ideal_record(params, chain),
                                 root.spawn(100 + i), sc.atmosphere_offset_pa)
              for i, (params, chain) in enumerate(zip(sc.actuators, sc.chains))]
-    states: tuple[physics.ActuatorState, ...] = tuple(physics.ActuatorState() for _ in range(n))
-    objects = sc.objects_per_finger()
     circuit = physics.PneumaticCircuit(pump_pressure=sc.pump_pressure_pa,
                                        share_pump_flow=sc.share_pump_flow)
+    plants = [physics.FingerPlant(params, obj, dt, circuit, n_sub)
+              for params, obj in zip(sc.actuators, sc.objects_per_finger())]
     device = HandDevice(n, sc.control)
     bus = protocol.SimulatedBus(seed=seed)
     host_decoder = protocol.FrameDecoder()
@@ -201,19 +201,16 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
 
         while di < len(pending_disturbances) and pending_disturbances[di].t_s <= t + 1e-12:
             dist = pending_disturbances[di]
-            s = states[dist.finger]
-            kicked = replace(
-                s,
-                pressure=min(max(s.pressure + dist.pressure_step_pa, 0.0),
-                             sc.actuators[dist.finger].p_max),
-                curvature=max(s.curvature + dist.curvature_step_per_m, 0.0))
-            states = states[:dist.finger] + (kicked,) + states[dist.finger + 1:]
+            try:
+                plants[dist.finger].kick(dist.pressure_step_pa, dist.curvature_step_per_m)
+            except DomainError as exc:
+                raise DomainError(f"finger {dist.finger}: {exc}") from exc
             events.append({"t_s": t, "kind": "disturbance", "finger": dist.finger,
                            "pressure_step_pa": dist.pressure_step_pa,
                            "curvature_step_per_m": dist.curvature_step_per_m})
             di += 1
 
-        samples = [path.sample(s.pressure, s.curvature) for path, s in zip(paths, states)]
+        samples = [path.sample(pl.pressure, pl.curvature) for path, pl in zip(paths, plants)]
 
         while ci < len(pending_commands) and pending_commands[ci].t_s <= t + 1e-12:
             cmd = pending_commands[ci]
@@ -233,20 +230,22 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
             if new is controller.Mode.FAULT:
                 events.append({"t_s": t, "kind": "fault", "finger": i})
 
-        rows.extend((t, i, r.pressure, s.curvature, r.strain, strain_counts,
+        rows.extend((t, i, r.pressure, plant.curvature, r.strain, strain_counts,
                      pressure_counts, fsm.mode.value, int(v.inlet), int(v.vent),
-                     s.contact_force)
-                    for i, ((strain_counts, pressure_counts, r), s, fsm, v) in enumerate(
-                        zip(samples, states, device.fsms, valves)))
+                     plant.contact_force)
+                    for i, ((strain_counts, pressure_counts, r), plant, fsm, v) in enumerate(
+                        zip(samples, plants, device.fsms, valves)))
 
-        states = physics.hand_step(states, sc.actuators, valves, objects, dt, circuit, n_sub)
+        fill_scale = physics.pump_fill_scale(circuit, valves)
+        for plant, v in zip(plants, valves):
+            plant.advance(v, fill_scale)
 
         for telemetry_frame in host_decoder.feed(bus.host_recv(t)):
             if protocol.parse_telemetry(telemetry_frame) is not None:
                 wire_telemetry += 1
 
         for oi, obj in enumerate(sc.objects):
-            total = sum(states[f].contact_force for f in obj.fingers)
+            total = sum(plants[f].contact_force for f in obj.fingers)
             if total > peak_force[oi][1]:
                 peak_force[oi] = (t, total)
 

@@ -2,7 +2,7 @@
 
 perfbench wraps every call site in perfbench/layers.json by its dotted path,
 the calibration_batch workload takes its simulated time from the number of
-controller.fsm_tick calls, and grasp_sweep reports protocol.encode calls as
+controller.fsm_tick calls (one per physics.FingerPlant.advance), and grasp_sweep reports protocol.encode calls as
 its frames-encoded count. A rename or a rerouted loop would otherwise fail
 only the benchmark run, or silently change a reported count.
 """
@@ -48,11 +48,11 @@ def count_calls(monkeypatch, calls, owner, attr):
 def test_calibration_run_ticks_fsm_once_per_physics_step(monkeypatch):
     calls = {}
     count_calls(monkeypatch, calls, controller, "fsm_tick")
-    count_calls(monkeypatch, calls, physics, "step")
+    count_calls(monkeypatch, calls, physics.FingerPlant, "advance")
     calibration.simulate_calibration_run(physics.ActuatorParams(), sensors.SensorChain(),
                                          [40e3], seed=1, settle_s=0.1, samples_per_level=2)
     assert calls["fsm_tick"] > 0
-    assert calls["fsm_tick"] == calls["step"]
+    assert calls["fsm_tick"] == calls["advance"]
 
 
 def test_streamed_run_wire_counts(monkeypatch):
@@ -67,8 +67,10 @@ def test_streamed_run_wire_counts(monkeypatch):
     calls = {}
     count_calls(monkeypatch, calls, protocol, "encode")
     count_calls(monkeypatch, calls, runner.HandDevice, "tick")
+    count_calls(monkeypatch, calls, physics.FingerPlant, "advance")
     result = runner.run_scenario(sc)
     assert sc.n_fingers == 3 and n_ticks > 0
     assert calls["tick"] == n_ticks
+    assert calls["advance"] == sc.n_fingers * n_ticks
     assert calls["encode"] == len(sc.commands) + 3 * n_ticks
     assert result.wire_telemetry_count == 3 * n_ticks

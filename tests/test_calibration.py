@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import math
 import os
 import tempfile
 
@@ -184,6 +186,28 @@ class TestRecordInvariants:
         with pytest.raises(DomainError, match=rf"^{key}: must be >=? 0, got {value}$"):
             CalibrationRecord(**dict(FITTED, **{key: value}))
 
+    @pytest.mark.parametrize("key", ["p_threshold_hat_pa", "slope_hat_per_m_pa",
+                                     "kappa0_hat_per_m", "r0_hat_ohm", "r_lead_hat_ohm",
+                                     "d_neutral_m"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                             ids=["inf", "-inf", "nan"])
+    def test_non_finite_number_rejected(self, key, value):
+        with pytest.raises(DomainError, match=rf"^{key}: must be"):
+            CalibrationRecord(**dict(FITTED, **{key: value}))
+
+    @pytest.mark.parametrize("index,key", enumerate(["gain_pa_per_count", "offset_pa", "rms_pa"]))
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_channel_rejected(self, index, key, value):
+        numbers = [25.0, 0.0, 0.0]
+        numbers[index] = value
+        with pytest.raises(DomainError, match=rf"^{key}: must be finite$"):
+            ChannelCal(*numbers)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_fit_residual_rejected(self, value):
+        with pytest.raises(DomainError, match=r"^fit_residuals\.x: must be finite$"):
+            CalibrationRecord(**FITTED, fit_residuals={"x": value})
+
     def test_zero_lead_resistance_accepted(self):
         assert CalibrationRecord(**dict(FITTED, r_lead_hat_ohm=0.0)).r_lead_hat_ohm == 0.0
 
@@ -227,6 +251,32 @@ class TestRecordFiles:
         path = tmp_path / "record.json"
         calibration.save_record(record, path)
         assert calibration.load_record(path) == record
+
+    @settings(max_examples=200, deadline=None)
+    @given(record=RECORDS, key=st.sampled_from((*calibration._RECORD_NUMBERS,
+                                                *calibration._CHANNEL_NUMBERS, "fit_residuals.x")),
+           value=st.sampled_from((math.inf, -math.inf, math.nan)) | st.floats())
+    def test_any_constructed_record_round_trips(self, record, key, value):
+        # One number of a valid record set to any float at all: the constructors
+        # refuse it naming its key, or save_record writes what load_record reads back.
+        try:
+            if key in calibration._CHANNEL_NUMBERS:
+                channel = record.pressure_channel or ChannelCal(25.0, 0.0, 0.0)
+                record = dataclasses.replace(
+                    record, pressure_channel=dataclasses.replace(channel, **{key: value}))
+            elif key == "fit_residuals.x":
+                record = dataclasses.replace(record, fit_residuals={**record.fit_residuals,
+                                                                    "x": value})
+            else:
+                record = dataclasses.replace(record, **{key: value})
+        except DomainError as exc:
+            assert str(exc).startswith(f"{key}: must be"), exc
+            return
+        assert math.isfinite(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "record.json")
+            calibration.save_record(record, path)
+            assert calibration.load_record(path) == record
 
     @settings(max_examples=50, deadline=None)
     @given(record=RECORDS)

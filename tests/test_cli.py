@@ -50,6 +50,13 @@ class TestRunVerb:
         assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
         assert f"{path}: must be finite" in capsys.readouterr().err
 
+    def test_overflowing_curvature_disturbances_exit_2(self, tmp_path, capsys):
+        kick = {"t_s": 0.01, "finger": 0, "curvature_step_per_m": 1e308}
+        bad = tmp_path / "kicks.json"
+        bad.write_text(json.dumps({"duration_s": 0.1, "disturbances": [kick, kick]}))
+        assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
+        assert "error: finger 0: state curvature inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dt", ["0", "nan", "-0.001"])
     def test_bad_dt_override_exits_2(self, tmp_path, capsys, dt):
         assert run_cli("run", fixture_path("empty_grasp"), "--out", str(tmp_path),

@@ -1,13 +1,15 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softhand.errors import CircuitError, DomainError
-from softhand.physics import (ActuatorParams, ActuatorState, PneumaticCircuit, RigidObject,
-                              ValvePair, hand_step, steady_state_curvature, step)
+from softhand.physics import (MAX_DT, ActuatorParams, ActuatorState, FingerPlant,
+                              PneumaticCircuit, RigidObject, ValvePair, hand_step,
+                              steady_state_curvature, step)
 from softhand.units import psi
 
 INLET = ValvePair(inlet=True)
@@ -306,6 +308,113 @@ class TestFusedSubsteps:
         # An infinite curvature would turn into NaN on the first substep.
         with pytest.raises(DomainError, match="state curvature"):
             step(ActuatorState(curvature=float("inf")), default_params, VENT, n_steps=5)
+
+
+def float_bits(state):
+    return tuple(float.hex(x) for x in (state.pressure, state.curvature, state.contact_force))
+
+
+def reference_kick(state, params, d_pressure, d_curvature):
+    """The disturbance as the runner applied it inline before FingerPlant.kick."""
+    return replace(state,
+                   pressure=min(max(state.pressure + d_pressure, 0.0), params.p_max),
+                   curvature=max(state.curvature + d_curvature, 0.0))
+
+
+PLANT_OPS = st.one_of(
+    st.tuples(st.just("advance"), st.sampled_from((SEALED, INLET, VENT)),
+              st.sampled_from((1.0, 0.5, 1.0 / 3.0)) | st.floats(0.05, 1.0)),
+    st.tuples(st.just("kick"), st.floats(-150e3, 150e3), st.floats(-200.0, 200.0)))
+
+
+class TestFingerPlant:
+    """One plant for a whole run equals step() re-entered through ActuatorState each tick."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(params=actuator_params(),
+           radius=st.none() | st.floats(0.01, 0.2),
+           start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 120.0)),
+           pump=st.floats(1e3, 150e3),
+           n_steps=st.integers(1, 6),
+           dt=st.sampled_from((5e-4, 1e-3, 2.5e-3, 5e-3)),
+           ops=st.lists(PLANT_OPS, min_size=1, max_size=30))
+    def test_plant_equals_chained_steps(self, params, radius, start, pump, n_steps, dt, ops):
+        obj = None if radius is None else RigidObject(radius=radius)
+        circuit = PneumaticCircuit(pump_pressure=pump)
+        state = ActuatorState(pressure=start[0] * params.p_max, curvature=start[1])
+        plant = FingerPlant(params, obj, dt, circuit, n_steps, state)
+        chained = reference = state
+        for op, a, b in ops:
+            if op == "advance":
+                plant.advance(a, b)
+                chained = step(chained, params, a, obj, dt, circuit, b, n_steps)
+                for _ in range(n_steps):
+                    reference = reference_step(reference, params, a, obj, dt, circuit, b)
+            else:
+                plant.kick(a, b)
+                chained = reference_kick(chained, params, a, b)
+                reference = reference_kick(reference, params, a, b)
+            assert float_bits(plant.state) == float_bits(chained) == float_bits(reference)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(dt=0.0), "dt must be > 0, got 0.0"),
+        (dict(dt=-1e-3), "dt must be > 0, got -0.001"),
+        (dict(dt=math.nan), "dt must be > 0, got nan"),
+        (dict(dt=2 * MAX_DT), f"dt {2 * MAX_DT} exceeds the {MAX_DT} s explicit-integration contract"),
+        (dict(n_steps=0), "n_steps must be >= 1, got 0"),
+        (dict(n_steps=-3), "n_steps must be >= 1, got -3"),
+        (dict(state=ActuatorState(pressure=math.nan)), "state pressure nan outside [0, {p_max}]"),
+        (dict(state=ActuatorState(pressure=-1.0)), "state pressure -1.0 outside [0, {p_max}]"),
+        (dict(state=ActuatorState(pressure=1e6)), "state pressure 1000000.0 outside [0, {p_max}]"),
+        (dict(state=ActuatorState(curvature=math.nan)),
+         "state curvature nan must be finite and >= 0"),
+        (dict(state=ActuatorState(curvature=math.inf)),
+         "state curvature inf must be finite and >= 0"),
+        (dict(state=ActuatorState(curvature=-0.5)),
+         "state curvature -0.5 must be finite and >= 0"),
+    ], ids=["dt_zero", "dt_negative", "dt_nan", "dt_too_large", "n_steps_zero",
+            "n_steps_negative", "pressure_nan", "pressure_negative", "pressure_over_p_max",
+            "curvature_nan", "curvature_inf", "curvature_negative"])
+    def test_constructor_rejects_as_step_does(self, default_params, kwargs, message):
+        message = message.format(p_max=default_params.p_max)
+        args = {"dt": 1e-3, "n_steps": 1, "state": ActuatorState(), **kwargs}
+        with pytest.raises(DomainError) as plant_exc:
+            FingerPlant(default_params, None, args["dt"], PneumaticCircuit(), args["n_steps"],
+                        args["state"])
+        with pytest.raises(DomainError) as step_exc:
+            step(args["state"], default_params, SEALED, None, args["dt"],
+                 n_steps=args["n_steps"])
+        assert str(plant_exc.value) == str(step_exc.value) == message
+        assert type(plant_exc.value) is type(step_exc.value) is DomainError
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=actuator_params(),
+           start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1e308)),
+           d_pressure=st.floats(allow_nan=False),
+           d_curvature=st.floats(allow_nan=False, allow_infinity=False))
+    @example(params=ActuatorParams(), start=(0.5, 1e308), d_pressure=0.0, d_curvature=1e308)
+    def test_kick_clamps_into_admissible_range(self, params, start, d_pressure, d_curvature):
+        state = ActuatorState(pressure=start[0] * params.p_max, curvature=start[1],
+                              contact_force=0.25)
+        plant = FingerPlant(params, state=state)
+        expected = reference_kick(state, params, d_pressure, d_curvature)
+        if expected.curvature == math.inf:  # the sum overflowed
+            with pytest.raises(DomainError, match="^state curvature inf must be finite"):
+                plant.kick(d_pressure, d_curvature)
+            assert plant.state == state
+            return
+        plant.kick(d_pressure, d_curvature)
+        assert 0.0 <= plant.pressure <= params.p_max
+        assert 0.0 <= plant.curvature < math.inf
+        assert float_bits(plant.state) == float_bits(expected)
+
+    def test_nan_kick_rejected(self, default_params):
+        plant = FingerPlant(default_params)
+        with pytest.raises(DomainError, match="^state pressure nan outside"):
+            plant.kick(math.nan, 0.0)
+        with pytest.raises(DomainError, match="^state curvature nan must be finite"):
+            plant.kick(0.0, math.nan)
+        assert plant.state == ActuatorState()
 
 
 class TestHandStep:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from softhand import calibration, controller, physics, runner, scenario
-from softhand.errors import DomainError, ScenarioError
+from softhand.errors import DomainError, ScenarioError, SofthandError
 
 # sha256 of each fixture's telemetry CSV at the pinned defaults. The three
 # heavy_hold fixtures share one digest: mass only changes the force_check
@@ -245,6 +246,15 @@ class TestTelemetryAndEvents:
         kicks = [e for e in res.events if e["kind"] == "disturbance"]
         assert len(kicks) == 2
         assert all(e["t_s"] == pytest.approx(23.0, abs=0.01) for e in kicks)
+
+    def test_overflowing_curvature_disturbances_raise(self):
+        # Each kick is finite; their sum overflows to an infinite curvature.
+        kicks = tuple(scenario.Disturbance(t_s=0.01, finger=1, curvature_step_per_m=1e308)
+                      for _ in range(2))
+        sc = dataclasses.replace(scenario.load_shipped_scenario("empty_grasp"),
+                                 duration_s=0.1, disturbances=kicks)
+        with pytest.raises(SofthandError, match="^finger 1: state curvature inf"):
+            runner.run_scenario(sc)
 
     def test_events_jsonl_parses(self, tmp_path):
         res = runner.run_scenario(scenario.load_shipped_scenario("heavy_hold_628g"),
