@@ -19,13 +19,22 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import controller, physics, sensors
-from .errors import DomainError, FitError, RecordError, WarmupError
+from .errors import DomainError, FitError, RecordError, SofthandError, WarmupError
 from .rand import DeterministicRng
-from .scenario import _finite
+from .scenario import _finite, _integer, _object
 from .units import PSI_TO_PA
 
 WARMUP_CYCLES_REQUIRED = 10
 DEFAULT_KAPPA_ANCHOR = 1.0  # 1/m, curvature assigned to the fitted threshold
+
+
+def require_warmup(cycles) -> int:
+    """cycles as an int; a fraction, a boolean or fewer than WARMUP_CYCLES_REQUIRED fail."""
+    cycles = _integer(cycles, "warmup_cycles", DomainError)
+    if cycles < WARMUP_CYCLES_REQUIRED:
+        raise WarmupError(f"warmup_cycles: {cycles} warm-up inflations recorded; "
+                          f"fits are only valid after >= {WARMUP_CYCLES_REQUIRED}")
+    return cycles
 
 
 @dataclass(frozen=True)
@@ -76,10 +85,7 @@ class CalibrationRecord:
     warmup_cycles: int = WARMUP_CYCLES_REQUIRED
 
     def __post_init__(self):
-        if self.warmup_cycles < WARMUP_CYCLES_REQUIRED:
-            raise WarmupError(
-                f"calibration recorded after {self.warmup_cycles} warm-up inflations; "
-                f"{WARMUP_CYCLES_REQUIRED} are required before the elastomer response settles")
+        require_warmup(self.warmup_cycles)
         # The sensor inverse and the radius estimate divide by r0 and d_neutral
         # and subtract r_lead, so they are checked here, once, not per use.
         if not (self.r0_hat_ohm > 0.0):
@@ -92,6 +98,8 @@ class CalibrationRecord:
         for key in _RECORD_NUMBERS:
             _finite(getattr(self, key), key, DomainError)
         for key, value in self.fit_residuals.items():
+            if not isinstance(key, str):  # a JSON object's keys are strings
+                raise DomainError(f"fit_residuals.{key}: must be named by a string, got {key!r}")
             _finite(value, f"fit_residuals.{key}", DomainError)
 
 
@@ -246,11 +254,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
 
 def build_record(data: CalibrationData, chain: sensors.SensorChain, p_min_fit: float = 30e3,
                  kappa_anchor: float = DEFAULT_KAPPA_ANCHOR) -> CalibrationRecord:
-    """Fit a pressure/curvature session into a record (warm-up gate enforced)."""
-    if data.warmup_cycles < WARMUP_CYCLES_REQUIRED:
-        raise WarmupError(
-            f"data recorded after {data.warmup_cycles} warm-up inflations; "
-            f"{WARMUP_CYCLES_REQUIRED} required")
+    """Fit a pressure/curvature session into a record (the record enforces the warm-up gate)."""
     fit = fit_pressure_curvature(data.pressures, data.curvatures, p_min_fit)
     return CalibrationRecord(
         p_threshold_hat_pa=threshold_from_fit(fit, kappa_anchor),
@@ -260,34 +264,24 @@ def build_record(data: CalibrationData, chain: sensors.SensorChain, p_min_fit: f
         r_lead_hat_ohm=chain.gauge.r_lead,
         d_neutral_m=chain.d_neutral,
         pressure_channel=None,
-        fit_residuals={"pressure_curvature_rms_per_m": fit.rms},
+        fit_residuals={"pressure_curvature_rms_per_m": fit.rms, "n_samples": fit.n_used},
         warmup_cycles=data.warmup_cycles)
 
 
 # --- record files ----------------------------------------------------------
 
+def record_json(record: CalibrationRecord) -> str:
+    """A record as the JSON text save_record writes, units spelled out in the key names."""
+    return json.dumps(asdict(record), indent=2, sort_keys=True) + "\n"
+
+
 def save_record(record: CalibrationRecord, path) -> None:
     """Write a record as JSON with units spelled out in the key names."""
-    payload = asdict(record)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(record_json(record))
 
 
 _CHANNEL_NUMBERS = tuple(f.name for f in fields(ChannelCal))
-
-
-def _object(raw, path: str, required=(), optional=None) -> dict:
-    """raw as a JSON object holding every required key; given optional, no other key."""
-    if not isinstance(raw, dict):
-        raise RecordError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    for key in raw:
-        if optional is not None and key not in required and key not in optional:
-            raise RecordError(f"{path}.{key}: unknown key")
-    for key in required:
-        if key not in raw:
-            raise RecordError(f"{path}.{key}: required key missing")
-    return raw
 
 
 def load_record(path) -> CalibrationRecord:
@@ -296,9 +290,8 @@ def load_record(path) -> CalibrationRecord:
     Malformed input raises RecordError naming the file and the JSON key:
     text that is not JSON, a document that is not an object, missing or
     unknown keys, non-numeric or non-finite numbers, a malformed
-    pressure_channel or fit_residuals, a non-integer warmup_cycles or one
-    below WARMUP_CYCLES_REQUIRED, and a fitted gauge CalibrationRecord
-    rejects: r0_hat_ohm <= 0, r_lead_hat_ohm < 0 or d_neutral_m <= 0.
+    pressure_channel or fit_residuals, and any value CalibrationRecord
+    refuses (its message names the key).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -310,26 +303,20 @@ def load_record(path) -> CalibrationRecord:
         raise RecordError(f"{path}: {exc}") from None
     root = f"{path}: $"
     _object(payload, root, _RECORD_NUMBERS, ("pressure_channel", "fit_residuals",
-                                             "warmup_cycles"))
+                                             "warmup_cycles"), RecordError)
     numbers = {key: _finite(payload[key], f"{root}.{key}", RecordError)
                for key in _RECORD_NUMBERS}
     channel = payload.get("pressure_channel")
     if channel is not None:
         where = f"{root}.pressure_channel"
-        _object(channel, where, _CHANNEL_NUMBERS, ())
+        _object(channel, where, _CHANNEL_NUMBERS, (), RecordError)
         channel = ChannelCal(**{key: _finite(channel[key], f"{where}.{key}", RecordError)
                                 for key in _CHANNEL_NUMBERS})
-    residuals = _object(payload.get("fit_residuals", {}), f"{root}.fit_residuals")
-    residuals = {key: _finite(value, f"{root}.fit_residuals.{key}", RecordError)
-                 for key, value in residuals.items()}
-    warmup = payload.get("warmup_cycles", WARMUP_CYCLES_REQUIRED)
-    if not isinstance(warmup, int) or isinstance(warmup, bool):
-        raise RecordError(f"{root}.warmup_cycles: expected an integer, got {warmup!r}")
-    if warmup < WARMUP_CYCLES_REQUIRED:
-        raise RecordError(f"{root}.warmup_cycles: {warmup} warm-up inflations recorded; "
-                          f"fits are only valid after >= {WARMUP_CYCLES_REQUIRED}")
+    residuals = _object(payload.get("fit_residuals", {}), f"{root}.fit_residuals",
+                        error=RecordError)
     try:
         return CalibrationRecord(pressure_channel=channel, fit_residuals=residuals,
-                                 warmup_cycles=warmup, **numbers)
-    except DomainError as exc:  # its message starts with the offending key
+                                 warmup_cycles=payload.get("warmup_cycles", WARMUP_CYCLES_REQUIRED),
+                                 **numbers)
+    except SofthandError as exc:  # its message starts with the offending key
         raise RecordError(f"{root}.{exc}") from None

@@ -17,17 +17,20 @@ from .errors import SofthandError
 
 def _resolve_warmup(columns: dict[str, np.ndarray], flag_value: int | None) -> int:
     if flag_value is not None:
-        return flag_value
+        return calibration.require_warmup(flag_value)
     if "warmup_cycles" in columns:
-        return int(columns["warmup_cycles"][0])
+        column = columns["warmup_cycles"]
+        warmup = calibration.require_warmup(float(column[0]))
+        if (column != column[0]).any():
+            raise SofthandError(f"warmup_cycles: rows disagree ({sorted(set(column.tolist()))})")
+        return warmup
     raise SofthandError(
         "warm-up provenance required: pass --warmup-cycles N or include a "
         "warmup_cycles column (fits are only valid after >= "
         f"{calibration.WARMUP_CYCLES_REQUIRED} full inflations)")
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -52,35 +55,23 @@ def _cmd_calibrate_pressure_curvature(args) -> int:
     data = calibration.CalibrationData(pressures=columns["pressure_pa"],
                                        curvatures=columns["kappa_per_m"],
                                        warmup_cycles=warmup)
-    chain = sensors.SensorChain()
-    record = calibration.build_record(data, chain, p_min_fit=args.p_min_fit,
+    record = calibration.build_record(data, sensors.SensorChain(), p_min_fit=args.p_min_fit,
                                       kappa_anchor=args.kappa_anchor)
-    _emit({
-        "p_threshold_hat_pa": record.p_threshold_hat_pa,
-        "slope_hat_per_m_pa": record.slope_hat_per_m_pa,
-        "kappa0_hat_per_m": record.kappa0_hat_per_m,
-        "rms_per_m": record.fit_residuals["pressure_curvature_rms_per_m"],
-        "n_samples": int(columns["pressure_pa"].size),
-        "warmup_cycles": warmup,
-    }, args.out)
+    _emit(calibration.record_json(record), args.out)
     return 0
 
 
 def _cmd_calibrate_strain_resistance(args) -> int:
     columns = runner.read_csv(args.csv, ("strain", "resistance_ohm"))
     warmup = _resolve_warmup(columns, args.warmup_cycles)
-    if warmup < calibration.WARMUP_CYCLES_REQUIRED:
-        raise SofthandError(
-            f"data recorded after {warmup} warm-up inflations; "
-            f"{calibration.WARMUP_CYCLES_REQUIRED} required")
     fit = calibration.fit_strain_resistance(columns["strain"], columns["resistance_ohm"])
-    _emit({
+    _emit(json.dumps({
         "r0_hat_ohm": fit.r0,
         "r_lead_hat_ohm": fit.r_lead,
         "rms_ohm": fit.rms,
         "n_samples": fit.n_used,
         "warmup_cycles": warmup,
-    }, args.out)
+    }, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

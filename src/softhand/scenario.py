@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 
 from . import controller, physics, protocol, sensors
-from .errors import DomainError, ScenarioError, SofthandError
+from .errors import ScenarioError, SofthandError
 
 DEFAULT_FINGERS = 3
 
@@ -129,6 +129,37 @@ def _finite(value, path: str, error: type[SofthandError] = ScenarioError) -> flo
     return number
 
 
+def _integer(value, path: str, error: type[SofthandError] = ScenarioError) -> int:
+    """A number with no fractional part as an int; booleans, fractions, NaN and +-inf fail."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{path}: must be an integer, got {value!r}")
+    return value
+
+
+def _object(raw, path: str, required=(), optional=None,
+            error: type[SofthandError] = ScenarioError) -> dict:
+    """raw as a JSON object holding every required key; given optional, no other key."""
+    if not isinstance(raw, dict):
+        raise error(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    for key in raw:
+        if optional is not None and key not in required and key not in optional:
+            raise error(f"{path}.{key}: unknown key (known: {sorted({*required, *optional})})")
+    for key in required:
+        if key not in raw:
+            raise error(f"{path}.{key}: required key missing")
+    return raw
+
+
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with the SofthandError it raises renamed a ScenarioError at path."""
+    try:
+        return make(*args, **kwargs)
+    except SofthandError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 def _number(raw: dict, path: str, key: str, default: float | None = None,
             minimum: float | None = None, strict_min: bool = False) -> float:
     if key not in raw:
@@ -144,41 +175,42 @@ def _number(raw: dict, path: str, key: str, default: float | None = None,
     return value
 
 
-def _mapped(raw: dict, path: str, key_map: dict, cls, defaults) -> dict:
-    """Translate unit-suffixed file keys onto dataclass field names."""
-    out = {f.name: getattr(defaults, f.name) for f in fields(cls)}
-    for key, value in raw.items():
-        if key not in key_map:
-            raise ScenarioError(f"{path}.{key}: unknown key (known: {sorted(key_map)})")
-        _finite(value, f"{path}.{key}")
-        out[key_map[key]] = value
-    return out
+def _params(raw, path: str, key_map: dict, cls):
+    """cls built from unit-suffixed file keys; the ADC's bits must be an integer."""
+    kwargs = {}
+    for key, value in _object(raw, path, optional=key_map).items():
+        if key == "bits":
+            value = _integer(value, f"{path}.{key}")
+        else:
+            _finite(value, f"{path}.{key}")
+        kwargs[key_map[key]] = value
+    return _build(path, cls, **kwargs)
 
 
-def _build_command(raw: dict, path: str, n_fingers: int) -> ScheduledCommand:
-    _expect(isinstance(raw, dict), path, "each command must be an object")
-    name = raw.get("command")
-    _expect(name in _COMMAND_NAMES, f"{path}.command",
+def _finger(value, path: str, n_fingers: int) -> int:
+    finger = _integer(value, path)
+    _expect(0 <= finger < n_fingers, path, f"finger {finger} does not exist (have {n_fingers})")
+    return finger
+
+
+def _build_command(raw, path: str, n_fingers: int) -> ScheduledCommand:
+    _object(raw, path, ("command", "t_s"), ("actuator_id", "value_pa", "value_per_m", "period_ms"))
+    name = raw["command"]
+    _expect(isinstance(name, str) and name in _COMMAND_NAMES, f"{path}.command",
             f"unknown command {name!r} (known: {sorted(_COMMAND_NAMES)})")
     t_s = _number(raw, path, "t_s", minimum=0.0)
-    actuator_id = raw.get("actuator_id", protocol.BROADCAST_ID)
-    _expect(isinstance(actuator_id, int) and not isinstance(actuator_id, bool),
-            f"{path}.actuator_id", f"expected an integer, got {actuator_id!r}")
+    actuator_id = _integer(raw.get("actuator_id", protocol.BROADCAST_ID), f"{path}.actuator_id")
     _expect(0 <= actuator_id < n_fingers or actuator_id == protocol.BROADCAST_ID,
             f"{path}.actuator_id",
             f"finger {actuator_id} does not exist (have {n_fingers}, broadcast is 255)")
-    allowed = {"command", "t_s", "actuator_id", "value_pa", "value_per_m", "period_ms"}
-    for key in raw:
-        _expect(key in allowed, f"{path}.{key}", "unknown key")
     if name == "set_pressure_target":
         command: protocol.Command = protocol.SetPressureTarget(
             _number(raw, path, "value_pa", minimum=0.0))
     elif name == "set_curvature_target":
         command = protocol.SetCurvatureTarget(_number(raw, path, "value_per_m", minimum=0.0))
     elif name == "stream_start":
-        period = raw.get("period_ms", 5)
-        _expect(isinstance(period, int) and 1 <= period <= 255,
-                f"{path}.period_ms", f"expected an integer in 1..255, got {period!r}")
+        period = _integer(raw.get("period_ms", 5), f"{path}.period_ms")
+        _expect(1 <= period <= 255, f"{path}.period_ms", f"must be in 1..255, got {period}")
         command = protocol.StreamStart(period)
     else:
         command = {"vent": protocol.Vent, "stop": protocol.Stop,
@@ -188,12 +220,10 @@ def _build_command(raw: dict, path: str, n_fingers: int) -> ScheduledCommand:
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
-    _expect(isinstance(raw, dict), "$", "scenario file must hold a JSON object")
-    known = {"name", "duration_s", "dt_s", "tick_s", "seed", "pump_pressure_pa",
-             "atmosphere_offset_pa", "share_pump_flow", "actuators", "sensors",
-             "controller", "objects", "commands", "disturbances"}
-    for key in raw:
-        _expect(key in known, f"$.{key}", "unknown key")
+    _object(raw, "$", optional=(
+        "name", "duration_s", "dt_s", "tick_s", "seed", "pump_pressure_pa",
+        "atmosphere_offset_pa", "share_pump_flow", "actuators", "sensors", "controller",
+        "objects", "commands", "disturbances"))
 
     name = raw.get("name", name)
     _expect(isinstance(name, str) and name != "", "$.name", "must be a non-empty string")
@@ -201,77 +231,45 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     dt = _number(raw, "$", "dt_s", default=physics.DEFAULT_DT, minimum=0.0, strict_min=True)
     tick = _number(raw, "$", "tick_s", default=controller.DEFAULT_TICK_PERIOD,
                    minimum=0.0, strict_min=True)
-    try:
-        physics.substeps(tick, dt)
-    except DomainError as exc:
-        raise ScenarioError(f"$.dt_s: {exc}") from None
+    _build("$.dt_s", physics.substeps, tick, dt)
     _expect(duration >= tick, "$.duration_s", f"must cover at least one tick ({tick} s)")
-    seed = raw.get("seed", 0)
-    _expect(isinstance(seed, int) and not isinstance(seed, bool), "$.seed",
-            f"expected an integer, got {seed!r}")
+    seed = _integer(raw.get("seed", 0), "$.seed")
 
     actuators_raw = raw.get("actuators", [{}] * DEFAULT_FINGERS)
     _expect(isinstance(actuators_raw, list) and 1 <= len(actuators_raw) <= controller.MAX_ACTUATORS,
             "$.actuators", f"expected a list of 1..{controller.MAX_ACTUATORS} finger objects")
-    actuators = []
-    for i, entry in enumerate(actuators_raw):
-        _expect(isinstance(entry, dict), f"$.actuators[{i}]", "expected an object")
-        kwargs = _mapped(entry, f"$.actuators[{i}]", _ACTUATOR_KEYS,
-                         physics.ActuatorParams, physics.ActuatorParams())
-        try:
-            actuators.append(physics.ActuatorParams(**kwargs))
-        except Exception as exc:
-            raise ScenarioError(f"$.actuators[{i}]: {exc}") from exc
+    actuators = [_params(entry, f"$.actuators[{i}]", _ACTUATOR_KEYS, physics.ActuatorParams)
+                 for i, entry in enumerate(actuators_raw)]
     n_fingers = len(actuators)
 
-    sensors_raw = raw.get("sensors", {})
-    _expect(isinstance(sensors_raw, dict), "$.sensors", "expected an object")
-    for key in sensors_raw:
-        _expect(key in {"gauge", "pressure", "adc"}, f"$.sensors.{key}", "unknown key")
-    try:
-        gauge = sensors.StrainGaugeParams(**_mapped(
-            sensors_raw.get("gauge", {}), "$.sensors.gauge", _GAUGE_KEYS,
-            sensors.StrainGaugeParams, sensors.StrainGaugeParams()))
-        pressure_sensor = sensors.PressureSensorParams(**_mapped(
-            sensors_raw.get("pressure", {}), "$.sensors.pressure", _PRESSURE_SENSOR_KEYS,
-            sensors.PressureSensorParams, sensors.PressureSensorParams()))
-        adc_kwargs = _mapped(sensors_raw.get("adc", {}), "$.sensors.adc", _ADC_KEYS,
-                             sensors.AdcParams, sensors.AdcParams())
-        adc_kwargs["bits"] = int(adc_kwargs["bits"])
-        adc = sensors.AdcParams(**adc_kwargs)
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(f"$.sensors: {exc}") from exc
+    sensors_raw = _object(raw.get("sensors", {}), "$.sensors", optional=("gauge", "pressure", "adc"))
+    gauge = _params(sensors_raw.get("gauge", {}), "$.sensors.gauge", _GAUGE_KEYS,
+                    sensors.StrainGaugeParams)
+    pressure_sensor = _params(sensors_raw.get("pressure", {}), "$.sensors.pressure",
+                              _PRESSURE_SENSOR_KEYS, sensors.PressureSensorParams)
+    adc = _params(sensors_raw.get("adc", {}), "$.sensors.adc", _ADC_KEYS, sensors.AdcParams)
     chains = tuple(
         sensors.SensorChain(gauge=gauge, pressure=pressure_sensor, adc=adc,
                             d_neutral=actuators[i].d_neutral)
         for i in range(n_fingers))
 
-    controller_raw = raw.get("controller", {})
-    _expect(isinstance(controller_raw, dict), "$.controller", "expected an object")
-    for key in controller_raw:
-        _expect(key in {"timeout_s", "reengage_factor", "pressure_deadband_pa",
-                        "curvature_deadband_per_m"}, f"$.controller.{key}", "unknown key")
-    p_max = max(a.p_max for a in actuators)
-    kappa_max = max(physics.steady_state_curvature(a.p_max, a) for a in actuators)
-    try:
-        control = controller.ControllerConfig(
-            p_max=p_max, kappa_max=kappa_max, tick_period_s=tick,
-            timeout_s=_number(controller_raw, "$.controller", "timeout_s",
-                              default=controller.DEFAULT_TIMEOUT, minimum=0.0, strict_min=True),
-            reengage_factor=_number(controller_raw, "$.controller", "reengage_factor",
-                                    default=2.0, minimum=1.0),
-            pressure_deadband=_number(controller_raw, "$.controller", "pressure_deadband_pa",
-                                      default=controller.DEFAULT_PRESSURE_DEADBAND,
-                                      minimum=0.0, strict_min=True),
-            curvature_deadband=_number(controller_raw, "$.controller", "curvature_deadband_per_m",
-                                       default=controller.DEFAULT_CURVATURE_DEADBAND,
-                                       minimum=0.0, strict_min=True))
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(f"$.controller: {exc}") from exc
+    controller_raw = _object(raw.get("controller", {}), "$.controller", optional=(
+        "timeout_s", "reengage_factor", "pressure_deadband_pa", "curvature_deadband_per_m"))
+    control = _build(
+        "$.controller", controller.ControllerConfig,
+        p_max=max(a.p_max for a in actuators),
+        kappa_max=max(physics.steady_state_curvature(a.p_max, a) for a in actuators),
+        tick_period_s=tick,
+        timeout_s=_number(controller_raw, "$.controller", "timeout_s",
+                          default=controller.DEFAULT_TIMEOUT, minimum=0.0, strict_min=True),
+        reengage_factor=_number(controller_raw, "$.controller", "reengage_factor",
+                                default=2.0, minimum=1.0),
+        pressure_deadband=_number(controller_raw, "$.controller", "pressure_deadband_pa",
+                                  default=controller.DEFAULT_PRESSURE_DEADBAND,
+                                  minimum=0.0, strict_min=True),
+        curvature_deadband=_number(controller_raw, "$.controller", "curvature_deadband_per_m",
+                                   default=controller.DEFAULT_CURVATURE_DEADBAND,
+                                   minimum=0.0, strict_min=True))
 
     pump = _number(raw, "$", "pump_pressure_pa",
                    default=physics.PneumaticCircuit().pump_pressure, minimum=0.0, strict_min=True)
@@ -286,22 +284,20 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     claimed: set[int] = set()
     for i, entry in enumerate(objects_raw):
         path = f"$.objects[{i}]"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        for key in entry:
-            _expect(key in {"radius_m", "mass_kg", "position_m", "fingers"}, f"{path}.{key}",
-                    "unknown key")
+        _object(entry, path, ("radius_m", "fingers"), ("mass_kg", "position_m"))
         radius = _number(entry, path, "radius_m", minimum=0.0, strict_min=True)
         mass = _number(entry, path, "mass_kg", default=0.0, minimum=0.0)
         position = _number(entry, path, "position_m", default=0.0)
-        fingers = entry.get("fingers")
-        _expect(isinstance(fingers, list) and fingers != [], f"{path}.fingers",
+        fingers_raw = entry["fingers"]
+        _expect(isinstance(fingers_raw, list) and fingers_raw != [], f"{path}.fingers",
                 "expected a non-empty list of finger indices")
-        for finger in fingers:
-            _expect(isinstance(finger, int) and 0 <= finger < n_fingers, f"{path}.fingers",
-                    f"finger {finger!r} does not exist (have {n_fingers})")
-            _expect(finger not in claimed, f"{path}.fingers",
+        fingers = []
+        for j, value in enumerate(fingers_raw):
+            finger = _finger(value, f"{path}.fingers[{j}]", n_fingers)
+            _expect(finger not in claimed, f"{path}.fingers[{j}]",
                     f"finger {finger} already contacts another object")
             claimed.add(finger)
+            fingers.append(finger)
         objects.append(ScenarioObject(radius_m=radius, mass_kg=mass, position_m=position,
                                       fingers=tuple(fingers)))
 
@@ -316,16 +312,10 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     disturbances = []
     for i, entry in enumerate(disturbances_raw):
         path = f"$.disturbances[{i}]"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        for key in entry:
-            _expect(key in {"t_s", "finger", "pressure_step_pa", "curvature_step_per_m"},
-                    f"{path}.{key}", "unknown key")
-        finger = entry.get("finger", 0)
-        _expect(isinstance(finger, int) and 0 <= finger < n_fingers, f"{path}.finger",
-                f"finger {finger!r} does not exist (have {n_fingers})")
+        _object(entry, path, optional=("t_s", "finger", "pressure_step_pa", "curvature_step_per_m"))
         disturbances.append(Disturbance(
             t_s=_number(entry, path, "t_s", minimum=0.0),
-            finger=finger,
+            finger=_finger(entry.get("finger", 0), f"{path}.finger", n_fingers),
             pressure_step_pa=_number(entry, path, "pressure_step_pa", default=0.0),
             curvature_step_per_m=_number(entry, path, "curvature_step_per_m", default=0.0)))
     disturbances.sort(key=lambda d: d.t_s)

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softhand import calibration, sensors
@@ -253,20 +253,28 @@ class TestRecordFiles:
         assert calibration.load_record(path) == record
 
     @settings(max_examples=200, deadline=None)
-    @given(record=RECORDS, key=st.sampled_from((*calibration._RECORD_NUMBERS,
-                                                *calibration._CHANNEL_NUMBERS, "fit_residuals.x")),
-           value=st.sampled_from((math.inf, -math.inf, math.nan)) | st.floats())
-    def test_any_constructed_record_round_trips(self, record, key, value):
-        # One number of a valid record set to any float at all: the constructors
-        # refuse it naming its key, or save_record writes what load_record reads back.
+    @given(record=RECORDS, key_value=st.tuples(
+        st.sampled_from((*calibration._RECORD_NUMBERS, *calibration._CHANNEL_NUMBERS,
+                         "fit_residuals.x")),
+        st.sampled_from((math.inf, -math.inf, math.nan)) | st.floats()) | st.sampled_from(
+        (("warmup_cycles", 10.5), ("warmup_cycles", True), ("fit_residuals.1", 0.5))))
+    @example(record=CalibrationRecord(**FITTED), key_value=("warmup_cycles", 10.5))
+    @example(record=CalibrationRecord(**FITTED), key_value=("warmup_cycles", True))
+    @example(record=CalibrationRecord(**FITTED), key_value=("fit_residuals.1", 0.5))
+    def test_any_constructed_record_round_trips(self, record, key_value):
+        # One number of a valid record set to any float at all, or a warm-up count or a
+        # residual name of the wrong type: the constructors refuse it naming its key, or
+        # save_record writes what load_record reads back.
+        key, value = key_value
+        residual_names = {"fit_residuals.x": "x", "fit_residuals.1": 1}
         try:
             if key in calibration._CHANNEL_NUMBERS:
                 channel = record.pressure_channel or ChannelCal(25.0, 0.0, 0.0)
                 record = dataclasses.replace(
                     record, pressure_channel=dataclasses.replace(channel, **{key: value}))
-            elif key == "fit_residuals.x":
-                record = dataclasses.replace(record, fit_residuals={**record.fit_residuals,
-                                                                    "x": value})
+            elif key in residual_names:
+                record = dataclasses.replace(record, fit_residuals={
+                    **record.fit_residuals, residual_names[key]: value})
             else:
                 record = dataclasses.replace(record, **{key: value})
         except DomainError as exc:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from softhand import cli
+from softhand import calibration, cli
 
 FIXTURE_DIR = "src/softhand/scenarios"
 
@@ -141,6 +141,18 @@ class TestCalibrateVerbs:
         self.write_pk_csv(csv)
         assert run_cli("calibrate", "pressure-curvature", str(csv),
                        "--warmup-cycles", "4") == 2
+
+    @pytest.mark.parametrize("verb", ["pressure-curvature", "strain-resistance"])
+    @pytest.mark.parametrize("cells", [["nan"], ["inf"], ["10.9"], ["12", "15"]],
+                             ids=["nan", "inf", "fraction", "differing"])
+    def test_bad_warmup_column_exits_2(self, tmp_path, capsys, verb, cells):
+        csv = tmp_path / "samples.csv"
+        csv.write_text("pressure_pa,kappa_per_m,strain,resistance_ohm,warmup_cycles\n" + "".join(
+            f"{32e3 + 1e3 * i},{1.0 + 0.1 * i},{0.01 * i},{2.0 + 0.05 * i},{cells[i % len(cells)]}\n"
+            for i in range(10)))
+        assert run_cli("calibrate", verb, str(csv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "warmup_cycles" in err
 
     def test_strain_resistance_fit(self, tmp_path, capsys):
         csv = tmp_path / "sr.csv"
@@ -329,7 +341,7 @@ class TestClassifyCalRecord:
         assert captured.err.startswith("error: ") and str(cal) in captured.err
         assert names in captured.err
 
-    def test_calibrate_output_is_not_a_record(self, run_dir, tmp_path, capsys):
+    def test_calibrate_output_classifies(self, run_dir, tmp_path, capsys):
         rng = np.random.default_rng(3)
         p = rng.uniform(35e3, 80e3, 40)
         samples = tmp_path / "pk.csv"
@@ -338,5 +350,13 @@ class TestClassifyCalRecord:
         fit = tmp_path / "fit.json"
         assert run_cli("calibrate", "pressure-curvature", str(samples),
                        "--warmup-cycles", "10", "--out", str(fit)) == 0
-        assert self.classify(run_dir, fit) == 2
-        assert "unknown key" in capsys.readouterr().err
+        assert run_cli("calibrate", "pressure-curvature", str(samples),
+                       "--warmup-cycles", "10") == 0
+        assert capsys.readouterr().out == fit.read_text()
+        record = calibration.load_record(fit)
+        assert record.fit_residuals["n_samples"] == 40
+        assert self.classify(run_dir, fit) == 0
+        verdicts = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(verdicts) == 3
+        for v in verdicts:  # acceptance criterion 05's tolerance
+            assert abs(v["estimated_radius_m"] - 0.074) / 0.074 < 0.10, v

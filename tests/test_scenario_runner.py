@@ -1,10 +1,14 @@
+import copy
 import dataclasses
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softhand import calibration, controller, physics, runner, scenario
 from softhand.errors import DomainError, ScenarioError, SofthandError
@@ -36,6 +40,55 @@ def minimal_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+# Every section and command kind of the schema, valid as a whole.
+FULL_SCENARIO = {
+    "name": "full", "duration_s": 0.1, "dt_s": 0.001, "tick_s": 0.005, "seed": 1,
+    "pump_pressure_pa": 68947.6, "atmosphere_offset_pa": 0.0, "share_pump_flow": True,
+    "actuators": [{"slope_per_m_pa": 0.0025, "d_neutral_m": 0.01}, {}, {}],
+    "sensors": {"gauge": {"r0_ohm": 2.0}, "pressure": {"amp_gain": 100.0},
+                "adc": {"bits": 12, "v_ref_v": 3.3}},
+    "controller": {"timeout_s": 10.0, "reengage_factor": 2.0, "pressure_deadband_pa": 1034.2,
+                   "curvature_deadband_per_m": 0.25},
+    "objects": [{"radius_m": 0.074, "mass_kg": 0.628, "position_m": 0.0, "fingers": [0, 1]}],
+    "commands": [
+        {"t_s": 0.0, "actuator_id": 255, "command": "set_pressure_target", "value_pa": 55158.06},
+        {"t_s": 0.01, "actuator_id": 2, "command": "set_curvature_target", "value_per_m": 5.0},
+        {"t_s": 0.02, "command": "stream_start", "period_ms": 5},
+        {"t_s": 0.05, "command": "vent"},
+    ],
+    "disturbances": [{"t_s": 0.05, "finger": 2, "pressure_step_pa": 100.0,
+                      "curvature_step_per_m": -1.0}],
+}
+
+
+def value_slots(node, at=()):
+    """The location, a tuple of keys and list indices, of every value in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield at + (key,)
+        yield from value_slots(value, at + (key,))
+
+
+def at_slot(doc, slot):
+    for key in slot:
+        doc = doc[key]
+    return doc
+
+
+SLOTS = list(value_slots(FULL_SCENARIO))
+# One edit of FULL_SCENARIO each: a value replaced, a key deleted or a key added.
+MUTATIONS = (
+    [("replace", slot, value) for slot in SLOTS for value in (True, 1.5, "x", [], {}, None)]
+    + [("delete", slot, None) for slot in SLOTS if isinstance(slot[-1], str)]
+    + [("add", slot + ("extra_key",), 1.0)
+       for slot in [(), *SLOTS] if isinstance(at_slot(FULL_SCENARIO, slot), dict)])
 
 
 class TestScenarioSchema:
@@ -103,6 +156,51 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioError, match=r"\$\.objects\[0\]\.mass_kg"):
             scenario.scenario_from_dict(minimal_dict(
                 objects=[{"radius_m": 0.05, "mass_kg": -1, "fingers": [0]}]))
+
+    @pytest.mark.parametrize("overrides,path", [
+        ({"objects": [{"radius_m": 0.05, "fingers": [True]}]},
+         r"\$\.objects\[0\]\.fingers\[0\]: must be an integer, got True"),
+        ({"disturbances": [{"t_s": 0.0, "finger": True}]},
+         r"\$\.disturbances\[0\]\.finger: must be an integer, got True"),
+        ({"commands": [{"t_s": 0.0, "command": "stream_start", "period_ms": True}]},
+         r"\$\.commands\[0\]\.period_ms: must be an integer, got True"),
+        ({"sensors": {"adc": {"bits": 12.5}}},
+         r"\$\.sensors\.adc\.bits: must be an integer, got 12\.5"),
+        ({"sensors": {"gauge": [1]}}, r"\$\.sensors\.gauge: expected a JSON object, got list"),
+    ], ids=["finger_true", "disturbance_finger_true", "period_true", "bits_fraction",
+            "gauge_list"])
+    def test_wrong_type_names_path(self, overrides, path):
+        with pytest.raises(ScenarioError, match=path):
+            scenario.scenario_from_dict(minimal_dict(**overrides))
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutation=st.sampled_from(MUTATIONS))
+    def test_one_mutation_loads_or_names_a_path_in_the_document(self, mutation):
+        action, slot, value = mutation
+        doc = copy.deepcopy(FULL_SCENARIO)
+        target = at_slot(doc, slot[:-1])
+        if action == "delete":
+            del target[slot[-1]]
+        else:
+            target[slot[-1]] = value
+        try:
+            assert isinstance(scenario.scenario_from_dict(doc), scenario.Scenario)
+            return
+        except ScenarioError as exc:
+            message = str(exc)
+        match = re.match(r"\$((?:\.\w+|\[\d+\])*): ", message)
+        assert match, message
+        named = [int(index) if index else key
+                 for key, index in re.findall(r"\.(\w+)|\[(\d+)\]", match.group(1))]
+        if not named:  # "$", the document itself
+            return
+        container = at_slot(doc, named[:-1])
+        if message.endswith(": required key missing"):
+            # A missing key names where it belongs: its object exists, the key does not.
+            assert isinstance(container, dict) and named[-1] not in container, message
+        else:
+            assert isinstance(container, (dict, list)), message
+            container[named[-1]]  # raises unless the named value exists
 
     def test_unknown_command_name(self):
         with pytest.raises(ScenarioError, match="unknown command"):
