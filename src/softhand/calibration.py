@@ -129,10 +129,23 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coeffs[0]), float(coeffs[1]), float(np.sqrt(np.mean(resid ** 2)))
 
 
+def finite_samples(values, name: str) -> np.ndarray:
+    """values as a float array; the first NaN or infinite sample is a FitError naming it.
+
+    Samples are counted from 1, as the CSV reader counts data rows.
+    """
+    samples = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise FitError(f"{name}: sample {bad[0] + 1} of {samples.size} is not finite "
+                       f"({samples[bad[0]]})")
+    return samples
+
+
 def fit_pressure_curvature(pressures, curvatures, p_min_fit: float) -> PressureCurvatureFit:
     """OLS of curvature on pressure over the samples with p >= p_min_fit."""
-    p = np.asarray(pressures, dtype=float)
-    k = np.asarray(curvatures, dtype=float)
+    p = finite_samples(pressures, "pressures")
+    k = finite_samples(curvatures, "curvatures")
     if p.shape != k.shape:
         raise FitError(f"{p.size} pressures but {k.size} curvatures")
     keep = p >= p_min_fit
@@ -160,8 +173,8 @@ def threshold_from_fit(fit: PressureCurvatureFit,
 
 def fit_strain_resistance(strains, resistances) -> StrainResistanceFit:
     """Least squares of R against (1+eps)^2 with free offset (lead resistance)."""
-    eps = np.asarray(strains, dtype=float)
-    r = np.asarray(resistances, dtype=float)
+    eps = finite_samples(strains, "strains")
+    r = finite_samples(resistances, "resistances")
     if eps.shape != r.shape:
         raise FitError(f"{eps.size} strains but {r.size} resistances")
     if eps.size < 3:

@@ -19,6 +19,7 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, EncodeError
 from .rand import DeterministicRng
@@ -63,8 +64,7 @@ def crc8(data: bytes | bytearray | memoryview) -> int:
     return crc
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     command: int
     actuator_id: int
     payload: bytes = b""
@@ -186,8 +186,7 @@ Command = (SetPressureTarget | SetCurvatureTarget | Vent | Stop | GetState
            | StreamStart | StreamStop | ResetFault)
 
 
-@dataclass(frozen=True)
-class Telemetry:
+class Telemetry(NamedTuple):
     t_ms: int
     pressure_counts: int
     strain_counts: int

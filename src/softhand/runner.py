@@ -279,7 +279,7 @@ def rows_to_columns(rows: list[tuple], header=TELEMETRY_COLUMNS) -> dict[str, np
         try:
             columns[name] = np.array([row[i] for row in rows],
                                      dtype=_COLUMN_DTYPES.get(name, float))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # overflow: an int cell past int64
             raise DomainError(f"column {name!r}: {exc}") from None
     return columns
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
 from .rand import DeterministicRng
@@ -131,8 +131,7 @@ class SensorChain:
             raise DomainError(f"d_neutral must be > 0, got {self.d_neutral}")
 
 
-@dataclass(frozen=True)
-class PhysicalReading:
+class PhysicalReading(NamedTuple):
     """Counts inverted back to physical units. Saturated values are flagged, not errors."""
 
     pressure: float

@@ -74,6 +74,15 @@ class TestPressureCurvatureFit:
         with pytest.raises(FitError):
             fit_pressure_curvature([10e3, 20e3, 40e3, 50e3], [0, 0, 8.0, 16.0], p_min_fit=45e3)
 
+    @pytest.mark.parametrize("name", ["pressures", "curvatures"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, name, value):
+        # Sample 2 lies below the cutoff: a broken sample is refused, not filtered out.
+        samples = {"pressures": [40e3, 10e3, 50e3, 60e3], "curvatures": [8.0, 0.0, 16.0, 24.0]}
+        samples[name][1] = value
+        with pytest.raises(FitError, match=f"^{name}: sample 2 of 4 is not finite"):
+            fit_pressure_curvature(samples["pressures"], samples["curvatures"], p_min_fit=30e3)
+
     def test_shuffle_invariance_within_1e9(self):
         rng = np.random.default_rng(3)
         p = rng.uniform(30e3, 66e3, 40)
@@ -104,6 +113,14 @@ class TestStrainResistanceFit:
             if abs(fit.r0 - 2.0) / 2.0 < 0.02:
                 passes += 1
         assert passes >= 95
+
+    @pytest.mark.parametrize("name", ["strains", "resistances"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, name, value):
+        samples = {"strains": [0.0, 0.1, 0.2, 0.3], "resistances": [2.2, 2.62, 3.08, 3.58]}
+        samples[name][3] = value
+        with pytest.raises(FitError, match=f"^{name}: sample 4 of 4 is not finite"):
+            fit_strain_resistance(samples["strains"], samples["resistances"])
 
     def test_unstrained_only_data_is_unidentifiable(self):
         with pytest.raises(FitError):

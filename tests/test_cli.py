@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from softhand import calibration, cli
+from softhand import calibration, cli, runner
 
 FIXTURE_DIR = "src/softhand/scenarios"
 
@@ -16,6 +16,13 @@ def fixture_path(name):
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def with_cell(row, column, text):
+    """A telemetry CSV line with the cell of one column replaced by text."""
+    cells = row.split(",")
+    cells[runner.TELEMETRY_COLUMNS.index(column)] = text
+    return ",".join(cells)
 
 
 class TestRunVerb:
@@ -154,6 +161,22 @@ class TestCalibrateVerbs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "warmup_cycles" in err
 
+    @pytest.mark.parametrize("verb, column", [
+        ("pressure-curvature", "pressure_pa"), ("pressure-curvature", "kappa_per_m"),
+        ("strain-resistance", "strain"), ("strain-resistance", "resistance_ohm")])
+    @pytest.mark.parametrize("cell", ["nan", "1e400"])
+    def test_non_finite_sample_exits_2(self, tmp_path, capsys, verb, column, cell):
+        header = ("pressure_pa", "kappa_per_m", "strain", "resistance_ohm")
+        rows = [[str(v) for v in (32e3 + 1e3 * i, 1.0 + 0.1 * i, 0.01 * i, 2.0 + 0.05 * i)]
+                for i in range(4)]
+        rows[2][header.index(column)] = cell
+        csv = tmp_path / "samples.csv"
+        csv.write_text(",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows))
+        assert run_cli("calibrate", verb, str(csv), "--warmup-cycles", "10") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {csv}: column {column!r}: sample 3 of 4 ")
+
     def test_strain_resistance_fit(self, tmp_path, capsys):
         csv = tmp_path / "sr.csv"
         eps = np.linspace(0.0, 0.3, 20)
@@ -259,7 +282,8 @@ class TestGraspAndFigureVerbs:
         (lambda row: row.replace(",Idle,0,", ",Idle,on,"), "'inlet'"),
         (lambda row: row.rsplit(",", 1)[0], "data row 5"),
         (None, "no data rows"),
-    ], ids=["non_numeric_cell", "short_row", "header_only"])
+        (lambda row: with_cell(row, "strain_counts", "99999999999999999999"), "'strain_counts'"),
+    ], ids=["non_numeric_cell", "short_row", "header_only", "int_overflow"])
     def test_malformed_telemetry_exits_2(self, run_dir, tmp_path, capsys, edit, names):
         lines = (run_dir / "cylinder_r74mm_telemetry.csv").read_text().splitlines()
         lines = lines[:5] + [edit(lines[5])] + lines[6:] if edit else lines[:1]

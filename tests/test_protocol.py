@@ -1,3 +1,4 @@
+import inspect
 import struct
 from collections import deque
 
@@ -176,6 +177,36 @@ class TestTypedCommands:
         frame = FrameDecoder().feed(wire)[0]
         telemetry = protocol.parse_telemetry(frame)
         assert telemetry == protocol.Telemetry(1000, 0x0102, 0x0304, 3)
+
+
+@pytest.mark.parametrize("cls, fields, defaults, values", [
+    (Frame, ("command", "actuator_id", "payload"), {"payload": b""}, (0x85, 2, b"\x01")),
+    (protocol.Telemetry, ("t_ms", "pressure_counts", "strain_counts", "fsm_mode"), {},
+     (1000, 258, 772, 3)),
+], ids=["Frame", "Telemetry"])
+class TestValueTypeContract:
+    """Frames and telemetry, built per frame: frozen tuples with named fields."""
+
+    def test_fields_in_order_with_defaults(self, cls, fields, defaults, values):
+        params = inspect.signature(cls).parameters
+        assert tuple(params) == fields
+        assert {name: p.default for name, p in params.items()
+                if p.default is not inspect.Parameter.empty} == defaults
+
+    def test_keyword_construction_equality_and_hash(self, cls, fields, defaults, values):
+        by_name = cls(**dict(zip(fields, values)))
+        assert by_name == cls(*values) and hash(by_name) == hash(cls(*values))
+        assert [getattr(by_name, name) for name in fields] == list(values)
+        assert by_name == values and len(by_name) == len(fields)
+        assert by_name != cls(*values[:-1], None)
+
+    def test_fields_cannot_be_set(self, cls, fields, defaults, values):
+        with pytest.raises(AttributeError):
+            setattr(cls(*values), fields[0], 0)
+
+    def test_repr_names_every_field(self, cls, fields, defaults, values):
+        assert repr(cls(*values)) == f"{cls.__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(fields, values)) + ")"
 
 
 class TestSimulatedBus:

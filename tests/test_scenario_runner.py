@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softhand import calibration, controller, physics, runner, scenario
+from softhand import calibration, controller, physics, protocol, runner, scenario
 from softhand.errors import DomainError, ScenarioError, SofthandError
 
 # sha256 of each fixture's telemetry CSV at the pinned defaults. The three
@@ -380,6 +380,57 @@ class TestTelemetryAndEvents:
         empty = hold("empty_grasp")
         for name in ("cylinder_r2cm", "cylinder_r4cm", "cylinder_r74mm"):
             assert empty > hold(name)
+
+
+@st.composite
+def closed_loop_scenarios(draw):
+    """Valid scenario dicts: 1-3 fingers, up to 0.5 s, drawn commands.
+
+    Every scenario streams telemetry and sets one target; up to 5 more commands
+    of any kind are drawn on top.
+    """
+    n_fingers = draw(st.integers(1, 3))
+    n_ticks = draw(st.integers(1, 100))
+    values = {"set_pressure_target": {"value_pa": st.floats(0.0, 80e3)},
+              "set_curvature_target": {"value_per_m": st.floats(0.0, 60.0)},
+              "stream_start": {"period_ms": st.integers(1, 20)}}
+
+    def commands(name):
+        return st.fixed_dictionaries({
+            "t_s": st.integers(0, n_ticks - 1).map(lambda k: k * 0.005),
+            "actuator_id": st.sampled_from([protocol.BROADCAST_ID, *range(n_fingers)]),
+            "command": st.just(name), **values.get(name, {})})
+
+    targets = st.sampled_from(["set_pressure_target", "set_curvature_target"]).flatmap(commands)
+    drawn = draw(st.lists(st.sampled_from(sorted(scenario._COMMAND_NAMES)).flatmap(commands),
+                          max_size=5))
+    objects = []
+    if draw(st.booleans()):
+        objects.append({"radius_m": draw(st.floats(0.02, 0.12)),
+                        "fingers": draw(st.lists(st.integers(0, n_fingers - 1), min_size=1,
+                                                 max_size=n_fingers, unique=True))})
+    return minimal_dict(duration_s=n_ticks * 0.005, seed=draw(st.integers(0, 2 ** 32 - 1)),
+                        actuators=[{}] * n_fingers, objects=objects,
+                        commands=[draw(commands("stream_start")), draw(targets)] + drawn)
+
+
+class TestClosedLoopProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(doc=closed_loop_scenarios())
+    def test_run_is_repeatable_safe_and_round_trips(self, doc, tmp_path_factory):
+        sc = scenario.scenario_from_dict(doc)
+        first, second = runner.run_scenario(sc), runner.run_scenario(sc)
+        assert first.rows == second.rows
+        assert first.wire_telemetry_count == second.wire_telemetry_count
+        inlet, vent = (runner.TELEMETRY_COLUMNS.index(name) for name in ("inlet", "vent"))
+        assert not any(row[inlet] and row[vent] for row in first.rows)
+        path = tmp_path_factory.getbasetemp() / "closed_loop_telemetry.csv"
+        runner.write_telemetry_csv(first.rows, path)
+        columns = runner.read_telemetry(path)
+        for i, name in enumerate(runner.TELEMETRY_COLUMNS):
+            assert columns[name].tolist() == [
+                float(format(row[i], ".10g")) if isinstance(row[i], float) else row[i]
+                for row in first.rows], name
 
 
 class TestCsvWriter:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from dataclasses import replace
@@ -9,15 +10,15 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from softhand import calibration, sensors
+from softhand import calibration, controller, sensors
 from softhand.calibration import CalibrationRecord, ChannelCal
 from softhand.errors import DomainError
 from softhand.physics import ActuatorParams
 from softhand.rand import DeterministicRng
-from softhand.sensors import (AdcParams, PressureSensorParams, SensorChain, SensorFrame,
-                              StrainGaugeParams, counts_to_physical, curvature_to_strain,
-                              measure, pressure_to_counts, resistance_to_counts,
-                              strain_to_resistance)
+from softhand.sensors import (AdcParams, PhysicalReading, PressureSensorParams, SensorChain,
+                              SensorFrame, StrainGaugeParams, counts_to_physical,
+                              curvature_to_strain, measure, pressure_to_counts,
+                              resistance_to_counts, strain_to_resistance)
 from softhand.units import psi
 
 NOISELESS = SensorChain(
@@ -185,6 +186,39 @@ class TestInversion:
                                d_neutral=0.012)
         assert counts_to_physical(frame, NOISELESS, fitted_record(2.1, 0.1, 0.012)) == \
             counts_to_physical(frame, fitted_chain)
+
+
+class TestPhysicalReadingContract:
+    """The per-tick reading fsm_tick consumes: a frozen 5-tuple with named fields."""
+
+    def test_fields_in_order_with_defaults(self):
+        empty = inspect.Parameter.empty
+        assert [(p.name, p.default) for p in inspect.signature(PhysicalReading).parameters
+                .values()] == [("pressure", empty), ("curvature", empty), ("strain", empty),
+                               ("strain_saturated", False), ("pressure_saturated", False)]
+
+    def test_keyword_construction_equality_and_hash(self):
+        reading = PhysicalReading(pressure=1.0, curvature=2.0, strain=0.02,
+                                  pressure_saturated=True)
+        same = PhysicalReading(1.0, 2.0, 0.02, False, True)
+        assert reading == same and hash(reading) == hash(same)
+        assert reading != PhysicalReading(1.0, 2.0, 0.02)
+        assert reading.saturated and not PhysicalReading(1.0, 2.0, 0.02).saturated
+        assert reading == (1.0, 2.0, 0.02, False, True) and len(reading) == 5
+
+    @pytest.mark.parametrize("name", ["pressure", "strain_saturated"])
+    def test_fields_cannot_be_set(self, name):
+        with pytest.raises(AttributeError):
+            setattr(PhysicalReading(1.0, 2.0, 0.02), name, 0.0)
+
+    def test_repr_in_the_fsm_error_message(self):
+        reading = PhysicalReading(math.nan, 2.0, 0.02)
+        assert repr(reading) == ("PhysicalReading(pressure=nan, curvature=2.0, strain=0.02, "
+                                 "strain_saturated=False, pressure_saturated=False)")
+        fsm = controller.set_target(controller.FsmState(), controller.pressure_target(50e3), 0.0)
+        with pytest.raises(DomainError) as exc:
+            controller.fsm_tick(fsm, reading, 0.005)
+        assert str(exc.value) == f"measurement not finite: {reading!r}"
 
 
 class TestNoise:
