@@ -26,6 +26,8 @@ from .units import PSI_TO_PA
 
 WARMUP_CYCLES_REQUIRED = 10
 DEFAULT_KAPPA_ANCHOR = 1.0  # 1/m, curvature assigned to the fitted threshold
+REFERENCE_FULL_SCALE = 15.0 * PSI_TO_PA  # Pa, differential reference sensor range
+MIN_SPAN_FRACTION = 0.5  # of REFERENCE_FULL_SCALE a channel calibration must span
 
 
 def require_warmup(cycles) -> int:
@@ -188,8 +190,7 @@ def fit_strain_resistance(strains, resistances) -> StrainResistanceFit:
     return StrainResistanceFit(r0=r0, r_lead=r_lead, rms=rms, n_used=int(eps.size))
 
 
-def calibrate_channel_against_reference(frames, full_scale_pa: float = 15.0 * PSI_TO_PA,
-                                        min_span_fraction: float = 0.5) -> ChannelCal:
+def calibrate_channel_against_reference(frames) -> ChannelCal:
     """Linear map from pressure-channel counts to the differential reference.
 
     The frames must come from a reference session where the differential
@@ -203,10 +204,10 @@ def calibrate_channel_against_reference(frames, full_scale_pa: float = 15.0 * PS
     if counts.size < 3:
         raise FitError(f"need >= 3 frames, got {counts.size}")
     span = float(np.ptp(ref))
-    if span < min_span_fraction * full_scale_pa:
+    if span < MIN_SPAN_FRACTION * REFERENCE_FULL_SCALE:
         raise FitError(
             f"reference span {span:.0f} Pa covers less than "
-            f"{min_span_fraction:.0%} of the {full_scale_pa:.0f} Pa range")
+            f"{MIN_SPAN_FRACTION:.0%} of the {REFERENCE_FULL_SCALE:.0f} Pa range")
     gain, offset, rms = _ols(counts, ref)
     return ChannelCal(gain_pa_per_count=gain, offset_pa=offset, rms_pa=rms)
 
@@ -224,8 +225,8 @@ class CalibrationData:
 
 def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.SensorChain,
                              levels_pa, seed: int, settle_s: float = 2.5,
-                             samples_per_level: int = 10, dt: float = physics.DEFAULT_DT,
-                             warmup_cycles: int = WARMUP_CYCLES_REQUIRED) -> CalibrationData:
+                             samples_per_level: int = 10, dt: float = physics.DEFAULT_DT
+                             ) -> CalibrationData:
     """Servo one finger through stepped pressure holds and sample both channels.
 
     Each level is held for settle_s after the controller reaches Holding so
@@ -236,7 +237,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     config = controller.ControllerConfig(p_max=params.p_max)
     path = sensors.SensorPath(chain, ideal_record(params, chain), DeterministicRng(seed))
     fsm = controller.FsmState()
-    tick = config.tick_period_s
+    tick = controller.DEFAULT_TICK_PERIOD
     plant = physics.FingerPlant(params, dt=dt, n_steps=physics.substeps(tick, dt))
     p_out, k_out = [], []
     t = 0.0
@@ -262,7 +263,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
             p_out.append(reading.pressure)
             k_out.append(reading.curvature)
     return CalibrationData(pressures=np.array(p_out), curvatures=np.array(k_out),
-                           warmup_cycles=warmup_cycles)
+                           warmup_cycles=WARMUP_CYCLES_REQUIRED)
 
 
 def build_record(data: CalibrationData, chain: sensors.SensorChain, p_min_fit: float = 30e3,

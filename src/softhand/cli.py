@@ -30,12 +30,6 @@ def _resolve_warmup(columns: dict[str, np.ndarray], flag_value: int | None) -> i
         f"{calibration.WARMUP_CYCLES_REQUIRED} full inflations)")
 
 
-def _samples(path, columns: dict[str, np.ndarray], *names: str) -> list[np.ndarray]:
-    """The named CSV columns as fit inputs; a non-finite cell names the file and column."""
-    return [calibration.finite_samples(columns[name], f"{path}: column {name!r}")
-            for name in names]
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -58,9 +52,8 @@ def _cmd_run(args) -> int:
 def _cmd_calibrate_pressure_curvature(args) -> int:
     columns = runner.read_csv(args.csv, ("pressure_pa", "kappa_per_m"))
     warmup = _resolve_warmup(columns, args.warmup_cycles)
-    pressures, curvatures = _samples(args.csv, columns, "pressure_pa", "kappa_per_m")
-    data = calibration.CalibrationData(pressures=pressures, curvatures=curvatures,
-                                       warmup_cycles=warmup)
+    data = calibration.CalibrationData(pressures=columns["pressure_pa"],
+                                       curvatures=columns["kappa_per_m"], warmup_cycles=warmup)
     record = calibration.build_record(data, sensors.SensorChain(), p_min_fit=args.p_min_fit,
                                       kappa_anchor=args.kappa_anchor)
     _emit(calibration.record_json(record), args.out)
@@ -70,8 +63,7 @@ def _cmd_calibrate_pressure_curvature(args) -> int:
 def _cmd_calibrate_strain_resistance(args) -> int:
     columns = runner.read_csv(args.csv, ("strain", "resistance_ohm"))
     warmup = _resolve_warmup(columns, args.warmup_cycles)
-    fit = calibration.fit_strain_resistance(
-        *_samples(args.csv, columns, "strain", "resistance_ohm"))
+    fit = calibration.fit_strain_resistance(columns["strain"], columns["resistance_ohm"])
     _emit(json.dumps({
         "r0_hat_ohm": fit.r0,
         "r_lead_hat_ohm": fit.r_lead,

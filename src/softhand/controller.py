@@ -49,23 +49,22 @@ class TargetKind(Enum):
 
 @dataclass(frozen=True)
 class ControlTarget:
+    """What to servo to; the deadband around it comes from ControllerConfig each tick."""
+
     kind: TargetKind
     value: float
-    deadband: float
 
     def __post_init__(self):
-        if not (self.deadband > 0.0):
-            raise DomainError(f"deadband must be > 0, got {self.deadband}")
         if math.isnan(self.value) or self.value < 0.0:
             raise DomainError(f"target value must be >= 0, got {self.value}")
 
 
-def pressure_target(value_pa: float, deadband: float = DEFAULT_PRESSURE_DEADBAND) -> ControlTarget:
-    return ControlTarget(TargetKind.PRESSURE, value_pa, deadband)
+def pressure_target(value_pa: float) -> ControlTarget:
+    return ControlTarget(TargetKind.PRESSURE, value_pa)
 
 
-def curvature_target(value_per_m: float, deadband: float = DEFAULT_CURVATURE_DEADBAND) -> ControlTarget:
-    return ControlTarget(TargetKind.CURVATURE, value_per_m, deadband)
+def curvature_target(value_per_m: float) -> ControlTarget:
+    return ControlTarget(TargetKind.CURVATURE, value_per_m)
 
 
 @dataclass(frozen=True)
@@ -80,16 +79,15 @@ class ControllerConfig:
     p_max: float = 12.0 * PSI_TO_PA
     kappa_max: float = 200.0
     timeout_s: float = DEFAULT_TIMEOUT
-    tick_period_s: float = DEFAULT_TICK_PERIOD
     reengage_factor: float = 2.0
-    pressure_deadband: float = DEFAULT_PRESSURE_DEADBAND  # Pa, for SetPressureTarget
-    curvature_deadband: float = DEFAULT_CURVATURE_DEADBAND  # 1/m, for SetCurvatureTarget
+    pressure_deadband: float = DEFAULT_PRESSURE_DEADBAND  # Pa, for every pressure target
+    curvature_deadband: float = DEFAULT_CURVATURE_DEADBAND  # 1/m, for every curvature target
 
     def __post_init__(self):
         if not (self.p_max > 0.0 and self.kappa_max > 0.0):
             raise ConfigError("p_max and kappa_max must be > 0")
-        if not (self.timeout_s > 0.0 and self.tick_period_s > 0.0):
-            raise ConfigError("timeout_s and tick_period_s must be > 0")
+        if not (self.timeout_s > 0.0):
+            raise ConfigError("timeout_s must be > 0")
         if self.reengage_factor < 1.0:
             raise ConfigError("reengage_factor must be >= 1")
         if not (self.pressure_deadband > 0.0 and self.curvature_deadband > 0.0):
@@ -128,9 +126,10 @@ def fsm_tick(fsm: FsmState, measured: sensors.PhysicalReading, t: float,
         return fsm, _CLOSED
 
     target = fsm.target
-    value = measured.pressure if target.kind is TargetKind.PRESSURE else measured.curvature
-    err = value - target.value
-    band = target.deadband
+    if target.kind is TargetKind.PRESSURE:
+        err, band = measured.pressure - target.value, config.pressure_deadband
+    else:
+        err, band = measured.curvature - target.value, config.curvature_deadband
     mode = fsm.mode
 
     if mode is Mode.HOLDING:
@@ -195,16 +194,13 @@ def apply_command(fsm: FsmState, command: "protocol.Command", t: float,
     """Apply a decoded host command to one finger's FSM.
 
     All commands are absolute and idempotent: replaying any of them leaves
-    the installed target unchanged. A new target takes its deadband from
-    config. Read-type commands (GET_STATE, STREAM_*) do not touch the FSM
-    and are handled by the device endpoint.
+    the installed target unchanged. Read-type commands (GET_STATE, STREAM_*)
+    do not touch the FSM and are handled by the device endpoint.
     """
     if isinstance(command, protocol.SetPressureTarget):
-        target = pressure_target(command.pascals, config.pressure_deadband)
-        return set_target(fsm, target, t, config)
+        return set_target(fsm, pressure_target(command.pascals), t, config)
     if isinstance(command, protocol.SetCurvatureTarget):
-        target = curvature_target(command.curvature, config.curvature_deadband)
-        return set_target(fsm, target, t, config)
+        return set_target(fsm, curvature_target(command.curvature), t, config)
     if isinstance(command, protocol.Vent):
         return force_vent(fsm, t)
     if isinstance(command, protocol.Stop):

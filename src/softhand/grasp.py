@@ -23,16 +23,18 @@ import numpy as np
 from .calibration import CalibrationRecord
 from .controller import DEFAULT_PRESSURE_DEADBAND
 from .errors import DomainError, InsufficientDataError
+from .physics import ActuatorParams
 from .units import PSI_TO_PA
 
 MIN_SAMPLES = 10
 DEFAULT_TOLERANCE_BAND = 0.01      # strain
-DEFAULT_K_JUMP = 6.0
-DEFAULT_MERGE_WINDOW = 0.050       # s
-DEFAULT_HOLD_WINDOW = 1.0          # s
-DEFAULT_FLAT_SLOPE_FRACTION = 0.01  # of peak strain, per second
-DEFAULT_MIN_PRESSURE_RISE = 0.5 * PSI_TO_PA
-DEFAULT_HOLD_DEADBAND = DEFAULT_PRESSURE_DEADBAND
+K_JUMP = 6.0
+MERGE_WINDOW = 0.050               # s
+HOLD_WINDOW = 1.0                  # s
+FLAT_SLOPE_FRACTION = 0.01         # of peak strain, per second
+MIN_PRESSURE_RISE = 0.5 * PSI_TO_PA
+HOLD_BAND = 2.0 * DEFAULT_PRESSURE_DEADBAND  # Pa, the band the FSM holds to before re-engaging
+DIVERGENCE_START_PRESSURE = ActuatorParams.p_threshold + HOLD_BAND  # Pa, from the default threshold
 
 
 @dataclass(frozen=True)
@@ -107,14 +109,17 @@ class EmptyGraspReference:
     strains: np.ndarray
     tolerance_band: float = DEFAULT_TOLERANCE_BAND
 
+    def __post_init__(self):
+        if not (self.tolerance_band > 0.0 and np.isfinite(self.tolerance_band)):
+            raise DomainError(f"tolerance_band: must be finite and > 0, got {self.tolerance_band}")
+
     @classmethod
     def from_orbit(cls, orbit: PhaseOrbit,
-                   tolerance_band: float = DEFAULT_TOLERANCE_BAND,
-                   hold_band_pa: float = 2.0 * DEFAULT_HOLD_DEADBAND) -> "EmptyGraspReference":
+                   tolerance_band: float = DEFAULT_TOLERANCE_BAND) -> "EmptyGraspReference":
         """Build the lookup from a recorded empty grasp.
 
         Uses the inflate branch plus the settled hold (every sample until the
-        pressure first drops hold_band_pa below its peak), sorted by pressure
+        pressure first drops HOLD_BAND below its peak), sorted by pressure
         with the strain forced nondecreasing, and extends flat down to 0 Pa
         so the domain covers the whole hold range. Including the hold lets
         the reference reflect the settled strain rather than the
@@ -122,7 +127,7 @@ class EmptyGraspReference:
         """
         if orbit.n < MIN_SAMPLES:
             raise InsufficientDataError(f"reference orbit has {orbit.n} < {MIN_SAMPLES} samples")
-        _, last = _hold_segment(orbit.pressure, hold_band_pa)
+        _, last = _hold_segment(orbit.pressure, HOLD_BAND)
         p = orbit.pressure[:last + 1]
         s = orbit.strain[:last + 1]
         order = np.argsort(p, kind="stable")
@@ -148,21 +153,20 @@ def _window_slope(t: np.ndarray, y: np.ndarray) -> float:
 
 
 def _rising_pressure_flat_strain(t: np.ndarray, p: np.ndarray, s: np.ndarray,
-                                 min_rise: float, flat_thresh: float,
-                                 min_start_pressure: float) -> bool:
-    """Does any window show pressure rising >= min_rise while strain stays flat?
+                                 flat_thresh: float) -> bool:
+    """Does any window show pressure rising >= MIN_PRESSURE_RISE while strain stays flat?
 
-    Windows start above min_start_pressure so the sub-threshold region
+    Windows start above DIVERGENCE_START_PRESSURE so the sub-threshold region
     (strain identically zero while the chamber cross-section rounds out)
     does not count as the grasp signature.
     """
     j = 0
     for i in range(t.size):
-        if p[i] < min_start_pressure:
+        if p[i] < DIVERGENCE_START_PRESSURE:
             continue
         if j <= i:
             j = i + 1
-        while j < t.size and p[j] - p[i] < min_rise:
+        while j < t.size and p[j] - p[i] < MIN_PRESSURE_RISE:
             j += 1
         if j >= t.size:
             return False
@@ -171,40 +175,32 @@ def _rising_pressure_flat_strain(t: np.ndarray, p: np.ndarray, s: np.ndarray,
     return False
 
 
-def strain_pressure_divergence(orbit: PhaseOrbit,
-                               flat_slope_fraction: float = DEFAULT_FLAT_SLOPE_FRACTION,
-                               min_pressure_rise: float = DEFAULT_MIN_PRESSURE_RISE,
-                               min_start_pressure_pa: float = 30e3 + 2.0 * DEFAULT_HOLD_DEADBAND
-                               ) -> bool:
+def strain_pressure_divergence(orbit: PhaseOrbit) -> bool:
     """Strict form of the blocked-finger signature, evaluated simultaneously.
 
     True when some window of the orbit shows the pressure rising by at least
-    min_pressure_rise while the strain slope stays below flat_slope_fraction
+    MIN_PRESSURE_RISE while the strain slope stays below FLAT_SLOPE_FRACTION
     of the peak strain per second: the chamber keeps charging although the
     finger has stopped moving. An empty grasp never shows this above the
     bending threshold (strain tracks pressure until both settle together).
     """
     if orbit.n < MIN_SAMPLES:
         raise InsufficientDataError(f"orbit has {orbit.n} < {MIN_SAMPLES} samples")
-    _, hi = _hold_segment(orbit.pressure, 2.0 * DEFAULT_HOLD_DEADBAND)
-    flat_thresh = flat_slope_fraction * float(orbit.strain.max())
+    _, hi = _hold_segment(orbit.pressure, HOLD_BAND)
+    flat_thresh = FLAT_SLOPE_FRACTION * float(orbit.strain.max())
     return _rising_pressure_flat_strain(
-        orbit.t[:hi + 1], orbit.pressure[:hi + 1], orbit.strain[:hi + 1],
-        min_pressure_rise, flat_thresh, min_start_pressure_pa)
+        orbit.t[:hi + 1], orbit.pressure[:hi + 1], orbit.strain[:hi + 1], flat_thresh)
 
 
-def classify_grasp(orbit: PhaseOrbit, ref: EmptyGraspReference, cal: CalibrationRecord,
-                   hold_window_s: float = DEFAULT_HOLD_WINDOW,
-                   flat_slope_fraction: float = DEFAULT_FLAT_SLOPE_FRACTION,
-                   min_pressure_rise: float = DEFAULT_MIN_PRESSURE_RISE,
-                   deadband_pa: float = DEFAULT_HOLD_DEADBAND) -> GraspVerdict:
+def classify_grasp(orbit: PhaseOrbit, ref: EmptyGraspReference,
+                   cal: CalibrationRecord) -> GraspVerdict:
     """Classify one grasp cycle against an empty-grasp reference.
 
     Empty when the hold strain sits within the tolerance band of the
     reference. ObjectGrasped when the strain deficit exceeds the band AND
     the orbit shows the blocked-finger signature: strain slope ~ 0 over the
-    trailing hold window while the pressure rose by at least
-    min_pressure_rise on the way there; the object radius is then
+    trailing HOLD_WINDOW while the pressure rose by at least
+    MIN_PRESSURE_RISE on the way there; the object radius is then
     d_neutral / hold strain. Anything else is Indeterminate (deficit without
     the signature, or a finger that never settled).
     """
@@ -212,13 +208,13 @@ def classify_grasp(orbit: PhaseOrbit, ref: EmptyGraspReference, cal: Calibration
         raise InsufficientDataError(f"orbit has {orbit.n} < {MIN_SAMPLES} samples")
     t, p, s = orbit.t, orbit.pressure, orbit.strain
     p_hold = float(p.max())
-    min_hold = cal.p_threshold_hat_pa + 2.0 * deadband_pa
+    min_hold = cal.p_threshold_hat_pa + HOLD_BAND
     if p_hold < min_hold:
         raise InsufficientDataError(
             f"orbit peaks at {p_hold:.0f} Pa, below the {min_hold:.0f} Pa hold threshold")
 
-    lo, hi = _hold_segment(p, 2.0 * deadband_pa)
-    window = (t >= t[hi] - hold_window_s) & (np.arange(p.size) >= lo) & (np.arange(p.size) <= hi)
+    lo, hi = _hold_segment(p, HOLD_BAND)
+    window = (t >= t[hi] - HOLD_WINDOW) & (np.arange(p.size) >= lo) & (np.arange(p.size) <= hi)
     if not np.any(window):
         window = np.arange(p.size) == hi
 
@@ -229,9 +225,9 @@ def classify_grasp(orbit: PhaseOrbit, ref: EmptyGraspReference, cal: Calibration
     if deficit <= ref.tolerance_band:
         return GraspVerdict(GraspOutcome.EMPTY, None, deficit, hold_pressure, hold_strain)
 
-    flat_thresh = flat_slope_fraction * float(s.max())
+    flat_thresh = FLAT_SLOPE_FRACTION * float(s.max())
     hold_flat = abs(_window_slope(t[window], s[window])) < flat_thresh
-    rose_earlier = float(p[:hi + 1].max() - p[:hi + 1].min()) >= min_pressure_rise
+    rose_earlier = float(p[:hi + 1].max() - p[:hi + 1].min()) >= MIN_PRESSURE_RISE
     if hold_flat and rose_earlier and hold_strain > 0.0:
         radius = cal.d_neutral_m / hold_strain
         return GraspVerdict(GraspOutcome.OBJECT_GRASPED, radius, deficit,
@@ -262,8 +258,7 @@ def _resample_uniform(orbit: PhaseOrbit) -> tuple[np.ndarray, np.ndarray, np.nda
     return grid, np.interp(grid, t, orbit.pressure), np.interp(grid, t, orbit.strain)
 
 
-def _jump_events(t: np.ndarray, x: np.ndarray, kind: EventKind, k_jump: float,
-                 merge_window: float) -> list[ConformationEvent]:
+def _jump_events(t: np.ndarray, x: np.ndarray, kind: EventKind) -> list[ConformationEvent]:
     d = np.diff(x)
     med = float(np.median(d))
     scale = 1.4826 * float(np.median(np.abs(d - med)))
@@ -271,11 +266,11 @@ def _jump_events(t: np.ndarray, x: np.ndarray, kind: EventKind, k_jump: float,
         # Noise-free channel: any nonzero deviation from the typical step is a jump.
         scale = 1e-12 * max(1.0, float(np.max(np.abs(x))))
     stat = np.abs(d - med) / scale
-    idx = np.flatnonzero(stat > k_jump)
+    idx = np.flatnonzero(stat > K_JUMP)
     events: list[ConformationEvent] = []
     cluster: list[int] = []
     for i in idx:
-        if cluster and t[i + 1] - t[cluster[-1] + 1] > merge_window:
+        if cluster and t[i + 1] - t[cluster[-1] + 1] > MERGE_WINDOW:
             best = max(cluster, key=lambda j: stat[j])
             events.append(ConformationEvent(float(t[best + 1]), kind, float(stat[best])))
             cluster = []
@@ -286,19 +281,17 @@ def _jump_events(t: np.ndarray, x: np.ndarray, kind: EventKind, k_jump: float,
     return events
 
 
-def detect_conformation_changes(orbit: PhaseOrbit, k_jump: float = DEFAULT_K_JUMP,
-                                merge_window_s: float = DEFAULT_MERGE_WINDOW
-                                ) -> list[ConformationEvent]:
-    """Abrupt pressure/strain jumps, as MAD-normalized first differences > k_jump.
+def detect_conformation_changes(orbit: PhaseOrbit) -> list[ConformationEvent]:
+    """Abrupt pressure/strain jumps, as MAD-normalized first differences > K_JUMP.
 
-    Events of the same kind closer than merge_window_s collapse into the
+    Events of the same kind closer than MERGE_WINDOW collapse into the
     strongest one. The stream is resampled to a uniform grid if needed.
     """
     if orbit.n < MIN_SAMPLES:
         raise InsufficientDataError(f"stream has {orbit.n} < {MIN_SAMPLES} samples")
     t, p, s = _resample_uniform(orbit)
-    events = (_jump_events(t, p, EventKind.PRESSURE_JUMP, k_jump, merge_window_s)
-              + _jump_events(t, s, EventKind.CURVATURE_JUMP, k_jump, merge_window_s))
+    events = (_jump_events(t, p, EventKind.PRESSURE_JUMP)
+              + _jump_events(t, s, EventKind.CURVATURE_JUMP))
     events.sort(key=lambda e: (e.t, e.kind.value))
     return events
 

@@ -285,7 +285,7 @@ def rows_to_columns(rows: list[tuple], header=TELEMETRY_COLUMNS) -> dict[str, np
 
 
 def read_csv(path, required) -> dict[str, np.ndarray]:
-    """CSV file back into typed column arrays; malformed input raises DomainError."""
+    """CSV file back into typed column arrays; malformed or non-finite input raises DomainError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -302,9 +302,15 @@ def read_csv(path, required) -> dict[str, np.ndarray]:
             raise DomainError(f"{path}: data row {n} has {len(row)} fields, "
                               f"the header has {len(header)}")
     try:
-        return rows_to_columns(rows, header)
+        columns = rows_to_columns(rows, header)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
+    for name, column in columns.items():
+        if column.dtype == float and not np.isfinite(column).all():
+            n = int(np.flatnonzero(~np.isfinite(column))[0])
+            raise DomainError(f"{path}: column {name!r}: sample {n + 1} of {column.size} "
+                              f"is not finite ({column[n]})")
+    return columns
 
 
 def read_telemetry(path) -> dict[str, np.ndarray]:

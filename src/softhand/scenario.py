@@ -47,9 +47,12 @@ _PRESSURE_SENSOR_KEYS = {
 }
 _ADC_KEYS = {"bits": "bits", "v_ref_v": "v_ref"}
 
-_COMMAND_NAMES = {
-    "set_pressure_target", "set_curvature_target", "vent", "stop",
-    "get_state", "stream_start", "stream_stop", "reset_fault",
+_COMMANDS = {
+    "set_pressure_target": protocol.SetPressureTarget,
+    "set_curvature_target": protocol.SetCurvatureTarget,
+    "vent": protocol.Vent, "stop": protocol.Stop, "get_state": protocol.GetState,
+    "stream_start": protocol.StreamStart, "stream_stop": protocol.StreamStop,
+    "reset_fault": protocol.ResetFault,
 }
 
 
@@ -196,26 +199,24 @@ def _finger(value, path: str, n_fingers: int) -> int:
 def _build_command(raw, path: str, n_fingers: int) -> ScheduledCommand:
     _object(raw, path, ("command", "t_s"), ("actuator_id", "value_pa", "value_per_m", "period_ms"))
     name = raw["command"]
-    _expect(isinstance(name, str) and name in _COMMAND_NAMES, f"{path}.command",
-            f"unknown command {name!r} (known: {sorted(_COMMAND_NAMES)})")
+    _expect(isinstance(name, str) and name in _COMMANDS, f"{path}.command",
+            f"unknown command {name!r} (known: {sorted(_COMMANDS)})")
     t_s = _number(raw, path, "t_s", minimum=0.0)
     actuator_id = _integer(raw.get("actuator_id", protocol.BROADCAST_ID), f"{path}.actuator_id")
     _expect(0 <= actuator_id < n_fingers or actuator_id == protocol.BROADCAST_ID,
             f"{path}.actuator_id",
             f"finger {actuator_id} does not exist (have {n_fingers}, broadcast is 255)")
+    kind = _COMMANDS[name]
     if name == "set_pressure_target":
-        command: protocol.Command = protocol.SetPressureTarget(
-            _number(raw, path, "value_pa", minimum=0.0))
+        command: protocol.Command = kind(_number(raw, path, "value_pa", minimum=0.0))
     elif name == "set_curvature_target":
-        command = protocol.SetCurvatureTarget(_number(raw, path, "value_per_m", minimum=0.0))
+        command = kind(_number(raw, path, "value_per_m", minimum=0.0))
     elif name == "stream_start":
         period = _integer(raw.get("period_ms", 5), f"{path}.period_ms")
         _expect(1 <= period <= 255, f"{path}.period_ms", f"must be in 1..255, got {period}")
-        command = protocol.StreamStart(period)
+        command = kind(period)
     else:
-        command = {"vent": protocol.Vent, "stop": protocol.Stop,
-                   "get_state": protocol.GetState, "stream_stop": protocol.StreamStop,
-                   "reset_fault": protocol.ResetFault}[name]()
+        command = kind()
     return ScheduledCommand(t_s=t_s, actuator_id=actuator_id, command=command)
 
 
@@ -259,7 +260,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         "$.controller", controller.ControllerConfig,
         p_max=max(a.p_max for a in actuators),
         kappa_max=max(physics.steady_state_curvature(a.p_max, a) for a in actuators),
-        tick_period_s=tick,
         timeout_s=_number(controller_raw, "$.controller", "timeout_s",
                           default=controller.DEFAULT_TIMEOUT, minimum=0.0, strict_min=True),
         reengage_factor=_number(controller_raw, "$.controller", "reengage_factor",

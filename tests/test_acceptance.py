@@ -50,10 +50,8 @@ def test_criterion_03_grasp_signature(telemetry):
     for finger in range(3):
         blocked = runner.orbit_from_telemetry(telemetry["cylinder_r74mm"], finger)
         empty = runner.orbit_from_telemetry(telemetry["empty_grasp"], finger)
-        assert grasp.strain_pressure_divergence(
-            blocked, flat_slope_fraction=0.01, min_pressure_rise=psi(0.5))
-        assert not grasp.strain_pressure_divergence(
-            empty, flat_slope_fraction=0.01, min_pressure_rise=psi(0.5))
+        assert grasp.strain_pressure_divergence(blocked)
+        assert not grasp.strain_pressure_divergence(empty)
     report(3, "object grasp shows flat strain while pressure rises >= 0.5 PSI; empty does not")
 
 
@@ -145,14 +143,14 @@ def test_criterion_07_controller_safety():
     target = controller.pressure_target(psi(8))
     fsm = controller.set_target(controller.FsmState(), target, 0.0, config)
     reached_at = None
-    for k in range(round(10.0 / config.tick_period_s)):
-        t = k * config.tick_period_s
+    for k in range(round(10.0 / controller.DEFAULT_TICK_PERIOD)):
+        t = k * controller.DEFAULT_TICK_PERIOD
         fsm, valve = controller.fsm_tick(
             fsm, sensors.PhysicalReading(state.pressure, state.curvature,
                                          params.d_neutral * state.curvature), t, config)
         if fsm.mode is controller.Mode.HOLDING and reached_at is None:
             reached_at = t
-            assert abs(state.pressure - target.value) <= target.deadband
+            assert abs(state.pressure - target.value) <= config.pressure_deadband
         for _ in range(5):
             state = physics.step(state, params, valve)
     assert reached_at is not None and reached_at <= 10.0

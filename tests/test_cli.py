@@ -283,7 +283,12 @@ class TestGraspAndFigureVerbs:
         (lambda row: row.rsplit(",", 1)[0], "data row 5"),
         (None, "no data rows"),
         (lambda row: with_cell(row, "strain_counts", "99999999999999999999"), "'strain_counts'"),
-    ], ids=["non_numeric_cell", "short_row", "header_only", "int_overflow"])
+        (lambda row: with_cell(row, "pressure_pa", "nan"),
+         "column 'pressure_pa': sample 5 of 8400 is not finite (nan)"),
+        (lambda row: with_cell(row, "t_s", "inf"),
+         "column 't_s': sample 5 of 8400 is not finite (inf)"),
+    ], ids=["non_numeric_cell", "short_row", "header_only", "int_overflow", "nan_pressure",
+            "inf_time"])
     def test_malformed_telemetry_exits_2(self, run_dir, tmp_path, capsys, edit, names):
         lines = (run_dir / "cylinder_r74mm_telemetry.csv").read_text().splitlines()
         lines = lines[:5] + [edit(lines[5])] + lines[6:] if edit else lines[:1]
@@ -296,6 +301,15 @@ class TestGraspAndFigureVerbs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and str(bad) in captured.err
         assert names in captured.err
+
+    @pytest.mark.parametrize("band", ["nan", "-1", "inf", "0"])
+    def test_bad_tolerance_band_exits_2(self, run_dir, capsys, band):
+        empty = str(run_dir / "empty_grasp_telemetry.csv")
+        assert run_cli("grasp", "classify", empty, "--reference", empty,
+                       f"--tolerance-band={band}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tolerance_band: must be finite and > 0")
 
     def test_figure_to_stdout(self, run_dir, capsys):
         code = run_cli("figure", str(run_dir / "empty_grasp_telemetry.csv"),

@@ -17,7 +17,7 @@ def closed_loop(target, seconds=12.0, obj=None, params=None, config=CONFIG):
     params = params or physics.ActuatorParams()
     state = physics.ActuatorState()
     fsm = set_target(FsmState(), target, 0.0, config)
-    tick = config.tick_period_s
+    tick = controller.DEFAULT_TICK_PERIOD
     n_sub = round(tick / physics.DEFAULT_DT)
     history = []
     for k in range(round(seconds / tick)):
@@ -48,8 +48,8 @@ class TestFsmTick:
     def test_holding_reengages_only_beyond_double_band(self):
         target = pressure_target(50e3)
         fsm = FsmState(Mode.HOLDING, target, 0.0)
-        inside = 50e3 + 1.9 * target.deadband
-        outside = 50e3 + 2.1 * target.deadband
+        inside = 50e3 + 1.9 * CONFIG.pressure_deadband
+        outside = 50e3 + 2.1 * CONFIG.pressure_deadband
         held, valve = fsm_tick(fsm, PhysicalReading(inside, 0.0, 0.0), 1.0)
         assert held.mode is Mode.HOLDING and valve == CLOSED
         reengaged, valve = fsm_tick(fsm, PhysicalReading(outside, 0.0, 0.0), 1.0)
@@ -93,8 +93,6 @@ class TestFsmTick:
             set_target(FsmState(), pressure_target(CONFIG.p_max * 2), 0.0)
         with pytest.raises(DomainError):
             set_target(FsmState(), curvature_target(CONFIG.kappa_max * 2), 0.0)
-        with pytest.raises(DomainError):
-            pressure_target(50e3, deadband=0.0)
 
     def test_pure_function_of_inputs(self):
         fsm = set_target(FsmState(), pressure_target(50e3), 0.0)
@@ -110,7 +108,7 @@ class TestClosedLoop:
         assert holding, "servo never reached Holding"
         t_first, state = holding[0]
         assert t_first <= CONFIG.timeout_s
-        assert abs(state.pressure - target.value) <= 2 * target.deadband
+        assert abs(state.pressure - target.value) <= 2 * CONFIG.pressure_deadband
         assert all(not (v.inlet and v.vent) for _, _, _, v in history)
 
     def test_holding_with_sealed_plant_keeps_valves_closed(self):
@@ -128,7 +126,8 @@ class TestClosedLoop:
         history = closed_loop(target, seconds=10.0)
         assert any(f.mode is Mode.HOLDING for _, _, f, _ in history)
         final = history[-1][1]
-        assert abs(final.curvature - target.value) <= CONFIG.reengage_factor * target.deadband
+        band = CONFIG.reengage_factor * CONFIG.curvature_deadband
+        assert abs(final.curvature - target.value) <= band
 
     def test_blocked_curvature_target_faults_after_timeout(self):
         # The 7.4 cm cylinder caps curvature at 13.5; a 20 target is
@@ -147,7 +146,7 @@ class TestClosedLoop:
         switches = 0
         prev = CLOSED
         for k in range(2000):  # 10 s at 200 Hz
-            noisy = target.value + rng.normal(0.0, target.deadband / 4.0)
+            noisy = target.value + rng.normal(0.0, CONFIG.pressure_deadband / 4.0)
             fsm, valve = fsm_tick(fsm, PhysicalReading(noisy, 0.0, 0.0), k * 0.005)
             if valve != prev:
                 switches += 1
@@ -174,7 +173,7 @@ class TestHandController:
         params = physics.ActuatorParams()
         states = tuple(physics.ActuatorState() for _ in range(3))
         fsms = tuple(set_target(FsmState(), pressure_target(psi(8)), 0.0) for _ in range(3))
-        tick = CONFIG.tick_period_s
+        tick = controller.DEFAULT_TICK_PERIOD
         n_sub = round(tick / physics.DEFAULT_DT)
         circuit = physics.PneumaticCircuit(share_pump_flow=True)
         solo_pressure_at_1s = None
@@ -266,11 +265,20 @@ class TestCommandApplication:
         assert valve == CLOSED
 
     def test_targets_take_deadbands_from_config(self):
-        config = ControllerConfig(pressure_deadband=500.0, curvature_deadband=0.5)
-        fsm = controller.apply_command(FsmState(), protocol.SetPressureTarget(50e3), 0.0, config)
-        assert fsm.target == pressure_target(50e3, 500.0)
-        fsm = controller.apply_command(fsm, protocol.SetCurvatureTarget(10.0), 0.0, config)
-        assert fsm.target == curvature_target(10.0, 0.5)
+        # Wider than the default pressure band (1034 Pa), narrower than the
+        # default curvature band (0.3 1/m): each tick below decides the other
+        # way under the defaults.
+        config = ControllerConfig(pressure_deadband=2000.0, curvature_deadband=0.1)
+        commanded = controller.apply_command(FsmState(), protocol.SetPressureTarget(50e3), 0.0,
+                                             config)
+        installed = set_target(FsmState(), pressure_target(50e3), 0.0, config)
+        for fsm in (commanded, installed):
+            fsm, valve = fsm_tick(fsm, PhysicalReading(50e3 + 1500.0, 0.0, 0.0), 0.005, config)
+            assert fsm.mode is Mode.HOLDING and valve == CLOSED
+        fsm = controller.apply_command(fsm, protocol.SetCurvatureTarget(10.0), 1.0, config)
+        assert fsm.target == curvature_target(10.0)
+        fsm, valve = fsm_tick(fsm, PhysicalReading(0.0, 10.2, 0.0), 1.005, config)
+        assert fsm.mode is Mode.VENTING and valve.vent
 
 
 class TestControllerConfig:

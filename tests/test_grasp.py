@@ -71,6 +71,11 @@ class TestEmptyGraspReference:
             EmptyGraspReference.from_orbit(PhaseOrbit.from_arrays(
                 [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]))
 
+    @pytest.mark.parametrize("band", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_tolerance_band_must_be_finite_and_positive(self, band):
+        with pytest.raises(DomainError, match="^tolerance_band: must be finite and > 0"):
+            EmptyGraspReference.from_orbit(synthetic_orbit(), tolerance_band=band)
+
 
 def hold_segment_loop(p, band):
     """The segment scan each grasp function once ran inline: walk out from the first peak."""
@@ -96,7 +101,7 @@ class TestHoldSegment:
         assert grasp._hold_segment(p, band) == hold_segment_loop(p, band)
 
     def test_hold_deadband_is_the_controller_deadband(self):
-        assert grasp.DEFAULT_HOLD_DEADBAND is controller.DEFAULT_PRESSURE_DEADBAND
+        assert grasp.HOLD_BAND == 2.0 * controller.DEFAULT_PRESSURE_DEADBAND
 
 
 class TestClassifyGrasp:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softhand import calibration, controller, physics, protocol, runner, scenario
+from softhand import calibration, cli, controller, physics, protocol, runner, scenario
 from softhand.errors import DomainError, ScenarioError, SofthandError
 
 # sha256 of each fixture's telemetry CSV at the pinned defaults. The three
@@ -402,7 +402,7 @@ def closed_loop_scenarios(draw):
             "command": st.just(name), **values.get(name, {})})
 
     targets = st.sampled_from(["set_pressure_target", "set_curvature_target"]).flatmap(commands)
-    drawn = draw(st.lists(st.sampled_from(sorted(scenario._COMMAND_NAMES)).flatmap(commands),
+    drawn = draw(st.lists(st.sampled_from(sorted(scenario._COMMANDS)).flatmap(commands),
                           max_size=5))
     objects = []
     if draw(st.booleans()):
@@ -422,11 +422,19 @@ class TestClosedLoopProperties:
         first, second = runner.run_scenario(sc), runner.run_scenario(sc)
         assert first.rows == second.rows
         assert first.wire_telemetry_count == second.wire_telemetry_count
-        inlet, vent = (runner.TELEMETRY_COLUMNS.index(name) for name in ("inlet", "vent"))
+        inlet, vent, finger, curvature, force = (runner.TELEMETRY_COLUMNS.index(name) for name in (
+            "inlet", "vent", "finger", "curvature_per_m", "contact_force_n"))
         assert not any(row[inlet] and row[vent] for row in first.rows)
-        path = tmp_path_factory.getbasetemp() / "closed_loop_telemetry.csv"
-        runner.write_telemetry_csv(first.rows, path)
-        columns = runner.read_telemetry(path)
+        assert all(row[curvature] >= 0.0 for row in first.rows)
+        touched = {f for obj in sc.objects for f in obj.fingers}
+        assert all(row[force] == 0.0 for row in first.rows if row[finger] not in touched)
+        # The CLI runs the same document: exit 1 exactly when the run faulted,
+        # and its telemetry file round-trips to the in-memory rows.
+        out = tmp_path_factory.getbasetemp() / "closed_loop"
+        out.mkdir(exist_ok=True)
+        (out / "doc.json").write_text(json.dumps(doc))
+        assert cli.main(["run", str(out / "doc.json"), "--out", str(out)]) == int(first.faulted)
+        columns = runner.read_telemetry(out / f"{sc.name}_telemetry.csv")
         for i, name in enumerate(runner.TELEMETRY_COLUMNS):
             assert columns[name].tolist() == [
                 float(format(row[i], ".10g")) if isinstance(row[i], float) else row[i]
