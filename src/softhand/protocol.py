@@ -55,6 +55,8 @@ def _build_crc_table(poly: int) -> tuple[int, ...]:
 
 
 _CRC_TABLE = _build_crc_table(CRC_POLY)
+# The CRC trailer of each CRC value, as the one byte encode appends.
+_CRC_BYTE = tuple(bytes((crc,)) for crc in range(256))
 
 
 def crc8(data: bytes | bytearray | memoryview) -> int:
@@ -70,17 +72,25 @@ class Frame(NamedTuple):
     payload: bytes = b""
 
 
+# Builds a Frame or Telemetry from a tuple without NamedTuple's Python-level __new__.
+_new_tuple = tuple.__new__
+
+
 def encode(frame: Frame) -> bytes:
-    """Bit-exact serialization of a frame: one bytes for sync..payload, one CRC pass."""
-    command, actuator_id, payload = frame.command, frame.actuator_id, frame.payload
-    if len(payload) > MAX_PAYLOAD:
-        raise EncodeError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
+    """Bit-exact serialization of a frame: one CRC pass over length..payload, then the trailer."""
+    command, actuator_id, payload = frame
+    length = len(payload)
+    if length > MAX_PAYLOAD:
+        raise EncodeError(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")
     if not (0 <= command <= 0xFF):
         raise EncodeError(f"command byte out of range: {command}")
     if not (0 <= actuator_id <= MAX_ACTUATOR_ID or actuator_id == BROADCAST_ID):
         raise EncodeError(f"actuator_id must be 0..{MAX_ACTUATOR_ID} or 0xFF, got {actuator_id}")
-    head = bytes((SYNC, len(payload), command, actuator_id)) + payload
-    return head + crc8(head[1:]).to_bytes(1, "big")
+    table = _CRC_TABLE
+    crc = table[table[table[length] ^ command] ^ actuator_id]  # crc8 of the three header bytes
+    for b in payload:
+        crc = table[crc ^ b]
+    return bytes((SYNC, length, command, actuator_id)) + payload + _CRC_BYTE[crc]
 
 
 class FrameDecoder:
@@ -96,20 +106,24 @@ class FrameDecoder:
         """Append bytes and return every valid frame now complete.
 
         A buffer that ends inside a potential frame keeps it for the next feed.
+        A frame is accepted when the CRC over length..crc is 0: the table maps
+        0 to 0 and no other byte to 0, so that holds exactly when the trailer
+        equals the CRC over length..payload.
         """
         if not data:  # the buffer holds at most an undecided partial frame
             return []
-        buf = self._buf + data
+        buf = self._buf + data if self._buf else bytes(data)
+        table = _CRC_TABLE
         frames: list[Frame] = []
         pos = 0
         n = len(buf)
         while pos < n:
-            idx = buf.find(SYNC, pos)
-            if idx < 0:
-                self.bytes_skipped += n - pos
-                pos = n
-                break
-            if idx > pos:
+            if buf[pos] != SYNC:
+                idx = buf.find(SYNC, pos)
+                if idx < 0:
+                    self.bytes_skipped += n - pos
+                    pos = n
+                    break
                 self.bytes_skipped += idx - pos
                 pos = idx
             if n - pos < _MIN_FRAME:
@@ -119,11 +133,13 @@ class FrameDecoder:
                 self.bytes_skipped += 1
                 pos += 1
                 continue
-            total = _MIN_FRAME + length
-            if n - pos < total:
+            end = pos + _MIN_FRAME + length
+            if n < end:
                 break
-            end = pos + _HEADER_LEN + length
-            if crc8(buf[pos + 1:end]) != buf[end]:
+            crc = 0
+            for b in buf[pos + 1:end]:
+                crc = table[crc ^ b]
+            if crc:
                 self.crc_errors += 1
                 self.bytes_skipped += 1
                 pos += 1
@@ -133,10 +149,11 @@ class FrameDecoder:
                 self.bytes_skipped += 1
                 pos += 1
                 continue
-            frames.append(Frame(buf[pos + 2], actuator_id, buf[pos + _HEADER_LEN:end]))
-            self.frames_decoded += 1
-            pos += total
+            frames.append(_new_tuple(Frame, (buf[pos + 2], actuator_id,
+                                             buf[pos + _HEADER_LEN:end - 1])))
+            pos = end
         self._buf = buf[pos:]
+        self.frames_decoded += len(frames)
         return frames
 
 
@@ -196,6 +213,7 @@ class Telemetry(NamedTuple):
 _PRESSURE_LSB_PA = 10.0
 _CURVATURE_LSB = 0.01
 _TELEMETRY_STRUCT = struct.Struct("<IHHB")
+_TELEMETRY_SIZE = _TELEMETRY_STRUCT.size
 
 # Commands without a payload: the type's wire code, and the same table read backwards.
 _NO_PAYLOAD_CODES = {Vent: CMD_VENT, Stop: CMD_STOP, GetState: CMD_GET_STATE,
@@ -258,13 +276,14 @@ def encode_telemetry(actuator_id: int, t_ms: int, pressure_counts: int,
                      strain_counts: int, fsm_mode: int) -> bytes:
     payload = _TELEMETRY_STRUCT.pack(t_ms & 0xFFFFFFFF, pressure_counts & 0xFFFF,
                                      strain_counts & 0xFFFF, fsm_mode & 0xFF)
-    return encode(Frame(CMD_TELEMETRY, actuator_id, payload))
+    return encode(_new_tuple(Frame, (CMD_TELEMETRY, actuator_id, payload)))
 
 
 def parse_telemetry(frame: Frame) -> Telemetry | None:
-    if frame.command != CMD_TELEMETRY or len(frame.payload) != _TELEMETRY_STRUCT.size:
+    command, _, payload = frame
+    if command != CMD_TELEMETRY or len(payload) != _TELEMETRY_SIZE:
         return None
-    return Telemetry(*_TELEMETRY_STRUCT.unpack(frame.payload))
+    return _new_tuple(Telemetry, _TELEMETRY_STRUCT.unpack(payload))
 
 
 # --- simulated serial bus -------------------------------------------------

@@ -26,6 +26,7 @@ writer and reader, for telemetry, figure data and calibration samples alike.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -45,6 +46,9 @@ TELEMETRY_COLUMNS = ("t_s", "finger", "pressure_pa", "curvature_per_m", "strain"
 _COLUMN_DTYPES = {"finger": int, "strain_counts": int, "pressure_counts": int,
                   "inlet": int, "vent": int, "fsm_mode": object}
 
+# controller.MODE_TO_WIRE keyed by mode name: a str key hashes in C, an Enum member in Python.
+_WIRE_MODE = {mode._value_: code for mode, code in controller.MODE_TO_WIRE.items()}
+
 FIGURE_KINDS = {
     "pressure_curvature": ("finger", "pressure_pa", "curvature_per_m"),
     "phase_orbit": ("finger", "t_s", "pressure_pa", "strain"),
@@ -60,6 +64,7 @@ class HandDevice:
         self.fsms = tuple(controller.FsmState() for _ in range(n_fingers))
         self.decoder = protocol.FrameDecoder()
         self.unknown_commands = 0
+        self.rejected_commands = 0
         self._stream_period_ms: list[int | None] = [None] * n_fingers
         self._last_stream_ms: list[int] = [0] * n_fingers
         self._streaming = False  # any finger has a stream period
@@ -71,7 +76,13 @@ class HandDevice:
         return range(actuator_id, actuator_id + 1)
 
     def feed(self, data: bytes, t: float) -> None:
-        """Decode and apply incoming command bytes. Unknown commands are counted, not raised."""
+        """Decode and apply incoming command bytes; never raises, whatever arrives.
+
+        Unknown commands are counted in unknown_commands. A well-formed command
+        the FSM refuses (a target past the config's limits) is counted in
+        rejected_commands and changes no finger: a broadcast applies to every
+        finger or to none.
+        """
         for frame in self.decoder.feed(data):
             command = protocol.parse_command(frame)
             unaddressable = (frame.actuator_id >= len(self.fsms)
@@ -79,18 +90,25 @@ class HandDevice:
             if command is None or unaddressable:
                 self.unknown_commands += 1
                 continue
-            fsms = list(self.fsms)
-            for idx in self._finger_ids(frame.actuator_id):
-                if isinstance(command, protocol.GetState):
-                    self._state_requests.add(idx)
-                elif isinstance(command, protocol.StreamStart):
+            ids = self._finger_ids(frame.actuator_id)
+            if isinstance(command, protocol.GetState):
+                self._state_requests.update(ids)
+            elif isinstance(command, protocol.StreamStart):
+                for idx in ids:
                     self._stream_period_ms[idx] = command.period_ms
                     self._last_stream_ms[idx] = -command.period_ms
-                elif isinstance(command, protocol.StreamStop):
+            elif isinstance(command, protocol.StreamStop):
+                for idx in ids:
                     self._stream_period_ms[idx] = None
-                else:
-                    fsms[idx] = controller.apply_command(fsms[idx], command, t, self.config)
-            self.fsms = tuple(fsms)
+            else:
+                fsms = list(self.fsms)
+                try:
+                    for idx in ids:
+                        fsms[idx] = controller.apply_command(fsms[idx], command, t, self.config)
+                except DomainError:
+                    self.rejected_commands += 1
+                    continue
+                self.fsms = tuple(fsms)
             self._streaming = any(p is not None for p in self._stream_period_ms)
 
     def tick(self, samples: list[tuple[int, int, sensors.PhysicalReading]], t: float
@@ -101,25 +119,26 @@ class HandDevice:
         Returns the valves, outgoing bytes and FSM transitions.
         """
         old_fsms = self.fsms
-        self.fsms, valves = controller.hand_controller_tick(
+        fsms, valves = controller.hand_controller_tick(
             old_fsms, tuple(reading for _, _, reading in samples), t, self.config)
-        transitions = [(i, old.mode, new.mode) for i, (old, new) in
-                       enumerate(zip(old_fsms, self.fsms)) if old.mode is not new.mode]
+        self.fsms = fsms
+        transitions = [(i, old.mode, new.mode) for i, (old, new) in enumerate(zip(old_fsms, fsms))
+                       if new is not old and new.mode is not old.mode]
         if not (self._streaming or self._state_requests):
             return valves, b"", transitions
         t_ms = round(t * 1000.0)
-        out = bytearray()
+        frames = []
+        periods, last, requests = self._stream_period_ms, self._last_stream_ms, self._state_requests
         for i, (strain_counts, pressure_counts, _) in enumerate(samples):
-            period = self._stream_period_ms[i]
-            due = period is not None and t_ms - self._last_stream_ms[i] >= period
+            period = periods[i]
+            due = period is not None and t_ms - last[i] >= period
             if due:
-                self._last_stream_ms[i] = t_ms
-            if due or i in self._state_requests:
-                out += protocol.encode_telemetry(
-                    i, t_ms, pressure_counts, strain_counts,
-                    controller.MODE_TO_WIRE[self.fsms[i].mode])
-        self._state_requests.clear()
-        return valves, bytes(out), transitions
+                last[i] = t_ms
+            if due or i in requests:
+                frames.append(protocol.encode_telemetry(
+                    i, t_ms, pressure_counts, strain_counts, _WIRE_MODE[fsms[i].mode._value_]))
+        requests.clear()
+        return valves, b"".join(frames), transitions
 
 
 @dataclass
@@ -189,18 +208,23 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
 
     events: list[dict] = []
     rows: list[tuple] = []
-    pending_commands = list(sc.commands)
-    pending_disturbances = list(sc.disturbances)
+    commands, disturbances = sc.commands, sc.disturbances
     ci = di = 0
+    # Due times as floats, each list ending in inf so no index runs past it.
+    command_times = [c.t_s for c in commands] + [math.inf]
+    disturbance_times = [d.t_s for d in disturbances] + [math.inf]
     n_ticks = int(round(sc.duration_s / tick))
-    # Peak total grip force per scenario object (index into sc.objects).
+    # Peak total grip force per scenario object (index into sc.objects), and
+    # the plants each object's force is summed over.
     peak_force: list[tuple[float, float]] = [(0.0, 0.0)] * len(sc.objects)
+    force_groups = [[plants[f] for f in obj.fingers] for obj in sc.objects]
 
     for k in range(n_ticks):
         t = k * tick
+        due = t + 1e-12
 
-        while di < len(pending_disturbances) and pending_disturbances[di].t_s <= t + 1e-12:
-            dist = pending_disturbances[di]
+        while disturbance_times[di] <= due:
+            dist = disturbances[di]
             try:
                 plants[dist.finger].kick(dist.pressure_step_pa, dist.curvature_step_per_m)
             except DomainError as exc:
@@ -212,8 +236,8 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
 
         samples = [path.sample(pl.pressure, pl.curvature) for path, pl in zip(paths, plants)]
 
-        while ci < len(pending_commands) and pending_commands[ci].t_s <= t + 1e-12:
-            cmd = pending_commands[ci]
+        while command_times[ci] <= due:
+            cmd = commands[ci]
             bus.host_send(protocol.encode_command(cmd.command, cmd.actuator_id), t)
             events.append({"t_s": t, "kind": "command_sent",
                            "actuator_id": cmd.actuator_id,
@@ -226,26 +250,24 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
             bus.device_send(out_bytes, t)
         for i, old, new in transitions:
             events.append({"t_s": t, "kind": "fsm_transition", "finger": i,
-                           "from": old.value, "to": new.value})
+                           "from": old._value_, "to": new._value_})
             if new is controller.Mode.FAULT:
                 events.append({"t_s": t, "kind": "fault", "finger": i})
 
-        rows.extend((t, i, r.pressure, plant.curvature, r.strain, strain_counts,
-                     pressure_counts, fsm.mode.value, int(v.inlet), int(v.vent),
-                     plant.contact_force)
-                    for i, ((strain_counts, pressure_counts, r), plant, fsm, v) in enumerate(
-                        zip(samples, plants, device.fsms, valves)))
-
-        fill_scale = physics.pump_fill_scale(circuit, valves)
-        for plant, v in zip(plants, valves):
+        fill_scale = physics.pump_fill_scale(circuit, valves) if circuit.share_pump_flow else 1.0
+        for i, ((strain_counts, pressure_counts, r), plant, fsm, v) in enumerate(
+                zip(samples, plants, device.fsms, valves)):
+            rows.append((t, i, r.pressure, plant.curvature, r.strain, strain_counts,
+                         pressure_counts, fsm.mode._value_, int(v.inlet), int(v.vent),
+                         plant.contact_force))
             plant.advance(v, fill_scale)
 
         for telemetry_frame in host_decoder.feed(bus.host_recv(t)):
             if protocol.parse_telemetry(telemetry_frame) is not None:
                 wire_telemetry += 1
 
-        for oi, obj in enumerate(sc.objects):
-            total = sum(plants[f].contact_force for f in obj.fingers)
+        for oi, group in enumerate(force_groups):
+            total = sum(plant.contact_force for plant in group)
             if total > peak_force[oi][1]:
                 peak_force[oi] = (t, total)
 

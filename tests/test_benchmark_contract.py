@@ -68,9 +68,21 @@ def test_streamed_run_wire_counts(monkeypatch):
     count_calls(monkeypatch, calls, protocol, "encode")
     count_calls(monkeypatch, calls, runner.HandDevice, "tick")
     count_calls(monkeypatch, calls, physics.FingerPlant, "advance")
+    # Traced by perfbench through these attributes: inlining one of them
+    # would zero its traced label, so each is counted here.
+    count_calls(monkeypatch, calls, protocol, "encode_telemetry")
+    count_calls(monkeypatch, calls, protocol.FrameDecoder, "feed")
+    count_calls(monkeypatch, calls, protocol, "parse_telemetry")
+    count_calls(monkeypatch, calls, controller, "hand_controller_tick")
+    count_calls(monkeypatch, calls, controller, "fsm_tick")
     result = runner.run_scenario(sc)
     assert sc.n_fingers == 3 and n_ticks > 0
     assert calls["tick"] == n_ticks
     assert calls["advance"] == sc.n_fingers * n_ticks
     assert calls["encode"] == len(sc.commands) + 3 * n_ticks
     assert result.wire_telemetry_count == 3 * n_ticks
+    assert calls["encode_telemetry"] == 3 * n_ticks
+    assert calls["feed"] == 2 * n_ticks  # the device's decoder and the host's
+    assert calls["parse_telemetry"] == 3 * n_ticks
+    assert calls["hand_controller_tick"] == n_ticks
+    assert calls["fsm_tick"] == 3 * n_ticks

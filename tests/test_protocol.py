@@ -408,3 +408,17 @@ class TestWireProperties:
         bounds = sorted({min(c, len(stream)) for c in cuts})
         pieces = [stream[a:b] for a, b in zip([0, *bounds], [*bounds, len(stream)])]
         assert decode_all(pieces) == decode_all([stream])
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=st.one_of(decoder_segments(), st.binary(max_size=300)),
+           cuts=st.lists(st.integers(0, 400), max_size=8))
+    def test_decoder_accounts_for_every_byte(self, stream, cuts):
+        # Each byte fed is skipped, part of a decoded frame, or still buffered.
+        bounds = sorted({min(c, len(stream)) for c in cuts})
+        decoder = FrameDecoder()
+        fed = framed = 0
+        for a, b in zip([0, *bounds], [*bounds, len(stream)]):
+            frames = decoder.feed(stream[a:b])
+            fed += b - a
+            framed += sum(len(f.payload) + 5 for f in frames)  # sync, 3 header bytes, crc
+            assert decoder.bytes_skipped + framed + len(decoder._buf) == fed

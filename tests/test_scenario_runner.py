@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softhand import calibration, cli, controller, physics, protocol, runner, scenario
+from softhand import calibration, cli, controller, physics, protocol, runner, scenario, sensors
 from softhand.errors import DomainError, ScenarioError, SofthandError
 
 # sha256 of each fixture's telemetry CSV at the pinned defaults. The three
@@ -293,6 +293,128 @@ class TestRunDeterminism:
 
         a, b = hold_means(cols[1e-3]), hold_means(cols[0.5e-3])
         assert np.all(np.abs(a - b) / np.abs(a) < 0.01)
+
+
+# The paths no shipped fixture reaches: telemetry streamed over the wire, a
+# get_state, a curvature servo that holds, a servo timeout (finger 1 aims past
+# the 69 kPa pump) and its reset_fault, then a broadcast vent. Built here, not
+# shipped, so the benchmark's fixture set stays as it is.
+STREAMED_RUN = {
+    "name": "streamed_fault", "duration_s": 4.0, "dt_s": 0.001, "tick_s": 0.005, "seed": 7,
+    "controller": {"timeout_s": 1.5},
+    "objects": [{"radius_m": 0.05, "fingers": [1]}],
+    "commands": [
+        {"t_s": 0.0, "actuator_id": 2, "command": "get_state"},
+        {"t_s": 0.02, "command": "stream_start", "period_ms": 5},
+        {"t_s": 0.1, "actuator_id": 0, "command": "set_curvature_target", "value_per_m": 8.0},
+        {"t_s": 0.1, "actuator_id": 1, "command": "set_pressure_target", "value_pa": 75000.0},
+        {"t_s": 0.1, "actuator_id": 2, "command": "set_pressure_target", "value_pa": 30000.0},
+        {"t_s": 2.5, "actuator_id": 1, "command": "reset_fault"},
+        {"t_s": 3.0, "command": "vent"},
+    ],
+}
+# sha256 of the device->host wire bytes, the telemetry CSV and the events JSONL.
+STREAMED_DIGESTS = {
+    "wire": "e5138363645d5050f6ff4454b9000400f09fce501685faf4083db74d10e7e419",
+    "telemetry": "d549cc2ec0f6de019e022927892435bea1c00837a19026dc3e01ea5ac5a6bd2c",
+    "events": "be4a3dbc7c17b62a88d1e4caafd909552f7dce509ece4e744e8bc0c16566c811",
+}
+
+
+class TestStreamedRunPinned:
+    @pytest.fixture(scope="class")
+    def streamed(self, tmp_path_factory):
+        sent = []
+        device_send = protocol.SimulatedBus.device_send
+
+        def recording(bus, data, t=0.0):
+            sent.append(bytes(data))
+            return device_send(bus, data, t)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol.SimulatedBus, "device_send", recording)
+            res = runner.run_scenario(scenario.scenario_from_dict(STREAMED_RUN),
+                                      out_dir=tmp_path_factory.mktemp("streamed"))
+        return res, b"".join(sent)
+
+    def test_reaches_every_unpinned_path(self, streamed):
+        res, _ = streamed
+        transitions = {(e["finger"], e["to"]) for e in res.events if e["kind"] == "fsm_transition"}
+        assert {(0, "Holding"), (1, "Fault"), (2, "Holding")} <= transitions
+        assert [e["finger"] for e in res.events if e["kind"] == "fault"] == [1]
+        sent = [e["command"] for e in res.events if e["kind"] == "command_sent"]
+        assert {"GetState", "StreamStart", "SetCurvatureTarget", "ResetFault", "Vent"} <= set(sent)
+        assert not res.faulted  # reset_fault cleared it
+        # One frame per finger per tick from the stream_start on, plus the get_state reply.
+        n_ticks = round(STREAMED_RUN["duration_s"] / STREAMED_RUN["tick_s"])
+        assert res.wire_telemetry_count == 3 * (n_ticks - 4) + 1
+
+    def test_fault_tick_row_vents(self, streamed):
+        res, _ = streamed
+        t_fault = next(e["t_s"] for e in res.events if e["kind"] == "fault")
+        finger, mode, vent, inlet, t_s = (runner.TELEMETRY_COLUMNS.index(name) for name in (
+            "finger", "fsm_mode", "vent", "inlet", "t_s"))
+        row = next(r for r in res.rows if r[t_s] == t_fault and r[finger] == 1)
+        assert row[mode] == "Fault"
+        assert row[vent] == 1 and row[inlet] == 0
+
+    def test_bytes_pinned(self, streamed):
+        res, wire = streamed
+        digests = {"wire": hashlib.sha256(wire).hexdigest()}
+        for key, path in (("telemetry", res.telemetry_path), ("events", res.events_path)):
+            with open(path, "rb") as fh:
+                digests[key] = hashlib.sha256(fh.read()).hexdigest()
+        assert digests == STREAMED_DIGESTS
+
+
+# Command frames as a host could send them, targets up to the wire's u16 limits
+# (655.35 kPa, 655.35 /m), so most lie past what the FSM accepts.
+wire_commands = st.one_of(
+    st.integers(0, 0xFFFF).map(lambda raw: protocol.SetPressureTarget(raw * 10.0)),
+    st.integers(0, 0xFFFF).map(lambda raw: protocol.SetCurvatureTarget(raw * 0.01)),
+    st.sampled_from([protocol.Vent(), protocol.Stop(), protocol.GetState(),
+                     protocol.StreamStop(), protocol.ResetFault()]),
+    st.integers(1, 255).map(protocol.StreamStart))
+command_frames = st.tuples(wire_commands, st.sampled_from([0, 1, 2, 3, 5, protocol.BROADCAST_ID])
+                           ).map(lambda c: protocol.encode_command(*c))
+
+
+class TestHandDevice:
+    def test_refused_target_is_counted_not_raised(self):
+        config = controller.ControllerConfig()
+        device = runner.HandDevice(3, config)
+        device.feed(protocol.encode_command(protocol.SetPressureTarget(30e3), 1), 0.0)
+        before = device.fsms
+        device.feed(protocol.encode_command(protocol.SetPressureTarget(100e3), 0), 0.1)
+        device.feed(protocol.encode_command(protocol.SetCurvatureTarget(600.0),
+                                            protocol.BROADCAST_ID), 0.2)
+        assert device.rejected_commands == 2 and device.unknown_commands == 0
+        assert device.fsms == before  # no finger changed, the broadcast included
+        # The library call still refuses, and the device keeps taking commands.
+        with pytest.raises(DomainError, match="exceeds limit"):
+            controller.set_target(before[0], controller.pressure_target(100e3), 0.1, config)
+        device.feed(protocol.encode_command(protocol.SetPressureTarget(40e3),
+                                            protocol.BROADCAST_ID), 0.3)
+        assert [f.target for f in device.fsms] == [controller.pressure_target(40e3)] * 3
+        assert device.rejected_commands == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(pieces=st.lists(st.one_of(command_frames, st.binary(max_size=40)), max_size=12),
+           cuts=st.lists(st.integers(0, 600), max_size=6))
+    def test_feed_never_raises(self, pieces, cuts):
+        stream = b"".join(pieces)
+        bounds = sorted({min(c, len(stream)) for c in cuts})
+        config = controller.ControllerConfig()
+        device = runner.HandDevice(3, config)
+        for k, (a, b) in enumerate(zip([0, *bounds], [*bounds, len(stream)])):
+            device.feed(stream[a:b], 0.01 * k)
+        for fsm in device.fsms:  # a refused target is never installed
+            if fsm.target is not None:
+                limit = (config.p_max if fsm.target.kind is controller.TargetKind.PRESSURE
+                         else config.kappa_max)
+                assert fsm.target.value <= limit
+        _, out, _ = device.tick([(0, 0, sensors.PhysicalReading(0.0, 0.0, 0.0))] * 3, 1.0)
+        assert len(protocol.FrameDecoder().feed(out)) <= 3
 
 
 class TestTelemetryAndEvents:
