@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import controller, physics, sensors
+from . import controller, physics, protocol, sensors
 from .errors import DomainError, FitError, RecordError, SofthandError, WarmupError
 from .rand import DeterministicRng
 from .scenario import _finite, _integer, _object
@@ -242,7 +242,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     p_out, k_out = [], []
     t = 0.0
     for level in levels_pa:
-        fsm = controller.set_target(fsm, controller.pressure_target(level), t, config)
+        fsm = controller.apply_command(fsm, protocol.SetPressureTarget(level), t, config)
         held_since = None
         while True:
             _, _, reading = path.sample(plant.pressure, plant.curvature)

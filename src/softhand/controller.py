@@ -7,6 +7,9 @@ band so measurement noise cannot chatter the valves. A servo that has not
 reached its target within the timeout, or any overpressure reading, drops
 into an absorbing Fault state that forces the vent open until reset.
 
+apply_command is the one way a protocol command reaches an FSM, whose target
+is the SetPressureTarget or SetCurvatureTarget command that set it.
+
 fsm_tick is a pure function of (state, sensors.PhysicalReading, time);
 ticking six fingers sequentially or in parallel gives identical results. Its
 valve output is a physics.ValvePair, the plant's own input type, whose
@@ -39,38 +42,13 @@ class Mode(Enum):
 
 
 # u8 encoding used by the telemetry wire format.
-MODE_TO_WIRE = {Mode.IDLE: 0, Mode.INFLATING: 1, Mode.VENTING: 2, Mode.HOLDING: 3, Mode.FAULT: 4}
-
-
-class TargetKind(Enum):
-    PRESSURE = "pressure"
-    CURVATURE = "curvature"
-
-
-@dataclass(frozen=True)
-class ControlTarget:
-    """What to servo to; the deadband around it comes from ControllerConfig each tick."""
-
-    kind: TargetKind
-    value: float
-
-    def __post_init__(self):
-        if math.isnan(self.value) or self.value < 0.0:
-            raise DomainError(f"target value must be >= 0, got {self.value}")
-
-
-def pressure_target(value_pa: float) -> ControlTarget:
-    return ControlTarget(TargetKind.PRESSURE, value_pa)
-
-
-def curvature_target(value_per_m: float) -> ControlTarget:
-    return ControlTarget(TargetKind.CURVATURE, value_per_m)
+MODE_TO_WIRE = {mode: protocol.MODE_CODES[mode.value] for mode in Mode}
 
 
 @dataclass(frozen=True)
 class FsmState:
     mode: Mode = Mode.IDLE
-    target: ControlTarget | None = None
+    target: protocol.SetPressureTarget | protocol.SetCurvatureTarget | None = None
     last_transition_t: float = 0.0
 
 
@@ -126,10 +104,10 @@ def fsm_tick(fsm: FsmState, measured: sensors.PhysicalReading, t: float,
         return fsm, _CLOSED
 
     target = fsm.target
-    if target.kind is TargetKind.PRESSURE:
-        err, band = measured.pressure - target.value, config.pressure_deadband
+    if type(target) is protocol.SetPressureTarget:
+        err, band = measured.pressure - target.pascals, config.pressure_deadband
     else:
-        err, band = measured.curvature - target.value, config.curvature_deadband
+        err, band = measured.curvature - target.curvature, config.curvature_deadband
     mode = fsm.mode
 
     if mode is Mode.HOLDING:
@@ -158,55 +136,39 @@ def fsm_tick(fsm: FsmState, measured: sensors.PhysicalReading, t: float,
     return fsm, _VENT_OPEN
 
 
-def set_target(fsm: FsmState, target: ControlTarget, t: float,
-               config: ControllerConfig = ControllerConfig()) -> FsmState:
-    """Install an absolute target. Ignored while Faulted (reset first)."""
-    limit = config.p_max if target.kind is TargetKind.PRESSURE else config.kappa_max
-    if target.value > limit:
-        raise DomainError(f"{target.kind.value} target {target.value} exceeds limit {limit}")
+def set_target(fsm: FsmState, target: protocol.SetPressureTarget | protocol.SetCurvatureTarget,
+               t: float, config: ControllerConfig = ControllerConfig()) -> FsmState:
+    """Install an absolute target, restarting the servo. Ignored while Faulted (reset first)."""
+    if isinstance(target, protocol.SetPressureTarget):
+        kind, value, limit = "pressure", target.pascals, config.p_max
+    else:
+        kind, value, limit = "curvature", target.curvature, config.kappa_max
+    if math.isnan(value) or value < 0.0:
+        raise DomainError(f"target value must be >= 0, got {value}")
+    if value > limit:
+        raise DomainError(f"{kind} target {value} exceeds limit {limit}")
     if fsm.mode is Mode.FAULT:
         return fsm
     return FsmState(Mode.IDLE, target, t)
-
-
-def clear_target(fsm: FsmState, t: float) -> FsmState:
-    """STOP semantics: drop the target and seal (valves close next tick)."""
-    if fsm.mode is Mode.FAULT:
-        return fsm
-    return FsmState(Mode.IDLE, None, t)
-
-
-def force_vent(fsm: FsmState, t: float) -> FsmState:
-    """VENT semantics: open the vent and keep it open until another command."""
-    if fsm.mode is Mode.FAULT:
-        return fsm
-    return FsmState(Mode.VENTING, None, t)
-
-
-def reset_fault(fsm: FsmState, t: float) -> FsmState:
-    if fsm.mode is Mode.FAULT:
-        return FsmState(Mode.IDLE, None, t)
-    return fsm
 
 
 def apply_command(fsm: FsmState, command: "protocol.Command", t: float,
                   config: ControllerConfig = ControllerConfig()) -> FsmState:
     """Apply a decoded host command to one finger's FSM.
 
-    All commands are absolute and idempotent: replaying any of them leaves
-    the installed target unchanged. Read-type commands (GET_STATE, STREAM_*)
-    do not touch the FSM and are handled by the device endpoint.
+    A Faulted FSM takes only RESET_FAULT (to Idle). VENT holds the vent open
+    until another command; STOP drops the target and seals. Replaying a target
+    restarts its servo. Read-type commands (GET_STATE, STREAM_*) do not touch
+    the FSM and are handled by the device endpoint.
     """
-    if isinstance(command, protocol.SetPressureTarget):
-        return set_target(fsm, pressure_target(command.pascals), t, config)
-    if isinstance(command, protocol.SetCurvatureTarget):
-        return set_target(fsm, curvature_target(command.curvature), t, config)
+    if isinstance(command, (protocol.SetPressureTarget, protocol.SetCurvatureTarget)):
+        return set_target(fsm, command, t, config)
+    if fsm.mode is Mode.FAULT:
+        return FsmState(Mode.IDLE, None, t) if isinstance(command, protocol.ResetFault) else fsm
     if isinstance(command, protocol.Vent):
-        return force_vent(fsm, t)
+        return FsmState(Mode.VENTING, None, t)
     if isinstance(command, protocol.Stop):
-        return clear_target(fsm, t)
-    if isinstance(command, protocol.ResetFault):
-        return reset_fault(fsm, t)
+        return FsmState(Mode.IDLE, None, t)
     return fsm
 
 

@@ -43,6 +43,10 @@ CMD_TELEMETRY = 0x85
 
 CRC_POLY = 0x07
 
+# Telemetry's u8 fsm_mode: the code of each controller mode, by the mode's name.
+MODE_CODES = {"Idle": 0, "Inflating": 1, "Venting": 2, "Holding": 3, "Fault": 4}
+_MAX_MODE_CODE = max(MODE_CODES.values())  # the codes run 0.._MAX_MODE_CODE
+
 
 def _build_crc_table(poly: int) -> tuple[int, ...]:
     table = []
@@ -280,8 +284,11 @@ def encode_telemetry(actuator_id: int, t_ms: int, pressure_counts: int,
 
 
 def parse_telemetry(frame: Frame) -> Telemetry | None:
+    """Telemetry from a decoded frame; None for another command, a bad size or
+    an fsm_mode outside MODE_CODES (its last payload byte)."""
     command, _, payload = frame
-    if command != CMD_TELEMETRY or len(payload) != _TELEMETRY_SIZE:
+    if (command != CMD_TELEMETRY or len(payload) != _TELEMETRY_SIZE
+            or payload[-1] > _MAX_MODE_CODE):
         return None
     return _new_tuple(Telemetry, _TELEMETRY_STRUCT.unpack(payload))
 

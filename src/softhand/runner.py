@@ -46,9 +46,6 @@ TELEMETRY_COLUMNS = ("t_s", "finger", "pressure_pa", "curvature_per_m", "strain"
 _COLUMN_DTYPES = {"finger": int, "strain_counts": int, "pressure_counts": int,
                   "inlet": int, "vent": int, "fsm_mode": object}
 
-# controller.MODE_TO_WIRE keyed by mode name: a str key hashes in C, an Enum member in Python.
-_WIRE_MODE = {mode._value_: code for mode, code in controller.MODE_TO_WIRE.items()}
-
 FIGURE_KINDS = {
     "pressure_curvature": ("finger", "pressure_pa", "curvature_per_m"),
     "phase_orbit": ("finger", "t_s", "pressure_pa", "strain"),
@@ -69,6 +66,7 @@ class HandDevice:
         self._last_stream_ms: list[int] = [0] * n_fingers
         self._streaming = False  # any finger has a stream period
         self._state_requests: set[int] = set()
+        self._fed_transitions: list[tuple[int, controller.Mode, controller.Mode]] = []
 
     def _finger_ids(self, actuator_id: int) -> range:
         if actuator_id == protocol.BROADCAST_ID:
@@ -81,7 +79,8 @@ class HandDevice:
         Unknown commands are counted in unknown_commands. A well-formed command
         the FSM refuses (a target past the config's limits) is counted in
         rejected_commands and changes no finger: a broadcast applies to every
-        finger or to none.
+        finger or to none. Every mode change a command makes is reported by
+        the next tick, ahead of that tick's own.
         """
         for frame in self.decoder.feed(data):
             command = protocol.parse_command(frame)
@@ -101,13 +100,16 @@ class HandDevice:
                 for idx in ids:
                     self._stream_period_ms[idx] = None
             else:
-                fsms = list(self.fsms)
+                old = self.fsms
+                fsms = list(old)
                 try:
                     for idx in ids:
-                        fsms[idx] = controller.apply_command(fsms[idx], command, t, self.config)
+                        fsms[idx] = controller.apply_command(old[idx], command, t, self.config)
                 except DomainError:
                     self.rejected_commands += 1
                     continue
+                self._fed_transitions += [(idx, old[idx].mode, fsms[idx].mode) for idx in ids
+                                          if fsms[idx].mode is not old[idx].mode]
                 self.fsms = tuple(fsms)
             self._streaming = any(p is not None for p in self._stream_period_ms)
 
@@ -116,19 +118,22 @@ class HandDevice:
                         list[tuple[int, controller.Mode, controller.Mode]]]:
         """Run one control tick on each finger's (strain_counts, pressure_counts, reading).
 
-        Returns the valves, outgoing bytes and FSM transitions.
+        Returns the valves, outgoing bytes and FSM transitions: those the
+        commands fed since the last tick made, then this tick's.
         """
         old_fsms = self.fsms
         fsms, valves = controller.hand_controller_tick(
             old_fsms, tuple(reading for _, _, reading in samples), t, self.config)
         self.fsms = fsms
-        transitions = [(i, old.mode, new.mode) for i, (old, new) in enumerate(zip(old_fsms, fsms))
-                       if new is not old and new.mode is not old.mode]
+        transitions, self._fed_transitions = self._fed_transitions, []
+        transitions += [(i, old.mode, new.mode) for i, (old, new) in enumerate(zip(old_fsms, fsms))
+                        if new is not old and new.mode is not old.mode]
         if not (self._streaming or self._state_requests):
             return valves, b"", transitions
         t_ms = round(t * 1000.0)
         frames = []
         periods, last, requests = self._stream_period_ms, self._last_stream_ms, self._state_requests
+        wire_modes = protocol.MODE_CODES  # keyed by mode name: a str hashes in C, an Enum in Python
         for i, (strain_counts, pressure_counts, _) in enumerate(samples):
             period = periods[i]
             due = period is not None and t_ms - last[i] >= period
@@ -136,7 +141,7 @@ class HandDevice:
                 last[i] = t_ms
             if due or i in requests:
                 frames.append(protocol.encode_telemetry(
-                    i, t_ms, pressure_counts, strain_counts, _WIRE_MODE[fsms[i].mode._value_]))
+                    i, t_ms, pressure_counts, strain_counts, wire_modes[fsms[i].mode._value_]))
         requests.clear()
         return valves, b"".join(frames), transitions
 

@@ -121,12 +121,12 @@ def test_criterion_07_controller_safety():
         t = k * 0.005
         a = actions[k]
         if a == 0:
-            fsm = controller.set_target(
-                fsm, controller.pressure_target(float(pressures[k] % config.p_max)), t, config)
+            fsm = controller.apply_command(
+                fsm, protocol.SetPressureTarget(float(pressures[k] % config.p_max)), t, config)
         elif a == 1:
-            fsm = controller.reset_fault(fsm, t)
+            fsm = controller.apply_command(fsm, protocol.ResetFault(), t, config)
         elif a == 2:
-            fsm = controller.force_vent(fsm, t)
+            fsm = controller.apply_command(fsm, protocol.Vent(), t, config)
         m = sensors.PhysicalReading(float(pressures[k]), float(curvatures[k]),
                                     0.01 * float(curvatures[k]))
         fsm, valve = controller.fsm_tick(fsm, m, t, config)
@@ -140,8 +140,8 @@ def test_criterion_07_controller_safety():
     # Closed-loop servo to 8 PSI on the default plant.
     params = physics.ActuatorParams()
     state = physics.ActuatorState()
-    target = controller.pressure_target(psi(8))
-    fsm = controller.set_target(controller.FsmState(), target, 0.0, config)
+    target = protocol.SetPressureTarget(psi(8))
+    fsm = controller.apply_command(controller.FsmState(), target, 0.0, config)
     reached_at = None
     for k in range(round(10.0 / controller.DEFAULT_TICK_PERIOD)):
         t = k * controller.DEFAULT_TICK_PERIOD
@@ -150,7 +150,7 @@ def test_criterion_07_controller_safety():
                                          params.d_neutral * state.curvature), t, config)
         if fsm.mode is controller.Mode.HOLDING and reached_at is None:
             reached_at = t
-            assert abs(state.pressure - target.value) <= config.pressure_deadband
+            assert abs(state.pressure - target.pascals) <= config.pressure_deadband
         for _ in range(5):
             state = physics.step(state, params, valve)
     assert reached_at is not None and reached_at <= 10.0
@@ -222,7 +222,7 @@ def test_criterion_09_protocol_robustness():
             if acked:
                 break
         assert acked, trial
-        assert device.fsms[0].target == controller.pressure_target(50e3)
+        assert device.fsms[0].target == protocol.SetPressureTarget(50e3)
     report(9, "10^7-byte fuzz crash-free; 10^5 frame round-trips exact; "
               "100/100 lossy retries converge")
 

@@ -75,6 +75,7 @@ def test_streamed_run_wire_counts(monkeypatch):
     count_calls(monkeypatch, calls, protocol, "parse_telemetry")
     count_calls(monkeypatch, calls, controller, "hand_controller_tick")
     count_calls(monkeypatch, calls, controller, "fsm_tick")
+    count_calls(monkeypatch, calls, controller, "apply_command")
     result = runner.run_scenario(sc)
     assert sc.n_fingers == 3 and n_ticks > 0
     assert calls["tick"] == n_ticks
@@ -86,3 +87,4 @@ def test_streamed_run_wire_counts(monkeypatch):
     assert calls["parse_telemetry"] == 3 * n_ticks
     assert calls["hand_controller_tick"] == n_ticks
     assert calls["fsm_tick"] == 3 * n_ticks
+    assert calls["apply_command"] == 6  # the fixture's two broadcasts, to 3 fingers each

@@ -178,6 +178,20 @@ class TestTypedCommands:
         telemetry = protocol.parse_telemetry(frame)
         assert telemetry == protocol.Telemetry(1000, 0x0102, 0x0304, 3)
 
+    def test_mode_codes_are_the_documented_table(self):
+        assert protocol.MODE_CODES == {"Idle": 0, "Inflating": 1, "Venting": 2, "Holding": 3,
+                                       "Fault": 4}
+        assert {mode.value: code for mode, code in controller.MODE_TO_WIRE.items()} == (
+            protocol.MODE_CODES)
+
+    @pytest.mark.parametrize("fsm_mode", [5, 25, 154, 255])
+    def test_telemetry_with_unknown_mode_refused(self, fsm_mode):
+        # A frame that passes its CRC after a resync inside damaged bytes can
+        # carry any mode byte; the host must not take it for telemetry.
+        wire = protocol.encode_telemetry(0, t_ms=5, pressure_counts=1, strain_counts=2,
+                                         fsm_mode=fsm_mode)
+        assert protocol.parse_telemetry(FrameDecoder().feed(wire)[0]) is None
+
 
 @pytest.mark.parametrize("cls, fields, defaults, values", [
     (Frame, ("command", "actuator_id", "payload"), {"payload": b""}, (0x85, 2, b"\x01")),
@@ -317,7 +331,7 @@ class TestLossyCommandRetry:
                 if acked:
                     break
             assert acked, f"trial {trial} never acknowledged"
-            assert device.fsms[0].target == controller.pressure_target(50e3)
+            assert device.fsms[0].target == target
 
 
 class PerByteChannel:

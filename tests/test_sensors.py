@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from softhand import calibration, controller, sensors
+from softhand import calibration, controller, protocol, sensors
 from softhand.calibration import CalibrationRecord, ChannelCal
 from softhand.errors import DomainError
 from softhand.physics import ActuatorParams
@@ -215,7 +215,7 @@ class TestPhysicalReadingContract:
         reading = PhysicalReading(math.nan, 2.0, 0.02)
         assert repr(reading) == ("PhysicalReading(pressure=nan, curvature=2.0, strain=0.02, "
                                  "strain_saturated=False, pressure_saturated=False)")
-        fsm = controller.set_target(controller.FsmState(), controller.pressure_target(50e3), 0.0)
+        fsm = controller.apply_command(controller.FsmState(), protocol.SetPressureTarget(50e3), 0.0)
         with pytest.raises(DomainError) as exc:
             controller.fsm_tick(fsm, reading, 0.005)
         assert str(exc.value) == f"measurement not finite: {reading!r}"
