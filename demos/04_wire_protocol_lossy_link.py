@@ -39,8 +39,8 @@ def main():
         bus.device_send(out, t)
         for response in host.feed(bus.host_recv()):
             telemetry = protocol.parse_telemetry(response)
-            if telemetry and telemetry.fsm_mode == controller.MODE_TO_WIRE[
-                    controller.Mode.INFLATING]:
+            if telemetry and telemetry.fsm_mode == protocol.MODE_CODES[
+                    controller.Mode.INFLATING.value]:
                 acked_at = attempt
         if acked_at is not None:
             break

@@ -41,10 +41,6 @@ class Mode(Enum):
     FAULT = "Fault"
 
 
-# u8 encoding used by the telemetry wire format.
-MODE_TO_WIRE = {mode: protocol.MODE_CODES[mode.value] for mode in Mode}
-
-
 @dataclass(frozen=True)
 class FsmState:
     mode: Mode = Mode.IDLE
@@ -62,14 +58,11 @@ class ControllerConfig:
     curvature_deadband: float = DEFAULT_CURVATURE_DEADBAND  # 1/m, for every curvature target
 
     def __post_init__(self):
-        if not (self.p_max > 0.0 and self.kappa_max > 0.0):
-            raise ConfigError("p_max and kappa_max must be > 0")
-        if not (self.timeout_s > 0.0):
-            raise ConfigError("timeout_s must be > 0")
-        if self.reengage_factor < 1.0:
-            raise ConfigError("reengage_factor must be >= 1")
-        if not (self.pressure_deadband > 0.0 and self.curvature_deadband > 0.0):
-            raise ConfigError("pressure_deadband and curvature_deadband must be > 0")
+        for name in ("p_max", "kappa_max", "timeout_s", "pressure_deadband", "curvature_deadband"):
+            if not (getattr(self, name) > 0.0):
+                raise ConfigError(f"{name}: must be > 0, got {getattr(self, name)}")
+        if not (self.reengage_factor >= 1.0):
+            raise ConfigError(f"reengage_factor: must be >= 1, got {self.reengage_factor}")
 
 
 _CLOSED = physics.ValvePair(False, False)

@@ -39,7 +39,6 @@ class ActuatorParams:
     p_max            gauge Pa, maximum admissible chamber pressure
     tau_inflate/deflate  s, first-order curvature lag
     k_fill/k_vent    1/s, pressure relaxation rates toward pump / atmosphere
-    d_neutral        m, distance from bending neutral axis to the strain-sensor plane
     force_gain       N*m, contact force per unit of blocked curvature
     """
 
@@ -51,7 +50,6 @@ class ActuatorParams:
     tau_deflate: float = 0.6
     k_fill: float = 1.0
     k_vent: float = 1.0
-    d_neutral: float = 0.010
     force_gain: float = 0.1
 
     def __post_init__(self):
@@ -60,22 +58,21 @@ class ActuatorParams:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"{f.name} must be finite, got {value}")
+                raise DomainError(f"{f.name}: must be finite, got {value}")
         if not (self.p_threshold > 0.0):
-            raise DomainError(f"p_threshold must be > 0, got {self.p_threshold}")
+            raise DomainError(f"p_threshold: must be > 0, got {self.p_threshold}")
         if not (self.p_max > self.p_threshold):
-            raise DomainError(f"p_max ({self.p_max}) must exceed p_threshold ({self.p_threshold})")
+            raise DomainError(f"p_max: must be > p_threshold ({self.p_threshold}), "
+                              f"got {self.p_max}")
         if not (self.slope_m > 0.0):
-            raise DomainError(f"slope_m must be > 0, got {self.slope_m}")
+            raise DomainError(f"slope_m: must be > 0, got {self.slope_m}")
         if self.kappa_at_threshold < 0.0:
-            raise DomainError(f"kappa_at_threshold must be >= 0, got {self.kappa_at_threshold}")
+            raise DomainError(f"kappa_at_threshold: must be >= 0, got {self.kappa_at_threshold}")
         for name in ("tau_inflate", "tau_deflate", "k_fill", "k_vent"):
             if not (getattr(self, name) > 0.0):
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not (self.d_neutral > 0.0):
-            raise DomainError(f"d_neutral must be > 0, got {self.d_neutral}")
+                raise DomainError(f"{name}: must be > 0, got {getattr(self, name)}")
         if self.force_gain < 0.0:
-            raise DomainError(f"force_gain must be >= 0, got {self.force_gain}")
+            raise DomainError(f"force_gain: must be >= 0, got {self.force_gain}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,7 @@ class PneumaticCircuit:
 
     def __post_init__(self):
         if not (self.pump_pressure > 0.0):
-            raise DomainError(f"pump_pressure must be > 0, got {self.pump_pressure}")
+            raise DomainError(f"pump_pressure: must be > 0, got {self.pump_pressure}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,7 @@ class RigidObject:
 
     def __post_init__(self):
         if not (self.radius > 0.0):
-            raise DomainError(f"radius must be > 0, got {self.radius}")
+            raise DomainError(f"radius: must be > 0, got {self.radius}")
 
 
 def steady_state_curvature(p: float, params: ActuatorParams) -> float:

@@ -227,15 +227,18 @@ _NO_PAYLOAD_TYPES = {code: cls for cls, code in _NO_PAYLOAD_CODES.items()}
 
 def frame_for_command(command: Command, actuator_id: int) -> Frame:
     """Build the wire frame for a typed command."""
+    # A target is checked before rounding, so NaN, inf and -5..0 Pa fail as -1 does.
     if isinstance(command, SetPressureTarget):
-        raw = round(command.pascals / _PRESSURE_LSB_PA)
+        value = command.pascals
+        raw = round(value / _PRESSURE_LSB_PA) if 0.0 <= value < math.inf else -1
         if not (0 <= raw <= 0xFFFF):
-            raise EncodeError(f"pressure target {command.pascals} Pa not encodable as u16 Pa/10")
+            raise EncodeError(f"pressure target {value} Pa not encodable as u16 Pa/10")
         return Frame(CMD_SET_PRESSURE_TARGET, actuator_id, struct.pack("<H", raw))
     if isinstance(command, SetCurvatureTarget):
-        raw = round(command.curvature / _CURVATURE_LSB)
+        value = command.curvature
+        raw = round(value / _CURVATURE_LSB) if 0.0 <= value < math.inf else -1
         if not (0 <= raw <= 0xFFFF):
-            raise EncodeError(f"curvature target {command.curvature} not encodable as u16 0.01/m")
+            raise EncodeError(f"curvature target {value} not encodable as u16 0.01/m")
         return Frame(CMD_SET_CURVATURE_TARGET, actuator_id, struct.pack("<H", raw))
     if isinstance(command, StreamStart):
         if not (1 <= command.period_ms <= 0xFF):

@@ -202,8 +202,7 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
     paths = [sensors.SensorPath(chain, calibration.ideal_record(params, chain),
                                 root.spawn(100 + i), sc.atmosphere_offset_pa)
              for i, (params, chain) in enumerate(zip(sc.actuators, sc.chains))]
-    circuit = physics.PneumaticCircuit(pump_pressure=sc.pump_pressure_pa,
-                                       share_pump_flow=sc.share_pump_flow)
+    circuit = sc.circuit
     plants = [physics.FingerPlant(params, obj, dt, circuit, n_sub)
               for params, obj in zip(sc.actuators, sc.objects_per_finger())]
     device = HandDevice(n, sc.control)

@@ -27,9 +27,10 @@ _ACTUATOR_KEYS = {
     "tau_deflate_s": "tau_deflate",
     "k_fill_per_s": "k_fill",
     "k_vent_per_s": "k_vent",
-    "d_neutral_m": "d_neutral",
     "force_gain_nm": "force_gain",
 }
+# An actuator entry's key that is its finger's sensor geometry, not the actuator's.
+_CHAIN_KEYS = {"d_neutral_m": "d_neutral"}
 _GAUGE_KEYS = {
     "r0_ohm": "r0",
     "r_lead_ohm": "r_lead",
@@ -46,6 +47,10 @@ _PRESSURE_SENSOR_KEYS = {
     "noise_sigma_v": "noise_sigma",
 }
 _ADC_KEYS = {"bits": "bits", "v_ref_v": "v_ref"}
+_CONTROLLER_KEYS = {"timeout_s": "timeout_s", "reengage_factor": "reengage_factor",
+                    "pressure_deadband_pa": "pressure_deadband",
+                    "curvature_deadband_per_m": "curvature_deadband"}
+_CIRCUIT_KEYS = {"pump_pressure_pa": "pump_pressure", "share_pump_flow": "share_pump_flow"}
 
 _COMMANDS = {
     "set_pressure_target": protocol.SetPressureTarget,
@@ -54,6 +59,9 @@ _COMMANDS = {
     "stream_start": protocol.StreamStart, "stream_stop": protocol.StreamStop,
     "reset_fault": protocol.ResetFault,
 }
+# The key holding each command's payload, where a refused payload is reported.
+_PAYLOAD_KEYS = {"set_pressure_target": "value_pa", "set_curvature_target": "value_per_m",
+                 "stream_start": "period_ms"}
 
 
 @dataclass(frozen=True)
@@ -94,9 +102,8 @@ class Scenario:
     actuators: tuple[physics.ActuatorParams, ...]
     chains: tuple[sensors.SensorChain, ...]
     control: controller.ControllerConfig
-    pump_pressure_pa: float
+    circuit: physics.PneumaticCircuit
     atmosphere_offset_pa: float
-    share_pump_flow: bool
     objects: tuple[ScenarioObject, ...]
     commands: tuple[ScheduledCommand, ...]
     disturbances: tuple[Disturbance, ...]
@@ -178,16 +185,29 @@ def _number(raw: dict, path: str, key: str, default: float | None = None,
     return value
 
 
-def _params(raw, path: str, key_map: dict, cls):
-    """cls built from unit-suffixed file keys; the ADC's bits must be an integer."""
+def _params(raw, path: str, key_map: dict, cls, **fixed):
+    """cls built from fixed and the unit-suffixed file keys of raw, which holds no other key.
+
+    cls owns every default and bound; its refusal "<field>: <rule>" is reported
+    at that field's file key, or at path when raw does not hold the key.
+    """
     kwargs = {}
     for key, value in _object(raw, path, optional=key_map).items():
         if key == "bits":
             value = _integer(value, f"{path}.{key}")
+        elif key == "share_pump_flow":
+            _expect(isinstance(value, bool), f"{path}.{key}", f"expected a boolean, got {value!r}")
         else:
             _finite(value, f"{path}.{key}")
         kwargs[key_map[key]] = value
-    return _build(path, cls, **kwargs)
+    try:
+        return cls(**kwargs, **fixed)
+    except SofthandError as exc:
+        field, _, rule = str(exc).partition(": ")
+        keys = [key for key in raw if key_map[key] == field]
+        if keys:
+            raise ScenarioError(f"{path}.{keys[0]}: {rule}") from exc
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _finger(value, path: str, n_fingers: int) -> int:
@@ -196,8 +216,10 @@ def _finger(value, path: str, n_fingers: int) -> int:
     return finger
 
 
-def _build_command(raw, path: str, n_fingers: int) -> ScheduledCommand:
-    _object(raw, path, ("command", "t_s"), ("actuator_id", "value_pa", "value_per_m", "period_ms"))
+def _build_command(raw, path: str, n_fingers: int,
+                   config: controller.ControllerConfig) -> ScheduledCommand:
+    """The command, checked as the device receives it: encoded, decoded, then set on an FSM."""
+    _object(raw, path, ("command", "t_s"), ("actuator_id", *_PAYLOAD_KEYS.values()))
     name = raw["command"]
     _expect(isinstance(name, str) and name in _COMMANDS, f"{path}.command",
             f"unknown command {name!r} (known: {sorted(_COMMANDS)})")
@@ -207,16 +229,17 @@ def _build_command(raw, path: str, n_fingers: int) -> ScheduledCommand:
             f"{path}.actuator_id",
             f"finger {actuator_id} does not exist (have {n_fingers}, broadcast is 255)")
     kind = _COMMANDS[name]
-    if name == "set_pressure_target":
-        command: protocol.Command = kind(_number(raw, path, "value_pa", minimum=0.0))
-    elif name == "set_curvature_target":
-        command = kind(_number(raw, path, "value_per_m", minimum=0.0))
+    key = _PAYLOAD_KEYS.get(name)
+    if key is None:
+        command: protocol.Command = kind()
     elif name == "stream_start":
-        period = _integer(raw.get("period_ms", 5), f"{path}.period_ms")
-        _expect(1 <= period <= 255, f"{path}.period_ms", f"must be in 1..255, got {period}")
-        command = kind(period)
+        command = kind(_integer(raw.get(key, 5), f"{path}.{key}"))
     else:
-        command = kind()
+        command = kind(_number(raw, path, key))
+    at = path if key is None else f"{path}.{key}"
+    received = protocol.parse_command(_build(at, protocol.frame_for_command, command, actuator_id))
+    if isinstance(received, (protocol.SetPressureTarget, protocol.SetCurvatureTarget)):
+        _build(at, controller.set_target, controller.FsmState(), received, t_s, config)
     return ScheduledCommand(t_s=t_s, actuator_id=actuator_id, command=command)
 
 
@@ -236,47 +259,34 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     _expect(duration >= tick, "$.duration_s", f"must cover at least one tick ({tick} s)")
     seed = _integer(raw.get("seed", 0), "$.seed")
 
-    actuators_raw = raw.get("actuators", [{}] * DEFAULT_FINGERS)
-    _expect(isinstance(actuators_raw, list) and 1 <= len(actuators_raw) <= controller.MAX_ACTUATORS,
-            "$.actuators", f"expected a list of 1..{controller.MAX_ACTUATORS} finger objects")
-    actuators = [_params(entry, f"$.actuators[{i}]", _ACTUATOR_KEYS, physics.ActuatorParams)
-                 for i, entry in enumerate(actuators_raw)]
-    n_fingers = len(actuators)
-
     sensors_raw = _object(raw.get("sensors", {}), "$.sensors", optional=("gauge", "pressure", "adc"))
     gauge = _params(sensors_raw.get("gauge", {}), "$.sensors.gauge", _GAUGE_KEYS,
                     sensors.StrainGaugeParams)
     pressure_sensor = _params(sensors_raw.get("pressure", {}), "$.sensors.pressure",
                               _PRESSURE_SENSOR_KEYS, sensors.PressureSensorParams)
     adc = _params(sensors_raw.get("adc", {}), "$.sensors.adc", _ADC_KEYS, sensors.AdcParams)
-    chains = tuple(
-        sensors.SensorChain(gauge=gauge, pressure=pressure_sensor, adc=adc,
-                            d_neutral=actuators[i].d_neutral)
-        for i in range(n_fingers))
 
-    controller_raw = _object(raw.get("controller", {}), "$.controller", optional=(
-        "timeout_s", "reengage_factor", "pressure_deadband_pa", "curvature_deadband_per_m"))
-    control = _build(
-        "$.controller", controller.ControllerConfig,
+    actuators_raw = raw.get("actuators", [{}] * DEFAULT_FINGERS)
+    _expect(isinstance(actuators_raw, list) and 1 <= len(actuators_raw) <= controller.MAX_ACTUATORS,
+            "$.actuators", f"expected a list of 1..{controller.MAX_ACTUATORS} finger objects")
+    actuators, chains = [], []
+    for i, entry in enumerate(actuators_raw):
+        path = f"$.actuators[{i}]"
+        _object(entry, path, optional={**_ACTUATOR_KEYS, **_CHAIN_KEYS})
+        actuators.append(_params({k: v for k, v in entry.items() if k in _ACTUATOR_KEYS}, path,
+                                 _ACTUATOR_KEYS, physics.ActuatorParams))
+        chains.append(_params({k: v for k, v in entry.items() if k in _CHAIN_KEYS}, path,
+                              _CHAIN_KEYS, sensors.SensorChain,
+                              gauge=gauge, pressure=pressure_sensor, adc=adc))
+    n_fingers = len(actuators)
+
+    control = _params(
+        raw.get("controller", {}), "$.controller", _CONTROLLER_KEYS, controller.ControllerConfig,
         p_max=max(a.p_max for a in actuators),
-        kappa_max=max(physics.steady_state_curvature(a.p_max, a) for a in actuators),
-        timeout_s=_number(controller_raw, "$.controller", "timeout_s",
-                          default=controller.DEFAULT_TIMEOUT, minimum=0.0, strict_min=True),
-        reengage_factor=_number(controller_raw, "$.controller", "reengage_factor",
-                                default=2.0, minimum=1.0),
-        pressure_deadband=_number(controller_raw, "$.controller", "pressure_deadband_pa",
-                                  default=controller.DEFAULT_PRESSURE_DEADBAND,
-                                  minimum=0.0, strict_min=True),
-        curvature_deadband=_number(controller_raw, "$.controller", "curvature_deadband_per_m",
-                                   default=controller.DEFAULT_CURVATURE_DEADBAND,
-                                   minimum=0.0, strict_min=True))
-
-    pump = _number(raw, "$", "pump_pressure_pa",
-                   default=physics.PneumaticCircuit().pump_pressure, minimum=0.0, strict_min=True)
+        kappa_max=max(physics.steady_state_curvature(a.p_max, a) for a in actuators))
+    circuit = _params({k: v for k, v in raw.items() if k in _CIRCUIT_KEYS}, "$", _CIRCUIT_KEYS,
+                      physics.PneumaticCircuit)
     ambient = _number(raw, "$", "atmosphere_offset_pa", default=0.0)
-    share_pump = raw.get("share_pump_flow", False)
-    _expect(isinstance(share_pump, bool), "$.share_pump_flow",
-            f"expected a boolean, got {share_pump!r}")
 
     objects_raw = raw.get("objects", [])
     _expect(isinstance(objects_raw, list), "$.objects", "expected a list")
@@ -285,7 +295,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     for i, entry in enumerate(objects_raw):
         path = f"$.objects[{i}]"
         _object(entry, path, ("radius_m", "fingers"), ("mass_kg", "position_m"))
-        radius = _number(entry, path, "radius_m", minimum=0.0, strict_min=True)
+        radius = _params({"radius_m": entry["radius_m"]}, path, {"radius_m": "radius"},
+                         physics.RigidObject).radius
         mass = _number(entry, path, "mass_kg", default=0.0, minimum=0.0)
         position = _number(entry, path, "position_m", default=0.0)
         fingers_raw = entry["fingers"]
@@ -303,7 +314,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
     commands_raw = raw.get("commands", [])
     _expect(isinstance(commands_raw, list), "$.commands", "expected a list")
-    commands = [_build_command(entry, f"$.commands[{i}]", n_fingers)
+    commands = [_build_command(entry, f"$.commands[{i}]", n_fingers, control)
                 for i, entry in enumerate(commands_raw)]
     commands.sort(key=lambda c: c.t_s)
 
@@ -322,8 +333,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
     return Scenario(
         name=name, duration_s=duration, dt_s=dt, tick_s=tick, seed=seed,
-        actuators=tuple(actuators), chains=chains, control=control,
-        pump_pressure_pa=pump, atmosphere_offset_pa=ambient, share_pump_flow=share_pump,
+        actuators=tuple(actuators), chains=tuple(chains), control=control, circuit=circuit,
+        atmosphere_offset_pa=ambient,
         objects=tuple(objects), commands=tuple(commands), disturbances=tuple(disturbances))
 
 
@@ -356,10 +367,8 @@ def shipped_scenario_names() -> list[str]:
 
 def load_shipped_scenario(name: str) -> Scenario:
     """Load one of the bundled fixtures by name (see shipped_scenario_names)."""
-    root = resources.files(__package__) / "scenarios"
-    path = root / f"{name}.json"
+    path = resources.files(__package__) / "scenarios" / f"{name}.json"
     if not path.is_file():
         raise ScenarioError(f"no shipped scenario named {name!r} "
                             f"(have: {shipped_scenario_names()})")
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    return scenario_from_dict(raw, name=name)
+    return load_scenario(path)

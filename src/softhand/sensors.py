@@ -54,16 +54,13 @@ class StrainGaugeParams:
     noise_sigma: float = 1e-4
 
     def __post_init__(self):
-        if not (self.r0 > 0.0):
-            raise DomainError(f"r0 must be > 0, got {self.r0}")
+        for name in ("r0", "r_limit", "v_excitation", "amp_gain"):
+            if not (getattr(self, name) > 0.0):
+                raise DomainError(f"{name}: must be > 0, got {getattr(self, name)}")
         if not (self.r_lead >= 0.0):
-            raise DomainError(f"r_lead must be >= 0, got {self.r_lead}")
-        if not (self.r_limit > 0.0):
-            raise DomainError(f"r_limit must be > 0, got {self.r_limit}")
-        if not (self.v_excitation > 0.0 and self.amp_gain > 0.0):
-            raise DomainError("v_excitation and amp_gain must be > 0")
-        if self.noise_sigma < 0.0:
-            raise DomainError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+            raise DomainError(f"r_lead: must be >= 0, got {self.r_lead}")
+        if not (self.noise_sigma >= 0.0):
+            raise DomainError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -77,12 +74,11 @@ class PressureSensorParams:
     noise_sigma: float = 1e-4
 
     def __post_init__(self):
-        if not (self.full_scale_pressure > 0.0 and self.full_scale_voltage > 0.0):
-            raise DomainError("full-scale pressure and voltage must be > 0")
-        if not (self.amp_gain > 0.0):
-            raise DomainError(f"amp_gain must be > 0, got {self.amp_gain}")
-        if self.noise_sigma < 0.0:
-            raise DomainError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name in ("full_scale_pressure", "full_scale_voltage", "amp_gain"):
+            if not (getattr(self, name) > 0.0):
+                raise DomainError(f"{name}: must be > 0, got {getattr(self, name)}")
+        if not (self.noise_sigma >= 0.0):
+            raise DomainError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +88,9 @@ class AdcParams:
 
     def __post_init__(self):
         if not (8 <= self.bits <= 16):
-            raise DomainError(f"bits must be in [8, 16], got {self.bits}")
+            raise DomainError(f"bits: must be in [8, 16], got {self.bits}")
         if not (self.v_ref > 0.0):
-            raise DomainError(f"v_ref must be > 0, got {self.v_ref}")
+            raise DomainError(f"v_ref: must be > 0, got {self.v_ref}")
 
     @property
     def full_scale_counts(self) -> int:
@@ -124,11 +120,11 @@ class SensorChain:
     gauge: StrainGaugeParams = StrainGaugeParams()
     pressure: PressureSensorParams = PressureSensorParams()
     adc: AdcParams = AdcParams()
-    d_neutral: float = 0.010
+    d_neutral: float = 0.010  # m, from the bending neutral axis to the strain-sensor plane
 
     def __post_init__(self):
         if not (self.d_neutral > 0.0):
-            raise DomainError(f"d_neutral must be > 0, got {self.d_neutral}")
+            raise DomainError(f"d_neutral: must be > 0, got {self.d_neutral}")
 
 
 class PhysicalReading(NamedTuple):

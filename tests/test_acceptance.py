@@ -101,7 +101,7 @@ def test_criterion_06_orbit_orientation():
                 if k % 5 == 0:
                     t.append(k * 1e-3)
                     p.append(state.pressure)
-                    s.append(params.d_neutral * state.curvature)
+                    s.append(sensors.SensorChain().d_neutral * state.curvature)
                 k += 1
         orbit = grasp.PhaseOrbit.from_arrays(t, p, s)
         assert grasp.orbit_signed_area(orbit) > 0.0, draw
@@ -147,7 +147,7 @@ def test_criterion_07_controller_safety():
         t = k * controller.DEFAULT_TICK_PERIOD
         fsm, valve = controller.fsm_tick(
             fsm, sensors.PhysicalReading(state.pressure, state.curvature,
-                                         params.d_neutral * state.curvature), t, config)
+                                         sensors.SensorChain().d_neutral * state.curvature), t, config)
         if fsm.mode is controller.Mode.HOLDING and reached_at is None:
             reached_at = t
             assert abs(state.pressure - target.pascals) <= config.pressure_deadband

@@ -70,6 +70,21 @@ class TestRunVerb:
                        f"--dt={dt}") == 2
         assert "error: dt must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("set_pressure_target", "value_pa", 700000.0),  # past the wire's u16 Pa/10
+        ("set_pressure_target", "value_pa", 100000.0),  # past the default p_max, 82,737 Pa
+        ("set_pressure_target", "value_pa", 82736.0),  # the wire's 82,740 Pa is past p_max
+        ("set_pressure_target", "value_pa", -1.0),
+        ("stream_start", "period_ms", 0),
+        ("stream_start", "period_ms", 256),
+    ], ids=["pa_700000", "pa_100000", "pa_82736", "pa_-1", "period_0", "period_256"])
+    def test_command_the_device_refuses_exits_2(self, tmp_path, capsys, command, key, value):
+        bad = tmp_path / "command.json"
+        bad.write_text(json.dumps({"duration_s": 0.1, "commands": [
+            {"t_s": 0.0, "command": command, key: value}]}))
+        assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
+        assert f"$.commands[0].{key}: " in capsys.readouterr().err
+
     def test_sensors_d_neutral_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "d_neutral.json"
         bad.write_text('{"duration_s": 1.0, "sensors": {"d_neutral_m": 0.5}}')

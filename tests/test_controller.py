@@ -6,7 +6,7 @@ from softhand.controller import (ControllerConfig, FsmState, Mode, apply_command
                                  hand_controller_tick, set_target)
 from softhand.errors import ConfigError, DomainError
 from softhand.protocol import SetCurvatureTarget, SetPressureTarget
-from softhand.sensors import PhysicalReading
+from softhand.sensors import PhysicalReading, SensorChain
 from softhand.units import psi
 
 CONFIG = ControllerConfig()
@@ -24,7 +24,7 @@ def closed_loop(target, seconds=12.0, obj=None, params=None, config=CONFIG):
     for k in range(round(seconds / tick)):
         t = k * tick
         reading = PhysicalReading(state.pressure, state.curvature,
-                                  params.d_neutral * state.curvature)
+                                  SensorChain().d_neutral * state.curvature)
         fsm, valve = fsm_tick(fsm, reading, t, config)
         for _ in range(n_sub):
             state = physics.step(state, params, valve, obj)
@@ -180,7 +180,7 @@ class TestHandController:
         solo_pressure_at_1s = None
         for k in range(round(10.0 / tick)):
             t = k * tick
-            ms = tuple(PhysicalReading(s.pressure, s.curvature, params.d_neutral * s.curvature)
+            ms = tuple(PhysicalReading(s.pressure, s.curvature, SensorChain().d_neutral * s.curvature)
                        for s in states)
             fsms, valves = hand_controller_tick(fsms, ms, t)
             for _ in range(n_sub):

@@ -160,6 +160,18 @@ class TestTypedCommands:
         with pytest.raises(EncodeError):
             protocol.frame_for_command(protocol.StreamStart(0), 0)
 
+    @pytest.mark.parametrize("command", [
+        protocol.SetPressureTarget(-1.0), protocol.SetPressureTarget(-5.0),
+        protocol.SetPressureTarget(float("nan")), protocol.SetPressureTarget(float("inf")),
+        protocol.SetCurvatureTarget(-0.004), protocol.SetCurvatureTarget(float("nan")),
+        protocol.SetCurvatureTarget(float("-inf")),
+    ], ids=["pa_-1", "pa_-5", "pa_nan", "pa_inf", "curv_-0.004", "curv_nan", "curv_-inf"])
+    def test_negative_or_non_finite_target_refused(self, command):
+        # Checked before rounding: -5..0 Pa would round to a 0 Pa target, NaN and
+        # inf would leak round()'s ValueError and OverflowError.
+        with pytest.raises(EncodeError, match="not encodable as u16"):
+            protocol.encode_command(command, 0)
+
     def test_unknown_command_code_rejected_not_crash(self):
         assert protocol.parse_command(Frame(command=0x7F, actuator_id=0)) is None
 
@@ -181,7 +193,7 @@ class TestTypedCommands:
     def test_mode_codes_are_the_documented_table(self):
         assert protocol.MODE_CODES == {"Idle": 0, "Inflating": 1, "Venting": 2, "Holding": 3,
                                        "Fault": 4}
-        assert {mode.value: code for mode, code in controller.MODE_TO_WIRE.items()} == (
+        assert {mode.value: protocol.MODE_CODES[mode.value] for mode in controller.Mode} == (
             protocol.MODE_CODES)
 
     @pytest.mark.parametrize("fsm_mode", [5, 25, 154, 255])
@@ -325,8 +337,8 @@ class TestLossyCommandRetry:
                 bus.device_send(out, t)
                 for response in host.feed(bus.host_recv()):
                     telemetry = protocol.parse_telemetry(response)
-                    if telemetry and telemetry.fsm_mode == controller.MODE_TO_WIRE[
-                            controller.Mode.INFLATING]:
+                    if telemetry and telemetry.fsm_mode == protocol.MODE_CODES[
+                            controller.Mode.INFLATING.value]:
                         acked = True
                 if acked:
                     break

@@ -89,6 +89,13 @@ MUTATIONS = (
     + [("delete", slot, None) for slot in SLOTS if isinstance(slot[-1], str)]
     + [("add", slot + ("extra_key",), 1.0)
        for slot in [(), *SLOTS] if isinstance(at_slot(FULL_SCENARIO, slot), dict)])
+# Every number of FULL_SCENARIO but duration_s (a long run is no new case) set to -1, 0 and 1e6.
+NUMERIC_EDITS = [(slot, value) for slot in SLOTS if slot != ("duration_s",)
+                 and type(at_slot(FULL_SCENARIO, slot)) in (int, float) for value in (-1, 0, 1e6)]
+# The types whose fields scenario keys set; _params reads a refusal's field from its message.
+PARAM_TYPES = [physics.ActuatorParams, sensors.StrainGaugeParams, sensors.PressureSensorParams,
+               sensors.AdcParams, sensors.SensorChain, controller.ControllerConfig,
+               physics.PneumaticCircuit, physics.RigidObject]
 
 
 class TestScenarioSchema:
@@ -202,6 +209,28 @@ class TestScenarioSchema:
             assert isinstance(container, (dict, list)), message
             container[named[-1]]  # raises unless the named value exists
 
+    @pytest.mark.parametrize("slot,value", NUMERIC_EDITS, ids=[
+        "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in slot) + f"={value:g}"
+        for slot, value in NUMERIC_EDITS])
+    def test_numeric_edit_that_loads_also_runs(self, slot, value):
+        doc = copy.deepcopy(FULL_SCENARIO)
+        at_slot(doc, slot[:-1])[slot[-1]] = value
+        try:
+            sc = scenario.scenario_from_dict(doc)
+        except ScenarioError:
+            return
+        runner.run_scenario(sc)
+
+    @pytest.mark.parametrize("cls,field", [(cls, f.name) for cls in PARAM_TYPES
+                                           for f in dataclasses.fields(cls)],
+                             ids=lambda x: x if isinstance(x, str) else x.__name__)
+    def test_refusal_starts_with_its_field(self, cls, field):
+        for value in (-1, 0, float("nan")):
+            try:
+                cls(**{field: value})
+            except SofthandError as exc:
+                assert str(exc).startswith(f"{field}: "), str(exc)
+
     def test_unknown_command_name(self):
         with pytest.raises(ScenarioError, match="unknown command"):
             scenario.scenario_from_dict(minimal_dict(
@@ -238,7 +267,7 @@ class TestScenarioSchema:
 
     def test_actuator_d_neutral_reaches_its_chain(self):
         sc = scenario.scenario_from_dict(minimal_dict(actuators=[{"d_neutral_m": 0.02}, {}]))
-        assert [c.d_neutral for c in sc.chains] == [0.02, physics.ActuatorParams().d_neutral]
+        assert [c.d_neutral for c in sc.chains] == [0.02, sensors.SensorChain().d_neutral]
 
     def test_controller_deadbands_land_in_config(self):
         sc = scenario.scenario_from_dict(minimal_dict(
