@@ -241,6 +241,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     plant = physics.FingerPlant(params, dt=dt, n_steps=physics.substeps(tick, dt))
     p_out, k_out = [], []
     t = 0.0
+    fault, holding = controller.Mode.FAULT, controller.Mode.HOLDING
     for level in levels_pa:
         fsm = controller.apply_command(fsm, protocol.SetPressureTarget(level), t, config)
         held_since = None
@@ -249,9 +250,9 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
             fsm, valves = controller.fsm_tick(fsm, reading, t, config)
             plant.advance(valves)
             t += tick
-            if fsm.mode is controller.Mode.FAULT:
+            if fsm.mode is fault:
                 raise FitError(f"calibration servo faulted at level {level} Pa")
-            if fsm.mode is controller.Mode.HOLDING:
+            if fsm.mode is holding:
                 if held_since is None:
                     held_since = t
                 if t - held_since >= settle_s:

@@ -65,6 +65,10 @@ class ControllerConfig:
             raise ConfigError(f"reengage_factor: must be >= 1, got {self.reengage_factor}")
 
 
+# The members as module constants: a load of Mode.X goes through EnumType's
+# class-attribute hook on every call, a module global does not.
+_IDLE, _INFLATING, _VENTING, _HOLDING, _FAULT = Mode
+
 _CLOSED = physics.ValvePair(False, False)
 _VENT_OPEN = physics.ValvePair(False, True)
 _INLET_OPEN = physics.ValvePair(True, False)
@@ -81,19 +85,19 @@ def fsm_tick(fsm: FsmState, measured: sensors.PhysicalReading, t: float,
         raise DomainError(f"measurement not finite: {measured}")
 
     if measured.pressure > config.p_max:
-        if fsm.mode is not Mode.FAULT:
-            fsm = FsmState(Mode.FAULT, fsm.target, t)
+        if fsm.mode is not _FAULT:
+            fsm = FsmState(_FAULT, fsm.target, t)
         return fsm, _VENT_OPEN
-    if fsm.mode is Mode.FAULT:
+    if fsm.mode is _FAULT:
         return fsm, _VENT_OPEN
 
     if fsm.target is None:
         # Targetless VENTING is the unconditional VENT command: hold the vent
         # open (no timeout) until another command arrives.
-        if fsm.mode is Mode.VENTING:
+        if fsm.mode is _VENTING:
             return fsm, _VENT_OPEN
-        if fsm.mode is not Mode.IDLE:
-            fsm = FsmState(Mode.IDLE, None, t)
+        if fsm.mode is not _IDLE:
+            fsm = FsmState(_IDLE, None, t)
         return fsm, _CLOSED
 
     target = fsm.target
@@ -103,29 +107,29 @@ def fsm_tick(fsm: FsmState, measured: sensors.PhysicalReading, t: float,
         err, band = measured.curvature - target.curvature, config.curvature_deadband
     mode = fsm.mode
 
-    if mode is Mode.HOLDING:
+    if mode is _HOLDING:
         if abs(err) <= config.reengage_factor * band:
             return fsm, _CLOSED
-        mode = Mode.INFLATING if err < 0.0 else Mode.VENTING
+        mode = _INFLATING if err < 0.0 else _VENTING
         fsm = FsmState(mode, target, t)
 
-    if mode is Mode.IDLE:
+    if mode is _IDLE:
         if abs(err) <= band:
-            return FsmState(Mode.HOLDING, target, t), _CLOSED
-        mode = Mode.INFLATING if err < 0.0 else Mode.VENTING
+            return FsmState(_HOLDING, target, t), _CLOSED
+        mode = _INFLATING if err < 0.0 else _VENTING
         fsm = FsmState(mode, target, t)
 
     # Active servo phase: Inflating or Venting.
     if abs(err) <= band:
-        return FsmState(Mode.HOLDING, target, t), _CLOSED
+        return FsmState(_HOLDING, target, t), _CLOSED
     if t - fsm.last_transition_t > config.timeout_s:
-        return FsmState(Mode.FAULT, target, t), _VENT_OPEN
-    if mode is Mode.INFLATING:
+        return FsmState(_FAULT, target, t), _VENT_OPEN
+    if mode is _INFLATING:
         if err > band:  # overshot the band while filling
-            return FsmState(Mode.VENTING, target, t), _VENT_OPEN
+            return FsmState(_VENTING, target, t), _VENT_OPEN
         return fsm, _INLET_OPEN
     if err < -band:  # overshot the band while venting
-        return FsmState(Mode.INFLATING, target, t), _INLET_OPEN
+        return FsmState(_INFLATING, target, t), _INLET_OPEN
     return fsm, _VENT_OPEN
 
 
@@ -140,9 +144,9 @@ def set_target(fsm: FsmState, target: protocol.SetPressureTarget | protocol.SetC
         raise DomainError(f"target value must be >= 0, got {value}")
     if value > limit:
         raise DomainError(f"{kind} target {value} exceeds limit {limit}")
-    if fsm.mode is Mode.FAULT:
+    if fsm.mode is _FAULT:
         return fsm
-    return FsmState(Mode.IDLE, target, t)
+    return FsmState(_IDLE, target, t)
 
 
 def apply_command(fsm: FsmState, command: "protocol.Command", t: float,
@@ -156,12 +160,12 @@ def apply_command(fsm: FsmState, command: "protocol.Command", t: float,
     """
     if isinstance(command, (protocol.SetPressureTarget, protocol.SetCurvatureTarget)):
         return set_target(fsm, command, t, config)
-    if fsm.mode is Mode.FAULT:
-        return FsmState(Mode.IDLE, None, t) if isinstance(command, protocol.ResetFault) else fsm
+    if fsm.mode is _FAULT:
+        return FsmState(_IDLE, None, t) if isinstance(command, protocol.ResetFault) else fsm
     if isinstance(command, protocol.Vent):
-        return FsmState(Mode.VENTING, None, t)
+        return FsmState(_VENTING, None, t)
     if isinstance(command, protocol.Stop):
-        return FsmState(Mode.IDLE, None, t)
+        return FsmState(_IDLE, None, t)
     return fsm
 
 

@@ -27,6 +27,9 @@ from .units import PSI_TO_PA
 
 DEFAULT_DT = 1e-3
 MAX_DT = 10e-3
+# A smaller step resolves nothing the >= 0.1 s time constants need, and a
+# step that rounds to zero would ask for a practically endless run.
+MIN_DT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,8 @@ def _check_dt(dt: float) -> None:
         raise DomainError(f"dt must be > 0, got {dt}")
     if dt > MAX_DT:
         raise DomainError(f"dt {dt} exceeds the {MAX_DT} s explicit-integration contract")
+    if dt < MIN_DT:
+        raise DomainError(f"dt {dt} is below the {MIN_DT} s floor of the simulation")
 
 
 def substeps(tick: float, dt: float) -> int:

@@ -19,6 +19,7 @@ read once per run and the noise drawn in blocks, tested against those two.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
@@ -77,6 +78,8 @@ class PressureSensorParams:
         for name in ("full_scale_pressure", "full_scale_voltage", "amp_gain"):
             if not (getattr(self, name) > 0.0):
                 raise DomainError(f"{name}: must be > 0, got {getattr(self, name)}")
+        if not math.isfinite(self.offset_drift):
+            raise DomainError(f"offset_drift: must be finite, got {self.offset_drift}")
         if not (self.noise_sigma >= 0.0):
             raise DomainError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
 
@@ -123,6 +126,11 @@ class SensorChain:
     d_neutral: float = 0.010  # m, from the bending neutral axis to the strain-sensor plane
 
     def __post_init__(self):
+        for name, kind in (("gauge", StrainGaugeParams), ("pressure", PressureSensorParams),
+                           ("adc", AdcParams)):
+            if not isinstance(getattr(self, name), kind):
+                raise DomainError(f"{name}: must be a {kind.__name__}, "
+                                  f"got {getattr(self, name)!r}")
         if not (self.d_neutral > 0.0):
             raise DomainError(f"d_neutral: must be > 0, got {self.d_neutral}")
 
@@ -139,6 +147,10 @@ class PhysicalReading(NamedTuple):
     @property
     def saturated(self) -> bool:
         return self.strain_saturated or self.pressure_saturated
+
+
+# Builds a PhysicalReading from a tuple without NamedTuple's Python-level __new__.
+_new_tuple = tuple.__new__
 
 
 def curvature_to_strain(kappa: float, d_neutral: float) -> float:
@@ -257,10 +269,10 @@ def counts_to_physical(frame: SensorFrame, chain: SensorChain,
         pressure_saturated=frame.pressure_counts <= 0 or frame.pressure_counts >= fsc)
 
 
-def _gaussians(rng: DeterministicRng):
-    """rng's standard Gaussians, in stream order, drawn _NOISE_BLOCK at a time."""
+def _noise_blocks(rng: DeterministicRng):
+    """rng's standard Gaussians in stream order, as lists of _NOISE_BLOCK drawn one at a time."""
     while True:
-        yield from rng.normals(_NOISE_BLOCK).tolist()
+        yield rng.normals(_NOISE_BLOCK).tolist()
 
 
 class SensorPath:
@@ -309,7 +321,10 @@ class SensorPath:
         self._pressure_gain = sensor.amp_gain
         self._pressure_sigma = sensor.noise_sigma
         self._v_ref, self._fsc = adc.v_ref, adc.full_scale_counts
-        self._noise = _gaussians(rng).__next__ if rng is not None else None
+        # A C iterator over the blocks: each Gaussian is one __next__ call, and
+        # the next block is drawn only when the last one is used up.
+        self._noise = (itertools.chain.from_iterable(_noise_blocks(rng)).__next__
+                       if rng is not None else None)
 
     def sample(self, pressure: float, curvature: float
                ) -> tuple[int, int, PhysicalReading]:
@@ -360,7 +375,7 @@ class SensorPath:
         r = self._two_r_limit * v_sensor / (v_excitation - v_sensor)
         ratio = (r - self._r_lead_hat) / self._r0_hat
         strain = math.sqrt(ratio) - 1.0 if ratio > 0.0 else -1.0
-        return strain_counts, pressure_counts, PhysicalReading(
+        return strain_counts, pressure_counts, _new_tuple(PhysicalReading, (
             p_raw - self._offset, (0.0 if strain < 0.0 else strain) / self._d_neutral_hat,
             strain, strain_counts <= 0 or strain_counts >= fsc,
-            pressure_counts <= 0 or pressure_counts >= fsc)
+            pressure_counts <= 0 or pressure_counts >= fsc))

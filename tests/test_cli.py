@@ -70,6 +70,12 @@ class TestRunVerb:
                        f"--dt={dt}") == 2
         assert "error: dt must be > 0" in capsys.readouterr().err
 
+    def test_vanishing_dt_override_exits_2(self, tmp_path, capsys):
+        # 1e-300 would pass a bare > 0 check and ask for 5e297 substeps per tick.
+        assert run_cli("run", fixture_path("empty_grasp"), "--out", str(tmp_path),
+                       "--dt=1e-300") == 2
+        assert "error: dt 1e-300 is below the 1e-05 s floor" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,key,value", [
         ("set_pressure_target", "value_pa", 700000.0),  # past the wire's u16 Pa/10
         ("set_pressure_target", "value_pa", 100000.0),  # past the default p_max, 82,737 Pa

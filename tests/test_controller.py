@@ -345,3 +345,16 @@ class TestControllerConfig:
     def test_non_positive_deadband_rejected(self, field, value):
         with pytest.raises(ConfigError, match="deadband"):
             ControllerConfig(**{field: value})
+
+
+class TestModeConstants:
+    def test_constants_are_the_members_in_declaration_order(self):
+        assert (controller._IDLE, controller._INFLATING, controller._VENTING,
+                controller._HOLDING, controller._FAULT) == tuple(Mode)
+
+    @pytest.mark.parametrize("fn", [fsm_tick, set_target, apply_command],
+                             ids=lambda fn: fn.__name__)
+    def test_fsm_code_loads_no_member_through_mode(self, fn):
+        # Mode.X goes through EnumType's class-attribute hook on every load;
+        # the FSM compares against the module constants instead.
+        assert "Mode" not in fn.__code__.co_names

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softhand.errors import CircuitError, DomainError
-from softhand.physics import (MAX_DT, ActuatorParams, ActuatorState, FingerPlant,
+from softhand.physics import (MAX_DT, MIN_DT, ActuatorParams, ActuatorState, FingerPlant,
                               PneumaticCircuit, RigidObject, ValvePair, hand_step,
                               steady_state_curvature, step)
 from softhand.units import psi
@@ -361,6 +361,7 @@ class TestFingerPlant:
         (dict(dt=-1e-3), "dt must be > 0, got -0.001"),
         (dict(dt=math.nan), "dt must be > 0, got nan"),
         (dict(dt=2 * MAX_DT), f"dt {2 * MAX_DT} exceeds the {MAX_DT} s explicit-integration contract"),
+        (dict(dt=1e-300), f"dt 1e-300 is below the {MIN_DT} s floor of the simulation"),
         (dict(n_steps=0), "n_steps must be >= 1, got 0"),
         (dict(n_steps=-3), "n_steps must be >= 1, got -3"),
         (dict(state=ActuatorState(pressure=math.nan)), "state pressure nan outside [0, {p_max}]"),
@@ -372,7 +373,7 @@ class TestFingerPlant:
          "state curvature inf must be finite and >= 0"),
         (dict(state=ActuatorState(curvature=-0.5)),
          "state curvature -0.5 must be finite and >= 0"),
-    ], ids=["dt_zero", "dt_negative", "dt_nan", "dt_too_large", "n_steps_zero",
+    ], ids=["dt_zero", "dt_negative", "dt_nan", "dt_too_large", "dt_below_floor", "n_steps_zero",
             "n_steps_negative", "pressure_nan", "pressure_negative", "pressure_over_p_max",
             "curvature_nan", "curvature_inf", "curvature_negative"])
     def test_constructor_rejects_as_step_does(self, default_params, kwargs, message):

@@ -131,6 +131,12 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioError, match="dt_s"):
             scenario.scenario_from_dict(minimal_dict(dt_s=0.02, tick_s=0.02))
 
+    def test_vanishing_dt_refused_at_its_key(self):
+        with pytest.raises(ScenarioError) as exc:
+            scenario.scenario_from_dict(minimal_dict(dt_s=1e-300))
+        assert str(exc.value) == (
+            f"$.dt_s: dt 1e-300 is below the {physics.MIN_DT} s floor of the simulation")
+
     @pytest.mark.parametrize("section,entry,path", [
         ("actuators", [{"kappa_at_threshold_per_m": float("nan")}],
          r"\$\.actuators\[0\]\.kappa_at_threshold_per_m: must be finite"),

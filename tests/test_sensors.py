@@ -283,10 +283,24 @@ class TestValidation:
         with pytest.raises(DomainError):
             PressureSensorParams(full_scale_voltage=-1.0)
 
+    @pytest.mark.parametrize("drift", [math.nan, math.inf, -math.inf])
+    def test_pressure_sensor_rejects_non_finite_offset_drift(self, drift):
+        with pytest.raises(DomainError) as exc:
+            PressureSensorParams(offset_drift=drift)
+        assert str(exc.value) == f"offset_drift: must be finite, got {drift}"
+
     def test_chain_rejects_non_positive_d_neutral(self):
         for d_neutral in (0.0, -0.01, float("nan")):
             with pytest.raises(DomainError, match="d_neutral"):
                 SensorChain(d_neutral=d_neutral)
+
+    @pytest.mark.parametrize("field,value", [
+        ("gauge", -1), ("gauge", AdcParams()), ("pressure", None),
+        ("pressure", StrainGaugeParams()), ("adc", 12), ("adc", PressureSensorParams())])
+    def test_chain_rejects_a_stage_of_the_wrong_type(self, field, value):
+        with pytest.raises(DomainError) as exc:
+            SensorChain(**{field: value})
+        assert str(exc.value).startswith(f"{field}: must be a ")
 
 
 def outcome(fn, *args):
