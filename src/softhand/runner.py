@@ -28,7 +28,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -45,6 +47,9 @@ TELEMETRY_COLUMNS = ("t_s", "finger", "pressure_pa", "curvature_per_m", "strain"
 # Every column not named here is float, in telemetry and calibration CSVs alike.
 _COLUMN_DTYPES = {"finger": int, "strain_counts": int, "pressure_counts": int,
                   "inlet": int, "vent": int, "fsm_mode": object}
+# Lines read_csv reads and converts at a time: a telemetry line costs about
+# 1 kB of Python objects until its chunk is converted.
+_CHUNK_LINES = 1024
 
 FIGURE_KINDS = {
     "pressure_curvature": ("finger", "pressure_pa", "curvature_per_m"),
@@ -298,39 +303,64 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
 
 # --- telemetry consumption --------------------------------------------------
 
+def _typed_column(name: str, cells) -> np.ndarray:
+    """One column's cells as an array of the column's dtype; object cells are interned.
+
+    Interning makes every ``fsm_mode`` cell with the same name one str. A
+    cell the dtype refuses raises DomainError naming the column.
+    """
+    dtype = _COLUMN_DTYPES.get(name, float)
+    if dtype is object:
+        cells = list(map(sys.intern, cells))
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError) as exc:  # overflow: an int cell past int64
+        raise DomainError(f"column {name!r}: {exc}") from None
+
+
 def rows_to_columns(rows: list[tuple], header=TELEMETRY_COLUMNS) -> dict[str, np.ndarray]:
-    """Rows (tuples, or string fields split from a CSV) into one typed array per column."""
-    columns: dict[str, np.ndarray] = {}
-    for i, name in enumerate(header):
-        try:
-            columns[name] = np.array([row[i] for row in rows],
-                                     dtype=_COLUMN_DTYPES.get(name, float))
-        except (ValueError, OverflowError) as exc:  # overflow: an int cell past int64
-            raise DomainError(f"column {name!r}: {exc}") from None
-    return columns
+    """Rows (tuples of values) into one typed array per column."""
+    return {name: _typed_column(name, [row[i] for row in rows]) for i, name in enumerate(header)}
 
 
 def read_csv(path, required) -> dict[str, np.ndarray]:
-    """CSV file back into typed column arrays; malformed or non-finite input raises DomainError."""
+    """CSV file back into typed column arrays; malformed or non-finite input raises DomainError.
+
+    The file is read ``_CHUNK_LINES`` lines at a time and each chunk is
+    converted column by column, so the Python objects a read holds beyond
+    the returned arrays are those of one chunk; each column is joined once
+    at the end. ``fsm_mode`` cells are interned, one str per mode name. A
+    file with one defect gets the error that names it wherever it lies; a
+    file with several gets an error naming the file and one of them.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise DomainError(f"{path}: missing columns {missing} (header: {header})")
+            parts: list[list[np.ndarray]] = [[] for _ in header]
+            n_rows = 0
+            while lines := list(islice(fh, _CHUNK_LINES)):
+                rows = [line.rstrip("\n").split(",") for line in lines if line.strip()]
+                for n, row in enumerate(rows, n_rows + 1):
+                    if len(row) != len(header):
+                        raise DomainError(f"{path}: data row {n} has {len(row)} fields, "
+                                          f"the header has {len(header)}")
+                n_rows += len(rows)
+                try:
+                    for part, name, cells in zip(parts, header, zip(*rows)):
+                        part.append(_typed_column(name, cells))
+                except DomainError as exc:
+                    raise DomainError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a UTF-8 text file ({exc})") from None
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise DomainError(f"{path}: missing columns {missing} (header: {header})")
-    if not rows:
+    if not n_rows:
         raise DomainError(f"{path}: no data rows")
-    for n, row in enumerate(rows, 1):
-        if len(row) != len(header):
-            raise DomainError(f"{path}: data row {n} has {len(row)} fields, "
-                              f"the header has {len(header)}")
-    try:
-        columns = rows_to_columns(rows, header)
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from None
+    columns: dict[str, np.ndarray] = {}
+    for name, part in zip(header, parts):
+        columns[name] = np.concatenate(part)
+        part.clear()  # so the joined columns and the chunk arrays overlap by one column
     for name, column in columns.items():
         if column.dtype == float and not np.isfinite(column).all():
             n = int(np.flatnonzero(~np.isfinite(column))[0])
@@ -361,7 +391,7 @@ def emit_figure_data(columns: dict[str, np.ndarray], which: str, out=None) -> li
     missing = [c for c in wanted if c not in columns]
     if missing:
         raise DomainError(f"telemetry is missing columns {missing} needed for {which!r}")
-    rows = list(zip(*(columns[c] for c in wanted)))
+    rows = list(zip(*(columns[c].tolist() for c in wanted)))
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             write_csv(fh, wanted, rows)

@@ -17,6 +17,9 @@ from . import controller, physics, protocol, sensors
 from .errors import ScenarioError, SofthandError
 
 DEFAULT_FINGERS = 3
+# Longest run a scenario may ask for, in control ticks (600 s at the 5 ms
+# default tick): a run keeps one telemetry row per finger per tick in memory.
+MAX_TICKS = 120_000
 
 _ACTUATOR_KEYS = {
     "p_threshold_pa": "p_threshold",
@@ -257,6 +260,9 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
                    minimum=0.0, strict_min=True)
     _build("$.dt_s", physics.substeps, tick, dt)
     _expect(duration >= tick, "$.duration_s", f"must cover at least one tick ({tick} s)")
+    _expect(round(duration / tick) <= MAX_TICKS, "$.duration_s",
+            f"must be at most {MAX_TICKS} ticks ({MAX_TICKS * tick:g} s at tick_s {tick}), "
+            f"got {duration}")
     seed = _integer(raw.get("seed", 0), "$.seed")
 
     sensors_raw = _object(raw.get("sensors", {}), "$.sensors", optional=("gauge", "pressure", "adc"))

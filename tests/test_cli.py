@@ -97,6 +97,13 @@ class TestRunVerb:
         assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
         assert "$.sensors.d_neutral_m: unknown key" in capsys.readouterr().err
 
+    def test_run_past_tick_cap_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "endless.json"
+        bad.write_text(json.dumps({"duration_s": 600.005}))  # the tick cap plus one 5 ms tick
+        assert run_cli("run", str(bad), "--out", str(tmp_path / "out")) == 2
+        assert "$.duration_s: must be at most 120000 ticks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("run", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 2
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,20 @@ class TestScenarioSchema:
             scenario.scenario_from_dict(minimal_dict(dt_s=1e-300))
         assert str(exc.value) == (
             f"$.dt_s: dt 1e-300 is below the {physics.MIN_DT} s floor of the simulation")
+
+    @pytest.mark.parametrize("overrides", [
+        {"duration_s": 1e300},
+        {"duration_s": (scenario.MAX_TICKS + 1) * 0.005},
+        {"duration_s": (scenario.MAX_TICKS + 1) * 0.002, "tick_s": 0.002},
+    ], ids=["1e300", "cap_plus_one_tick", "cap_plus_one_short_tick"])
+    def test_run_length_capped(self, overrides):
+        with pytest.raises(ScenarioError, match=(
+                rf"^\$\.duration_s: must be at most {scenario.MAX_TICKS} ticks ")):
+            scenario.scenario_from_dict(minimal_dict(**overrides))
+
+    def test_run_of_max_ticks_loads(self):
+        sc = scenario.scenario_from_dict(minimal_dict(duration_s=scenario.MAX_TICKS * 0.005))
+        assert round(sc.duration_s / sc.tick_s) == scenario.MAX_TICKS
 
     @pytest.mark.parametrize("section,entry,path", [
         ("actuators", [{"kappa_at_threshold_per_m": float("nan")}],
@@ -762,6 +777,145 @@ class TestCsvWriter:
         assert fh.getvalue() == "x\ny\n\n"
 
 
+def legacy_read_csv(path, required):
+    """The whole-file CSV reader that chunked ``runner.read_csv`` replaced, kept as its oracle."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not a UTF-8 text file ({exc})") from None
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise DomainError(f"{path}: missing columns {missing} (header: {header})")
+    if not rows:
+        raise DomainError(f"{path}: no data rows")
+    for n, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise DomainError(f"{path}: data row {n} has {len(row)} fields, "
+                              f"the header has {len(header)}")
+    columns = {}
+    for i, name in enumerate(header):
+        try:
+            columns[name] = np.array([row[i] for row in rows],
+                                     dtype=runner._COLUMN_DTYPES.get(name, float))
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"{path}: column {name!r}: {exc}") from None
+    for name, column in columns.items():
+        if column.dtype == float and not np.isfinite(column).all():
+            n = int(np.flatnonzero(~np.isfinite(column))[0])
+            raise DomainError(f"{path}: column {name!r}: sample {n + 1} of {column.size} "
+                              f"is not finite ({column[n]})")
+    return columns
+
+
+# One defect each, placed by the reader test at a data line next to a chunk boundary.
+CSV_EDITS = ("none", "short_row", "long_row", "non_numeric", "nan", "inf", "int_overflow",
+             "blank_lines", "whitespace_lines", "non_utf8", "missing_column", "header_only")
+CELL_TEXT = {"non_numeric": "abc", "nan": "nan", "inf": "-inf",
+             "int_overflow": "99999999999999999999"}
+
+
+def edited_csv(lines, edit, at, column, count) -> bytes:
+    """A CSV (header line, then data lines) with one edit at data line ``at``."""
+    header, data = lines[0], list(lines[1:])
+    cells = data[at].rstrip("\n").split(",")
+    if edit == "short_row":
+        data[at] = ",".join(cells[:-count]) + "\n"
+    elif edit == "long_row":
+        data[at] = ",".join(cells + ["0"] * count) + "\n"
+    elif edit in CELL_TEXT:
+        cells[column] = CELL_TEXT[edit]
+        data[at] = ",".join(cells) + "\n"
+    elif edit in ("blank_lines", "whitespace_lines"):
+        data[at:at] = ["\n" if edit == "blank_lines" else " \t\n"] * count
+    elif edit == "missing_column":
+        header, *data = [",".join(cells[:column] + cells[column + 1:]) + "\n"
+                         for cells in (line.rstrip("\n").split(",") for line in [header, *data])]
+    elif edit == "header_only":
+        data = []
+    if edit == "non_utf8":
+        head = (header + "".join(data[:at]) + data[at][:column]).encode()
+        return head + b"\xff" + (data[at][column:] + "".join(data[at + 1:])).encode()
+    return (header + "".join(data)).encode()
+
+
+def read_outcome(read, path):
+    try:
+        return read(path, runner.TELEMETRY_COLUMNS)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestCsvReader:
+    @pytest.fixture(scope="class")
+    def chunk_csv_lines(self, scenario_runs):
+        """A fixture's telemetry CSV lines, cut to one chunk boundary plus 40 data lines."""
+        fh = io.StringIO()
+        runner.write_csv(fh, runner.TELEMETRY_COLUMNS, scenario_runs["cylinder_r74mm"].rows)
+        return fh.getvalue().splitlines(keepends=True)[:1 + runner._CHUNK_LINES + 40]
+
+    @settings(max_examples=80, deadline=None)
+    @given(edit=st.sampled_from(CSV_EDITS), offset=st.integers(-3, 2),
+           column=st.integers(0, len(runner.TELEMETRY_COLUMNS) - 1), count=st.integers(1, 3),
+           leading_blanks=st.integers(0, 2))
+    def test_matches_whole_file_reader(self, chunk_csv_lines, tmp_path_factory,
+                                       edit, offset, column, count, leading_blanks):
+        # Blank lines after the header are no defect, but move every data row
+        # number away from its physical line.
+        lines = chunk_csv_lines[:1] + ["\n"] * leading_blanks + chunk_csv_lines[1:]
+        path = tmp_path_factory.getbasetemp() / "chunk_edit.csv"
+        path.write_bytes(edited_csv(lines, edit, runner._CHUNK_LINES + offset, column, count))
+        expected, got = read_outcome(legacy_read_csv, path), read_outcome(runner.read_csv, path)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert isinstance(got, dict), got
+        assert list(got) == list(expected)
+        for name, column_values in expected.items():
+            assert got[name].dtype == column_values.dtype, name
+            if column_values.dtype == object:
+                assert got[name].tolist() == column_values.tolist(), name
+            else:
+                assert got[name].tobytes() == column_values.tobytes(), name
+
+    def test_several_defects_name_the_file_and_one_defect(self, chunk_csv_lines, tmp_path):
+        # A bad cell in the first chunk and a short row in the second: the
+        # whole-file reader checks every row's length before it converts, the
+        # chunked one converts the first chunk before it reads the second.
+        boundary = runner._CHUNK_LINES
+        cell = edited_csv(chunk_csv_lines, "non_numeric", 3, 2, 1).decode().splitlines(True)
+        short = edited_csv(chunk_csv_lines, "short_row", boundary + 1, 2, 1).decode().splitlines(True)
+        path = tmp_path / "defects.csv"
+        errors = []
+        for lines in (cell, short, cell[:boundary + 1] + short[boundary + 1:]):
+            path.write_text("".join(lines), encoding="utf-8")
+            errors.append(read_outcome(runner.read_csv, path))
+        assert errors[2] in errors[:2] and errors[2].startswith(f"{path}: ")
+        assert read_outcome(legacy_read_csv, path) in errors[:2]
+
+    def test_memory_bounded_by_arrays_and_modes_shared(self, tmp_path, scenario_runs):
+        fh = io.StringIO()
+        runner.write_csv(fh, runner.TELEMETRY_COLUMNS, scenario_runs["cylinder_r74mm"].rows)
+        header, body = fh.getvalue().split("\n", 1)
+        path = tmp_path / "long.csv"
+        path.write_text(header + "\n" + body * 12, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            columns = runner.read_telemetry(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(column.nbytes for column in columns.values())
+        assert columns["t_s"].size >= 100_000
+        assert peak <= 2 * nbytes + 8e6, (peak, nbytes)
+        first_of_name = {}
+        for mode in columns["fsm_mode"]:
+            first_of_name.setdefault(mode, mode)
+        assert len(first_of_name) > 1
+        assert all(first_of_name[mode] is mode for mode in columns["fsm_mode"])
+
+
 class TestFigureData:
     def test_phase_orbit_projection_and_closure(self, telemetry):
         cols = telemetry["empty_grasp"]
@@ -802,6 +956,15 @@ class TestFigureData:
         runner.emit_figure_data(telemetry["cylinder_r74mm"], "grasp_timeline", out=out)
         header = open(out).readline().strip().split(",")
         assert header == ["finger", "t_s", "pressure_pa", "strain"]
+
+    @pytest.mark.parametrize("kind", sorted(runner.FIGURE_KINDS))
+    def test_file_matches_numpy_scalar_rows(self, telemetry, tmp_path, kind):
+        cols = telemetry["cylinder_r74mm"]
+        out = tmp_path / "figure.csv"
+        runner.emit_figure_data(cols, kind, out=out)
+        wanted = runner.FIGURE_KINDS[kind]
+        scalar_rows = list(zip(*(cols[c] for c in wanted)))
+        assert out.read_text(encoding="utf-8") == TestCsvWriter.per_value_lines(wanted, scalar_rows)
 
     def test_unknown_kind_rejected(self, telemetry):
         with pytest.raises(DomainError, match="unknown figure kind"):
