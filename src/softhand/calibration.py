@@ -1,14 +1,12 @@
 """Fit the actuator and sensor models from logged data.
 
-Three fits: ordinary least squares of curvature against pressure above a
-cutoff (threshold-plus-line actuator model), least squares of resistance
-against (1+eps)^2 with a free offset reported as lead resistance, and a
-linear map from pressure-channel counts to the main board's differential
-reference. Fits are per-actuator by default; to pool several identically
-built fingers into one line, concatenate their samples before fitting.
-Elastomers soften over their first load cycles, so a fit is only accepted
-when the data was recorded after at least WARMUP_CYCLES_REQUIRED full
-inflations.
+Two fits: ordinary least squares of curvature against pressure above a
+cutoff (threshold-plus-line actuator model), and least squares of resistance
+against (1+eps)^2 with a free offset reported as lead resistance. Fits are
+per-actuator by default; to pool several identically built fingers into one
+line, concatenate their samples before fitting. Elastomers soften over their
+first load cycles, so a fit is only accepted when the data was recorded after
+at least WARMUP_CYCLES_REQUIRED full inflations.
 """
 
 from __future__ import annotations
@@ -22,12 +20,10 @@ from . import controller, physics, protocol, sensors
 from .errors import DomainError, FitError, RecordError, SofthandError, WarmupError
 from .rand import DeterministicRng
 from .scenario import _finite, _integer, _object
-from .units import PSI_TO_PA
 
 WARMUP_CYCLES_REQUIRED = 10
 DEFAULT_KAPPA_ANCHOR = 1.0  # 1/m, curvature assigned to the fitted threshold
-REFERENCE_FULL_SCALE = 15.0 * PSI_TO_PA  # Pa, differential reference sensor range
-MIN_SPAN_FRACTION = 0.5  # of REFERENCE_FULL_SCALE a channel calibration must span
+SAMPLES_PER_LEVEL = 10  # readings a calibration session takes at each settled hold
 
 
 def require_warmup(cycles) -> int:
@@ -96,7 +92,7 @@ class CalibrationRecord:
             raise DomainError(f"r_lead_hat_ohm: must be >= 0, got {self.r_lead_hat_ohm}")
         if not (self.d_neutral_m > 0.0):
             raise DomainError(f"d_neutral_m: must be > 0, got {self.d_neutral_m}")
-        # Every number must survive save_record -> load_record (JSON has no NaN/inf).
+        # Every number must survive record_json -> load_record (JSON has no NaN/inf).
         for key in _RECORD_NUMBERS:
             _finite(getattr(self, key), key, DomainError)
         for key, value in self.fit_residuals.items():
@@ -190,28 +186,6 @@ def fit_strain_resistance(strains, resistances) -> StrainResistanceFit:
     return StrainResistanceFit(r0=r0, r_lead=r_lead, rms=rms, n_used=int(eps.size))
 
 
-def calibrate_channel_against_reference(frames) -> ChannelCal:
-    """Linear map from pressure-channel counts to the differential reference.
-
-    The frames must come from a reference session where the differential
-    sensor shares the manifold, so reference_pressure holds the drift-free
-    chamber gauge pressure. A common-mode offset added to both the channel
-    and the reference slides the points along the same line and leaves the
-    recovered map unchanged.
-    """
-    counts = np.array([f.pressure_counts for f in frames], dtype=float)
-    ref = np.array([f.reference_pressure for f in frames], dtype=float)
-    if counts.size < 3:
-        raise FitError(f"need >= 3 frames, got {counts.size}")
-    span = float(np.ptp(ref))
-    if span < MIN_SPAN_FRACTION * REFERENCE_FULL_SCALE:
-        raise FitError(
-            f"reference span {span:.0f} Pa covers less than "
-            f"{MIN_SPAN_FRACTION:.0%} of the {REFERENCE_FULL_SCALE:.0f} Pa range")
-    gain, offset, rms = _ols(counts, ref)
-    return ChannelCal(gain_pa_per_count=gain, offset_pa=offset, rms_pa=rms)
-
-
 # --- simulated calibration sessions ---------------------------------------
 
 @dataclass(frozen=True)
@@ -225,14 +199,14 @@ class CalibrationData:
 
 def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.SensorChain,
                              levels_pa, seed: int, settle_s: float = 2.5,
-                             samples_per_level: int = 10, dt: float = physics.DEFAULT_DT
-                             ) -> CalibrationData:
+                             dt: float = physics.DEFAULT_DT) -> CalibrationData:
     """Servo one finger through stepped pressure holds and sample both channels.
 
     Each level is held for settle_s after the controller reaches Holding so
-    the viscoelastic lag dies out; quasi-static sampling mirrors how the
-    pressure/curvature data is gathered on the bench. Returned values are
-    the noisy, quantized measurements, not the simulator truth.
+    the viscoelastic lag dies out, then sampled SAMPLES_PER_LEVEL times;
+    quasi-static sampling mirrors how the pressure/curvature data is gathered
+    on the bench. Returned values are the noisy, quantized measurements, not
+    the simulator truth.
     """
     config = controller.ControllerConfig(p_max=params.p_max)
     path = sensors.SensorPath(chain, ideal_record(params, chain), DeterministicRng(seed))
@@ -259,7 +233,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
                     break
             else:
                 held_since = None
-        for _ in range(samples_per_level):
+        for _ in range(SAMPLES_PER_LEVEL):
             _, _, reading = path.sample(plant.pressure, plant.curvature)
             p_out.append(reading.pressure)
             k_out.append(reading.curvature)
@@ -286,21 +260,15 @@ def build_record(data: CalibrationData, chain: sensors.SensorChain, p_min_fit: f
 # --- record files ----------------------------------------------------------
 
 def record_json(record: CalibrationRecord) -> str:
-    """A record as the JSON text save_record writes, units spelled out in the key names."""
+    """A record as JSON text with units spelled out in the key names; load_record reads it."""
     return json.dumps(asdict(record), indent=2, sort_keys=True) + "\n"
-
-
-def save_record(record: CalibrationRecord, path) -> None:
-    """Write a record as JSON with units spelled out in the key names."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(record_json(record))
 
 
 _CHANNEL_NUMBERS = tuple(f.name for f in fields(ChannelCal))
 
 
 def load_record(path) -> CalibrationRecord:
-    """Read a record written by save_record.
+    """Read a record from a file holding record_json's text.
 
     Malformed input raises RecordError naming the file and the JSON key:
     text that is not JSON, a document that is not an object, missing or

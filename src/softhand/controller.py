@@ -133,40 +133,34 @@ def fsm_tick(fsm: FsmState, measured: sensors.PhysicalReading, t: float,
     return fsm, _VENT_OPEN
 
 
-def set_target(fsm: FsmState, target: protocol.SetPressureTarget | protocol.SetCurvatureTarget,
-               t: float, config: ControllerConfig = ControllerConfig()) -> FsmState:
-    """Install an absolute target, restarting the servo. Ignored while Faulted (reset first)."""
-    if isinstance(target, protocol.SetPressureTarget):
-        kind, value, limit = "pressure", target.pascals, config.p_max
-    else:
-        kind, value, limit = "curvature", target.curvature, config.kappa_max
-    if math.isnan(value) or value < 0.0:
-        raise DomainError(f"target value must be >= 0, got {value}")
-    if value > limit:
-        raise DomainError(f"{kind} target {value} exceeds limit {limit}")
-    if fsm.mode is _FAULT:
-        return fsm
-    return FsmState(_IDLE, target, t)
-
-
 def apply_command(fsm: FsmState, command: "protocol.Command", t: float,
                   config: ControllerConfig = ControllerConfig()) -> FsmState:
     """Apply a decoded host command to one finger's FSM.
 
-    A Faulted FSM takes only RESET_FAULT (to Idle). VENT holds the vent open
-    until another command; STOP drops the target and seals. Replaying a target
-    restarts its servo. Read-type commands (GET_STATE, STREAM_*) do not touch
-    the FSM and are handled by the device endpoint.
+    A target outside 0..p_max or 0..kappa_max raises DomainError; a valid one
+    restarts the servo, and replaying it restarts it again. A Faulted FSM
+    ignores targets and takes only RESET_FAULT (to Idle). VENT holds the vent
+    open until another command; STOP drops the target and seals. Read-type
+    commands (GET_STATE, STREAM_*) do not touch the FSM and are handled by the
+    device endpoint.
     """
-    if isinstance(command, (protocol.SetPressureTarget, protocol.SetCurvatureTarget)):
-        return set_target(fsm, command, t, config)
-    if fsm.mode is _FAULT:
+    if isinstance(command, protocol.SetPressureTarget):
+        kind, value, limit = "pressure", command.pascals, config.p_max
+    elif isinstance(command, protocol.SetCurvatureTarget):
+        kind, value, limit = "curvature", command.curvature, config.kappa_max
+    elif fsm.mode is _FAULT:
         return FsmState(_IDLE, None, t) if isinstance(command, protocol.ResetFault) else fsm
-    if isinstance(command, protocol.Vent):
+    elif isinstance(command, protocol.Vent):
         return FsmState(_VENTING, None, t)
-    if isinstance(command, protocol.Stop):
+    elif isinstance(command, protocol.Stop):
         return FsmState(_IDLE, None, t)
-    return fsm
+    else:
+        return fsm
+    if math.isnan(value) or value < 0.0:
+        raise DomainError(f"target value must be >= 0, got {value}")
+    if value > limit:
+        raise DomainError(f"{kind} target {value} exceeds limit {limit}")
+    return fsm if fsm.mode is _FAULT else FsmState(_IDLE, command, t)
 
 
 def hand_controller_tick(fsms: tuple[FsmState, ...],

@@ -296,22 +296,19 @@ def detect_conformation_changes(orbit: PhaseOrbit) -> list[ConformationEvent]:
     return events
 
 
-def detect_settled(orbit: PhaseOrbit, window_s: float, sigma_max: float,
-                   events: list[ConformationEvent] | None = None) -> float | None:
+def detect_settled(orbit: PhaseOrbit, window_s: float, sigma_max: float) -> float | None:
     """Earliest time the strain has been quiet for a full window.
 
     Quiet means the rolling standard deviation of strain over [t - window, t]
-    is <= sigma_max and no conformation event falls inside that window.
-    Returns None if the stream never settles.
+    is <= sigma_max and no event of detect_conformation_changes falls inside
+    that window. Returns None if the stream never settles.
     """
     if not (window_s > 0.0):
         raise DomainError(f"window must be > 0, got {window_s}")
     if orbit.n < MIN_SAMPLES:
         raise InsufficientDataError(f"stream has {orbit.n} < {MIN_SAMPLES} samples")
     t, _, s = _resample_uniform(orbit)
-    if events is None:
-        events = detect_conformation_changes(orbit)
-    event_times = np.array([e.t for e in events]) if events else np.empty(0)
+    event_times = np.array([e.t for e in detect_conformation_changes(orbit)])
 
     csum = np.concatenate([[0.0], np.cumsum(s)])
     csum2 = np.concatenate([[0.0], np.cumsum(s * s)])
@@ -325,8 +322,7 @@ def detect_settled(orbit: PhaseOrbit, window_s: float, sigma_max: float,
         var = (csum2[i + 1] - csum2[j]) / n - ((csum[i + 1] - csum[j]) / n) ** 2
         if var < 0.0:
             var = 0.0
-        if np.sqrt(var) <= sigma_max:
-            if event_times.size == 0 or not np.any(
-                    (event_times >= t[i] - window_s) & (event_times <= t[i])):
-                return float(t[i])
+        if np.sqrt(var) <= sigma_max and not np.any(
+                (event_times >= t[i] - window_s) & (event_times <= t[i])):
+            return float(t[i])
     return None

@@ -63,13 +63,6 @@ _CRC_TABLE = _build_crc_table(CRC_POLY)
 _CRC_BYTE = tuple(bytes((crc,)) for crc in range(256))
 
 
-def crc8(data: bytes | bytearray | memoryview) -> int:
-    crc = 0
-    for b in data:
-        crc = _CRC_TABLE[crc ^ b]
-    return crc
-
-
 class Frame(NamedTuple):
     command: int
     actuator_id: int
@@ -91,7 +84,7 @@ def encode(frame: Frame) -> bytes:
     if not (0 <= actuator_id <= MAX_ACTUATOR_ID or actuator_id == BROADCAST_ID):
         raise EncodeError(f"actuator_id must be 0..{MAX_ACTUATOR_ID} or 0xFF, got {actuator_id}")
     table = _CRC_TABLE
-    crc = table[table[table[length] ^ command] ^ actuator_id]  # crc8 of the three header bytes
+    crc = table[table[table[length] ^ command] ^ actuator_id]  # the CRC of the three header bytes
     for b in payload:
         crc = table[crc ^ b]
     return bytes((SYNC, length, command, actuator_id)) + payload + _CRC_BYTE[crc]

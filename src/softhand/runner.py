@@ -318,9 +318,10 @@ def _typed_column(name: str, cells) -> np.ndarray:
         raise DomainError(f"column {name!r}: {exc}") from None
 
 
-def rows_to_columns(rows: list[tuple], header=TELEMETRY_COLUMNS) -> dict[str, np.ndarray]:
-    """Rows (tuples of values) into one typed array per column."""
-    return {name: _typed_column(name, [row[i] for row in rows]) for i, name in enumerate(header)}
+def rows_to_columns(rows: list[tuple]) -> dict[str, np.ndarray]:
+    """Telemetry rows (tuples in TELEMETRY_COLUMNS order) into one typed array per column."""
+    return {name: _typed_column(name, [row[i] for row in rows])
+            for i, name in enumerate(TELEMETRY_COLUMNS)}
 
 
 def read_csv(path, required) -> dict[str, np.ndarray]:
@@ -339,6 +340,10 @@ def read_csv(path, required) -> dict[str, np.ndarray]:
             missing = [c for c in required if c not in header]
             if missing:
                 raise DomainError(f"{path}: missing columns {missing} (header: {header})")
+            for i, name in enumerate(header):
+                if name in header[:i]:
+                    raise DomainError(f"{path}: column {name!r} appears more than once "
+                                      f"in the header")
             parts: list[list[np.ndarray]] = [[] for _ in header]
             n_rows = 0
             while lines := list(islice(fh, _CHUNK_LINES)):

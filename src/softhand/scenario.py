@@ -221,7 +221,7 @@ def _finger(value, path: str, n_fingers: int) -> int:
 
 def _build_command(raw, path: str, n_fingers: int,
                    config: controller.ControllerConfig) -> ScheduledCommand:
-    """The command, checked as the device receives it: encoded, decoded, then set on an FSM."""
+    """The command, checked as the device receives it: encoded, decoded, then applied."""
     _object(raw, path, ("command", "t_s"), ("actuator_id", *_PAYLOAD_KEYS.values()))
     name = raw["command"]
     _expect(isinstance(name, str) and name in _COMMANDS, f"{path}.command",
@@ -241,8 +241,7 @@ def _build_command(raw, path: str, n_fingers: int,
         command = kind(_number(raw, path, key))
     at = path if key is None else f"{path}.{key}"
     received = protocol.parse_command(_build(at, protocol.frame_for_command, command, actuator_id))
-    if isinstance(received, (protocol.SetPressureTarget, protocol.SetCurvatureTarget)):
-        _build(at, controller.set_target, controller.FsmState(), received, t_s, config)
+    _build(at, controller.apply_command, controller.FsmState(), received, t_s, config)
     return ScheduledCommand(t_s=t_s, actuator_id=actuator_id, command=command)
 
 

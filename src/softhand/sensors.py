@@ -105,10 +105,8 @@ class SensorFrame:
     """Digitized readings of one finger at one control tick.
 
     reference_pressure is the main board's differential-sensor reading
-    co-recorded with the frame: during normal telemetry it is the measured
-    common-mode atmospheric offset (0 with no drift); during a reference
-    calibration session, where the differential sensor shares the manifold,
-    it is the drift-free chamber gauge pressure.
+    co-recorded with the frame: the measured common-mode atmospheric offset
+    (0 with no drift).
     """
 
     strain_counts: int
@@ -143,10 +141,6 @@ class PhysicalReading(NamedTuple):
     strain: float
     strain_saturated: bool = False
     pressure_saturated: bool = False
-
-    @property
-    def saturated(self) -> bool:
-        return self.strain_saturated or self.pressure_saturated
 
 
 # Builds a PhysicalReading from a tuple without NamedTuple's Python-level __new__.

@@ -50,7 +50,7 @@ def test_calibration_run_ticks_fsm_once_per_physics_step(monkeypatch):
     count_calls(monkeypatch, calls, controller, "fsm_tick")
     count_calls(monkeypatch, calls, physics.FingerPlant, "advance")
     calibration.simulate_calibration_run(physics.ActuatorParams(), sensors.SensorChain(),
-                                         [40e3], seed=1, settle_s=0.1, samples_per_level=2)
+                                         [40e3], seed=1, settle_s=0.1)
     assert calls["fsm_tick"] > 0
     assert calls["fsm_tick"] == calls["advance"]
 

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softhand import calibration, cli, runner
 
@@ -227,15 +232,17 @@ class TestCalibrateVerbs:
         assert run_cli("calibrate", "strain-resistance", str(csv),
                        "--warmup-cycles", "10") == 2
 
-    @pytest.mark.parametrize("body, names", [
-        (b"32000,1.0\n34000,abc\n", "'kappa_per_m'"),
-        (b"32000,1.0\n34000\n", "data row 2"),
-        (b"", "no data rows"),
-        (b"32000,1.0\n34000,\xff\n", "UTF-8"),
-    ], ids=["non_numeric_cell", "short_row", "header_only", "not_utf8"])
-    def test_malformed_csv_exits_2(self, tmp_path, capsys, body, names):
+    @pytest.mark.parametrize("text, names", [
+        (b"pressure_pa,kappa_per_m\n32000,1.0\n34000,abc\n", "'kappa_per_m'"),
+        (b"pressure_pa,kappa_per_m\n32000,1.0\n34000\n", "data row 2"),
+        (b"pressure_pa,kappa_per_m\n", "no data rows"),
+        (b"pressure_pa,kappa_per_m\n32000,1.0\n34000,\xff\n", "UTF-8"),
+        (b"pressure_pa,kappa_per_m,kappa_per_m\n32000,1.0,9.0\n34000,2.0,9.0\n",
+         "column 'kappa_per_m' appears more than once"),
+    ], ids=["non_numeric_cell", "short_row", "header_only", "not_utf8", "duplicated_header_name"])
+    def test_malformed_csv_exits_2(self, tmp_path, capsys, text, names):
         csv = tmp_path / "pk.csv"
-        csv.write_bytes(b"pressure_pa,kappa_per_m\n" + body)
+        csv.write_bytes(text)
         assert run_cli("calibrate", "pressure-curvature", str(csv),
                        "--warmup-cycles", "12") == 2
         err = capsys.readouterr().err
@@ -426,3 +433,71 @@ class TestClassifyCalRecord:
         assert len(verdicts) == 3
         for v in verdicts:  # acceptance criterion 05's tolerance
             assert abs(v["estimated_radius_m"] - 0.074) / 0.074 < 0.10, v
+
+
+# The headers each CSV verb reads, then column names to draw other headers from.
+CSV_HEADERS = (runner.TELEMETRY_COLUMNS, ("pressure_pa", "kappa_per_m"),
+               ("strain", "resistance_ohm", "warmup_cycles"))
+CSV_COLUMNS = (*runner.TELEMETRY_COLUMNS, "kappa_per_m", "resistance_ohm", "warmup_cycles",
+               "other")
+ODD_CELLS = ("", "nan", "-inf", "1e400", "abc", "99999999999999999999", "Holding", " 7 ",
+             "\ufeff1", "1.5", "-1")
+CELL_CHOICES = {"finger": ("0",),
+                "fsm_mode": ("Idle", "Inflating", "Holding", "Fault", "?"),
+                "warmup_cycles": ("10", "10", "12", "9")}
+
+
+@st.composite
+def csv_files(draw):
+    """Any bytes or text at all, or a header over rows of cells of the column's type.
+
+    The cells come from a seeded generator, so an example costs a few draws;
+    at most one cell is odd. Rows advance t_s by one 5 ms tick, so a share of
+    the files get past the reader into the fits and the grasp analysis.
+    """
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200) | st.text(max_size=200).map(str.encode))
+    header = draw(st.sampled_from(CSV_HEADERS)
+                  | st.lists(st.sampled_from(CSV_COLUMNS), min_size=1, max_size=6))
+    n_rows = draw(st.integers(0, 40))
+    odd = draw(st.none() | st.sampled_from(ODD_CELLS))
+    odd_at = draw(st.integers(0, max(n_rows * len(header) - 1, 0)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def cell(name, i):
+        if name == "t_s":
+            return repr(0.005 * i)
+        if name in CELL_CHOICES:
+            return rng.choice(CELL_CHOICES[name])
+        if runner._COLUMN_DTYPES.get(name) is int:
+            return str(rng.randint(-1, 4096))
+        return repr(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 6))
+
+    cells = [cell(name, i) for i in range(n_rows) for name in header]
+    if odd is not None and cells:
+        cells[odd_at] = odd
+    lines = [",".join(header)] + [",".join(cells[k:k + len(header)])
+                                  for k in range(0, len(cells), len(header))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.csv"
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "pressure-curvature", "{csv}", "--warmup-cycles", "10"],
+    ["calibrate", "strain-resistance", "{csv}"],
+    ["figure", "{csv}", "--kind", "phase_orbit"],
+    ["grasp", "classify", "{csv}", "--reference", "{csv}"],
+], ids=["calibrate_pressure_curvature", "calibrate_strain_resistance", "figure",
+        "grasp_classify"])
+@settings(max_examples=50, deadline=None)
+@given(data=csv_files())
+def test_any_csv_exits_0_or_2(fuzz_csv, argv, data):
+    # Whatever the file holds, a CSV verb succeeds or reports a SofthandError:
+    # no other exception escapes main.
+    fuzz_csv.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli(*(arg.format(csv=fuzz_csv) for arg in argv)) in (0, 2)

@@ -3,7 +3,7 @@ import pytest
 
 from softhand import controller, physics, protocol
 from softhand.controller import (ControllerConfig, FsmState, Mode, apply_command, fsm_tick,
-                                 hand_controller_tick, set_target)
+                                 hand_controller_tick)
 from softhand.errors import ConfigError, DomainError
 from softhand.protocol import SetCurvatureTarget, SetPressureTarget
 from softhand.sensors import PhysicalReading, SensorChain
@@ -91,9 +91,9 @@ class TestFsmTick:
 
     def test_target_range_validated(self):
         with pytest.raises(DomainError):
-            set_target(FsmState(), SetPressureTarget(CONFIG.p_max * 2), 0.0)
+            apply_command(FsmState(), SetPressureTarget(CONFIG.p_max * 2), 0.0)
         with pytest.raises(DomainError):
-            set_target(FsmState(), SetCurvatureTarget(CONFIG.kappa_max * 2), 0.0)
+            apply_command(FsmState(), SetCurvatureTarget(CONFIG.kappa_max * 2), 0.0)
 
     def test_pure_function_of_inputs(self):
         fsm = apply_command(FsmState(), SetPressureTarget(50e3), 0.0)
@@ -270,12 +270,9 @@ class TestCommandApplication:
         # default curvature band (0.3 1/m): each tick below decides the other
         # way under the defaults.
         config = ControllerConfig(pressure_deadband=2000.0, curvature_deadband=0.1)
-        commanded = controller.apply_command(FsmState(), protocol.SetPressureTarget(50e3), 0.0,
-                                             config)
-        installed = set_target(FsmState(), SetPressureTarget(50e3), 0.0, config)
-        for fsm in (commanded, installed):
-            fsm, valve = fsm_tick(fsm, PhysicalReading(50e3 + 1500.0, 0.0, 0.0), 0.005, config)
-            assert fsm.mode is Mode.HOLDING and valve == CLOSED
+        fsm = controller.apply_command(FsmState(), protocol.SetPressureTarget(50e3), 0.0, config)
+        fsm, valve = fsm_tick(fsm, PhysicalReading(50e3 + 1500.0, 0.0, 0.0), 0.005, config)
+        assert fsm.mode is Mode.HOLDING and valve == CLOSED
         fsm = controller.apply_command(fsm, protocol.SetCurvatureTarget(10.0), 1.0, config)
         assert fsm.target == SetCurvatureTarget(10.0)
         fsm, valve = fsm_tick(fsm, PhysicalReading(0.0, 10.2, 0.0), 1.005, config)
@@ -352,7 +349,7 @@ class TestModeConstants:
         assert (controller._IDLE, controller._INFLATING, controller._VENTING,
                 controller._HOLDING, controller._FAULT) == tuple(Mode)
 
-    @pytest.mark.parametrize("fn", [fsm_tick, set_target, apply_command],
+    @pytest.mark.parametrize("fn", [fsm_tick, apply_command],
                              ids=lambda fn: fn.__name__)
     def test_fsm_code_loads_no_member_through_mode(self, fn):
         # Mode.X goes through EnumType's class-attribute hook on every load;

@@ -256,16 +256,17 @@ class TestDetectSettled:
         t = np.arange(0.0, 30.0, 0.005)
         s = np.full(t.size, 0.2) + rng.normal(0.0, noise, t.size)
         s[t < 11.5] += 0.01 * np.sin(2 * np.pi * 1.0 * t[t < 11.5])  # ends at a zero crossing
+        quiet = PhaseOrbit.from_arrays(t, np.full(t.size, 50e3), s.copy())
         spike = int(np.searchsorted(t, 12.0))
         s[spike] += 10 * noise
         stream = PhaseOrbit.from_arrays(t, np.full(t.size, 50e3), s)
         events = detect_conformation_changes(stream)
         assert len([e for e in events if e.kind is EventKind.CURVATURE_JUMP]) == 1
         assert events[0].t == pytest.approx(12.0, abs=0.05)
-        with_events = detect_settled(stream, window_s=1.0, sigma_max=1.5e-3)
-        ignoring = detect_settled(stream, window_s=1.0, sigma_max=1.5e-3, events=[])
-        assert ignoring == pytest.approx(12.5, abs=0.1)
-        assert with_events == pytest.approx(13.0, abs=0.1)
+        assert detect_conformation_changes(quiet) == []
+        # Without the spike the same stream is quiet half a window earlier.
+        assert detect_settled(quiet, 1.0, sigma_max=1.5e-3) == pytest.approx(12.5, abs=0.1)
+        assert detect_settled(stream, 1.0, sigma_max=1.5e-3) == pytest.approx(13.0, abs=0.1)
 
     def test_bad_window_rejected(self):
         stream = synthetic_orbit()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from softhand import controller, protocol, sensors
 from softhand.errors import DomainError, EncodeError
 from softhand.protocol import (BROADCAST_ID, CMD_STOP, CMD_VENT, Frame, FrameDecoder,
-                               SimulatedBus, crc8, encode)
+                               SimulatedBus, encode)
 from softhand.rand import DeterministicRng
 
 
@@ -33,15 +33,15 @@ def random_frame(rng):
 class TestCrc:
     def test_known_vector(self):
         # CRC8/0x07 over (length=0x00, command=0x03, actuator=0x02), from the
-        # bitwise reference implementation.
-        assert crc8(bytes([0x00, 0x03, 0x02])) == 0x31
+        # bitwise reference implementation, is the trailer encode appends.
         assert crc8_reference(bytes([0x00, 0x03, 0x02])) == 0x31
+        assert encode(Frame(command=0x03, actuator_id=0x02))[-1] == 0x31
 
     def test_table_matches_bitwise_reference(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
-            data = bytes(rng.integers(0, 256, int(rng.integers(0, 64))).astype(np.uint8))
-            assert crc8(data) == crc8_reference(data)
+            wire = encode(random_frame(rng))
+            assert wire[-1] == crc8_reference(wire[1:-1])
 
 
 class TestEncode:

@@ -543,7 +543,7 @@ class TestHandDevice:
         assert device.fsms == before  # no finger changed, the broadcast included
         # The library call still refuses, and the device keeps taking commands.
         with pytest.raises(DomainError, match="exceeds limit"):
-            controller.set_target(before[0], protocol.SetPressureTarget(100e3), 0.1, config)
+            controller.apply_command(before[0], protocol.SetPressureTarget(100e3), 0.1, config)
         device.feed(protocol.encode_command(protocol.SetPressureTarget(40e3),
                                             protocol.BROADCAST_ID), 0.3)
         assert [f.target for f in device.fsms] == [protocol.SetPressureTarget(40e3)] * 3
@@ -788,6 +788,9 @@ def legacy_read_csv(path, required):
     missing = [c for c in required if c not in header]
     if missing:
         raise DomainError(f"{path}: missing columns {missing} (header: {header})")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DomainError(f"{path}: column {name!r} appears more than once in the header")
     if not rows:
         raise DomainError(f"{path}: no data rows")
     for n, row in enumerate(rows, 1):
@@ -811,7 +814,8 @@ def legacy_read_csv(path, required):
 
 # One defect each, placed by the reader test at a data line next to a chunk boundary.
 CSV_EDITS = ("none", "short_row", "long_row", "non_numeric", "nan", "inf", "int_overflow",
-             "blank_lines", "whitespace_lines", "non_utf8", "missing_column", "header_only")
+             "blank_lines", "whitespace_lines", "non_utf8", "missing_column", "header_only",
+             "duplicate_column")
 CELL_TEXT = {"non_numeric": "abc", "nan": "nan", "inf": "-inf",
              "int_overflow": "99999999999999999999"}
 
@@ -834,6 +838,9 @@ def edited_csv(lines, edit, at, column, count) -> bytes:
                          for cells in (line.rstrip("\n").split(",") for line in [header, *data])]
     elif edit == "header_only":
         data = []
+    elif edit == "duplicate_column":  # the column repeated at the end of every non-blank line
+        header, *data = [f"{line.rstrip()},{line.rstrip().split(',')[column]}\n"
+                         if line.strip() else line for line in [header, *data]]
     if edit == "non_utf8":
         head = (header + "".join(data[:at]) + data[at][:column]).encode()
         return head + b"\xff" + (data[at][column:] + "".join(data[at + 1:])).encode()

@@ -168,15 +168,21 @@ class TestInversion:
         low = SensorFrame(strain_counts=0, pressure_counts=0)
         for frame in (high, low):
             reading = counts_to_physical(frame, NOISELESS)
-            assert reading.saturated
+            assert reading.strain_saturated and reading.pressure_saturated
             assert np.isfinite(reading.pressure)
 
-    def test_calibration_record_overrides_nominal(self, ideal_cal):
+    def test_calibration_record_overrides_nominal(self, ideal_cal, default_chain):
         frame = measure(psi(5), 20.0, NOISELESS)
         with_cal = counts_to_physical(frame, NOISELESS, ideal_cal)
         without = counts_to_physical(frame, NOISELESS)
         assert with_cal.pressure == pytest.approx(without.pressure, abs=1e-9)
         assert with_cal.strain == pytest.approx(without.strain, rel=1e-12)
+        # The ideal record's channel gain is the chain's own counts -> Pa inverse.
+        channel = ideal_cal.pressure_channel
+        assert channel.offset_pa == 0.0
+        for c in range(1, default_chain.adc.full_scale_counts + 1):
+            chain_pa = sensors.pressure_counts_to_pa(c, default_chain.pressure, default_chain.adc)
+            assert abs(channel.gain_pa_per_count * c - chain_pa) <= 1e-12 * chain_pa, c
 
     def test_fitted_record_gauge_replaces_nominal(self):
         # Without a pressure channel in the record, only the gauge and
@@ -203,7 +209,6 @@ class TestPhysicalReadingContract:
         same = PhysicalReading(1.0, 2.0, 0.02, False, True)
         assert reading == same and hash(reading) == hash(same)
         assert reading != PhysicalReading(1.0, 2.0, 0.02)
-        assert reading.saturated and not PhysicalReading(1.0, 2.0, 0.02).saturated
         assert reading == (1.0, 2.0, 0.02, False, True) and len(reading) == 5
 
     @pytest.mark.parametrize("name", ["pressure", "strain_saturated"])
