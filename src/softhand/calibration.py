@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import controller, physics, protocol, sensors
-from .errors import DomainError, FitError, RecordError, SofthandError, WarmupError
+from .errors import (DomainError, FitError, RecordError, SofthandError, WarmupError,
+                     check_fields, finite, integer, json_object)
 from .rand import DeterministicRng
-from .scenario import _finite, _integer, _object
 
 WARMUP_CYCLES_REQUIRED = 10
 DEFAULT_KAPPA_ANCHOR = 1.0  # 1/m, curvature assigned to the fitted threshold
@@ -28,7 +28,7 @@ SAMPLES_PER_LEVEL = 10  # readings a calibration session takes at each settled h
 
 def require_warmup(cycles) -> int:
     """cycles as an int; a fraction, a boolean or fewer than WARMUP_CYCLES_REQUIRED fail."""
-    cycles = _integer(cycles, "warmup_cycles", DomainError)
+    cycles = integer(cycles, "warmup_cycles")
     if cycles < WARMUP_CYCLES_REQUIRED:
         raise WarmupError(f"warmup_cycles: {cycles} warm-up inflations recorded; "
                           f"fits are only valid after >= {WARMUP_CYCLES_REQUIRED}")
@@ -60,12 +60,7 @@ class ChannelCal:
     rms_pa: float
 
     def __post_init__(self):
-        for key, value in vars(self).items():
-            _finite(value, key, DomainError)
-
-
-_RECORD_NUMBERS = ("p_threshold_hat_pa", "slope_hat_per_m_pa", "kappa0_hat_per_m",
-                   "r0_hat_ohm", "r_lead_hat_ohm", "d_neutral_m")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -84,21 +79,15 @@ class CalibrationRecord:
 
     def __post_init__(self):
         require_warmup(self.warmup_cycles)
+        # Every number must survive record_json -> load_record (JSON has no NaN/inf).
         # The sensor inverse and the radius estimate divide by r0 and d_neutral
         # and subtract r_lead, so they are checked here, once, not per use.
-        if not (self.r0_hat_ohm > 0.0):
-            raise DomainError(f"r0_hat_ohm: must be > 0, got {self.r0_hat_ohm}")
-        if not (self.r_lead_hat_ohm >= 0.0):
-            raise DomainError(f"r_lead_hat_ohm: must be >= 0, got {self.r_lead_hat_ohm}")
-        if not (self.d_neutral_m > 0.0):
-            raise DomainError(f"d_neutral_m: must be > 0, got {self.d_neutral_m}")
-        # Every number must survive record_json -> load_record (JSON has no NaN/inf).
-        for key in _RECORD_NUMBERS:
-            _finite(getattr(self, key), key, DomainError)
+        check_fields(self, positive=("r0_hat_ohm", "d_neutral_m"),
+                     non_negative=("r_lead_hat_ohm",))
         for key, value in self.fit_residuals.items():
             if not isinstance(key, str):  # a JSON object's keys are strings
                 raise DomainError(f"fit_residuals.{key}: must be named by a string, got {key!r}")
-            _finite(value, f"fit_residuals.{key}", DomainError)
+            finite(value, f"fit_residuals.{key}")
 
 
 def ideal_record(params: physics.ActuatorParams, chain: sensors.SensorChain) -> CalibrationRecord:
@@ -265,6 +254,7 @@ def record_json(record: CalibrationRecord) -> str:
 
 
 _CHANNEL_NUMBERS = tuple(f.name for f in fields(ChannelCal))
+_RECORD_NUMBERS = tuple(f.name for f in fields(CalibrationRecord) if f.type == "float")
 
 
 def load_record(path) -> CalibrationRecord:
@@ -285,18 +275,18 @@ def load_record(path) -> CalibrationRecord:
     except ValueError as exc:  # not UTF-8, or an integer literal past Python's digit limit
         raise RecordError(f"{path}: {exc}") from None
     root = f"{path}: $"
-    _object(payload, root, _RECORD_NUMBERS, ("pressure_channel", "fit_residuals",
-                                             "warmup_cycles"), RecordError)
-    numbers = {key: _finite(payload[key], f"{root}.{key}", RecordError)
+    json_object(payload, root, _RECORD_NUMBERS, ("pressure_channel", "fit_residuals",
+                                                 "warmup_cycles"), RecordError)
+    numbers = {key: finite(payload[key], f"{root}.{key}", RecordError)
                for key in _RECORD_NUMBERS}
     channel = payload.get("pressure_channel")
     if channel is not None:
         where = f"{root}.pressure_channel"
-        _object(channel, where, _CHANNEL_NUMBERS, (), RecordError)
-        channel = ChannelCal(**{key: _finite(channel[key], f"{where}.{key}", RecordError)
+        json_object(channel, where, _CHANNEL_NUMBERS, (), RecordError)
+        channel = ChannelCal(**{key: finite(channel[key], f"{where}.{key}", RecordError)
                                 for key in _CHANNEL_NUMBERS})
-    residuals = _object(payload.get("fit_residuals", {}), f"{root}.fit_residuals",
-                        error=RecordError)
+    residuals = json_object(payload.get("fit_residuals", {}), f"{root}.fit_residuals",
+                            error=RecordError)
     try:
         return CalibrationRecord(pressure_channel=channel, fit_residuals=residuals,
                                  warmup_cycles=payload.get("warmup_cycles", WARMUP_CYCLES_REQUIRED),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import physics, protocol, sensors
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_fields
 from .units import PSI_TO_PA
 
 MAX_ACTUATORS = 6
@@ -58,9 +58,8 @@ class ControllerConfig:
     curvature_deadband: float = DEFAULT_CURVATURE_DEADBAND  # 1/m, for every curvature target
 
     def __post_init__(self):
-        for name in ("p_max", "kappa_max", "timeout_s", "pressure_deadband", "curvature_deadband"):
-            if not (getattr(self, name) > 0.0):
-                raise ConfigError(f"{name}: must be > 0, got {getattr(self, name)}")
+        check_fields(self, positive=("p_max", "kappa_max", "timeout_s", "pressure_deadband",
+                                     "curvature_deadband"), error=ConfigError)
         if not (self.reengage_factor >= 1.0):
             raise ConfigError(f"reengage_factor: must be >= 1, got {self.reengage_factor}")
 

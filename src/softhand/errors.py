@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number checks that raise them.
+
+``finite``, ``integer`` and ``json_object`` check one value read from a JSON
+file (a scenario or a calibration record) and name it by its path.
+``check_fields`` is the one number rule of every parameter type: each float
+field is finite, and each field it names is > 0 or >= 0. Each refusal reads
+"<field>: <rule>", the form the scenario loader maps back to a file key.
+"""
+
+import math
+from dataclasses import fields
 
 
 class SofthandError(Exception):
@@ -39,3 +49,54 @@ class ScenarioError(SofthandError, ValueError):
 
 class RecordError(SofthandError, ValueError):
     """A calibration record file fails schema validation."""
+
+
+def finite(value, path: str, error: type[SofthandError] = DomainError) -> float:
+    """A JSON number as a finite float; NaN, +-Infinity and integers too large for a float fail."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise error(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise error(f"{path}: must be finite, got an integer too large for a float") from None
+    if not math.isfinite(number):
+        raise error(f"{path}: must be finite, got {number}")
+    return number
+
+
+def integer(value, path: str, error: type[SofthandError] = DomainError) -> int:
+    """A number with no fractional part as an int; booleans, fractions, NaN and +-inf fail."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{path}: must be an integer, got {value!r}")
+    return value
+
+
+def json_object(raw, path: str, required=(), optional=None,
+                error: type[SofthandError] = DomainError) -> dict:
+    """raw as a JSON object holding every required key; given optional, no other key."""
+    if not isinstance(raw, dict):
+        raise error(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    for key in raw:
+        if optional is not None and key not in required and key not in optional:
+            raise error(f"{path}.{key}: unknown key (known: {sorted({*required, *optional})})")
+    for key in required:
+        if key not in raw:
+            raise error(f"{path}.{key}: required key missing")
+    return raw
+
+
+def check_fields(obj, positive=(), non_negative=(), error: type[SofthandError] = DomainError
+                 ) -> None:
+    """Refuse a dataclass whose float fields are not all finite numbers, then any field
+    named in positive that is not > 0 or in non_negative that is not >= 0."""
+    for f in fields(obj):
+        if f.type in ("float", float):
+            finite(getattr(obj, f.name), f.name, error)
+    for name in positive:
+        if not getattr(obj, name) > 0:
+            raise error(f"{name}: must be > 0, got {getattr(obj, name)}")
+    for name in non_negative:
+        if not getattr(obj, name) >= 0:
+            raise error(f"{name}: must be >= 0, got {getattr(obj, name)}")

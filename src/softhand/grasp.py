@@ -22,7 +22,7 @@ import numpy as np
 
 from .calibration import CalibrationRecord
 from .controller import DEFAULT_PRESSURE_DEADBAND
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, check_fields
 from .physics import ActuatorParams
 from .units import PSI_TO_PA
 
@@ -110,8 +110,7 @@ class EmptyGraspReference:
     tolerance_band: float = DEFAULT_TOLERANCE_BAND
 
     def __post_init__(self):
-        if not (self.tolerance_band > 0.0 and np.isfinite(self.tolerance_band)):
-            raise DomainError(f"tolerance_band: must be finite and > 0, got {self.tolerance_band}")
+        check_fields(self, positive=("tolerance_band",))
 
     @classmethod
     def from_orbit(cls, orbit: PhaseOrbit,

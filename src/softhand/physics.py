@@ -20,9 +20,9 @@ constants are >= 0.1 s so any dt <= 10 ms has a wide stability margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .errors import CircuitError, DomainError
+from .errors import CircuitError, DomainError, check_fields
 from .units import PSI_TO_PA
 
 DEFAULT_DT = 1e-3
@@ -58,24 +58,12 @@ class ActuatorParams:
     def __post_init__(self):
         # Finite constants keep every substep of step() inside [0, p_max] x [0, inf)
         # (an infinite rate times a zero pressure would give NaN).
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"{f.name}: must be finite, got {value}")
-        if not (self.p_threshold > 0.0):
-            raise DomainError(f"p_threshold: must be > 0, got {self.p_threshold}")
+        check_fields(self, positive=("p_threshold", "slope_m", "tau_inflate", "tau_deflate",
+                                     "k_fill", "k_vent"),
+                     non_negative=("kappa_at_threshold", "force_gain"))
         if not (self.p_max > self.p_threshold):
             raise DomainError(f"p_max: must be > p_threshold ({self.p_threshold}), "
                               f"got {self.p_max}")
-        if not (self.slope_m > 0.0):
-            raise DomainError(f"slope_m: must be > 0, got {self.slope_m}")
-        if self.kappa_at_threshold < 0.0:
-            raise DomainError(f"kappa_at_threshold: must be >= 0, got {self.kappa_at_threshold}")
-        for name in ("tau_inflate", "tau_deflate", "k_fill", "k_vent"):
-            if not (getattr(self, name) > 0.0):
-                raise DomainError(f"{name}: must be > 0, got {getattr(self, name)}")
-        if self.force_gain < 0.0:
-            raise DomainError(f"force_gain: must be >= 0, got {self.force_gain}")
 
 
 @dataclass(frozen=True)
@@ -117,8 +105,7 @@ class PneumaticCircuit:
     share_pump_flow: bool = False
 
     def __post_init__(self):
-        if not (self.pump_pressure > 0.0):
-            raise DomainError(f"pump_pressure: must be > 0, got {self.pump_pressure}")
+        check_fields(self, positive=("pump_pressure",))
 
 
 @dataclass(frozen=True)
@@ -128,8 +115,7 @@ class RigidObject:
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise DomainError(f"radius: must be > 0, got {self.radius}")
+        check_fields(self, positive=("radius",))
 
 
 def steady_state_curvature(p: float, params: ActuatorParams) -> float:

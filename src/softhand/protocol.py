@@ -207,39 +207,38 @@ class Telemetry(NamedTuple):
     fsm_mode: int
 
 
-_PRESSURE_LSB_PA = 10.0
-_CURVATURE_LSB = 0.01
 _TELEMETRY_STRUCT = struct.Struct("<IHHB")
 _TELEMETRY_SIZE = _TELEMETRY_STRUCT.size
 
-# Commands without a payload: the type's wire code, and the same table read backwards.
-_NO_PAYLOAD_CODES = {Vent: CMD_VENT, Stop: CMD_STOP, GetState: CMD_GET_STATE,
-                     StreamStop: CMD_STREAM_STOP, ResetFault: CMD_RESET_FAULT}
-_NO_PAYLOAD_TYPES = {code: cls for cls, code in _NO_PAYLOAD_CODES.items()}
+# Each command type's wire code, and the same table read backwards.
+_COMMAND_CODES = {SetPressureTarget: CMD_SET_PRESSURE_TARGET,
+                  SetCurvatureTarget: CMD_SET_CURVATURE_TARGET, Stop: CMD_STOP, Vent: CMD_VENT,
+                  GetState: CMD_GET_STATE, StreamStart: CMD_STREAM_START,
+                  StreamStop: CMD_STREAM_STOP, ResetFault: CMD_RESET_FAULT}
+_COMMAND_TYPES = {code: kind for kind, code in _COMMAND_CODES.items()}
+# A target's value per LSB of its u16 payload, and the refusal of a value the u16 cannot hold.
+_TARGETS = {SetPressureTarget: (10.0, "pressure target {} Pa not encodable as u16 Pa/10"),
+            SetCurvatureTarget: (0.01, "curvature target {} not encodable as u16 0.01/m")}
 
 
 def frame_for_command(command: Command, actuator_id: int) -> Frame:
     """Build the wire frame for a typed command."""
-    # A target is checked before rounding, so NaN, inf and -5..0 Pa fail as -1 does.
-    if isinstance(command, SetPressureTarget):
-        value = command.pascals
-        raw = round(value / _PRESSURE_LSB_PA) if 0.0 <= value < math.inf else -1
-        if not (0 <= raw <= 0xFFFF):
-            raise EncodeError(f"pressure target {value} Pa not encodable as u16 Pa/10")
-        return Frame(CMD_SET_PRESSURE_TARGET, actuator_id, struct.pack("<H", raw))
-    if isinstance(command, SetCurvatureTarget):
-        value = command.curvature
-        raw = round(value / _CURVATURE_LSB) if 0.0 <= value < math.inf else -1
-        if not (0 <= raw <= 0xFFFF):
-            raise EncodeError(f"curvature target {value} not encodable as u16 0.01/m")
-        return Frame(CMD_SET_CURVATURE_TARGET, actuator_id, struct.pack("<H", raw))
-    if isinstance(command, StreamStart):
-        if not (1 <= command.period_ms <= 0xFF):
-            raise EncodeError(f"stream period must be 1..255 ms, got {command.period_ms}")
-        return Frame(CMD_STREAM_START, actuator_id, bytes([command.period_ms]))
-    code = _NO_PAYLOAD_CODES.get(type(command))
+    kind = type(command)
+    code = _COMMAND_CODES.get(kind)
     if code is None:
         raise EncodeError(f"unsupported command {command!r}")
+    if kind in _TARGETS:
+        lsb, refusal = _TARGETS[kind]
+        (value,) = vars(command).values()
+        # Checked before rounding, so NaN, inf and -lsb/2..0 fail as -1 does.
+        raw = round(value / lsb) if 0.0 <= value < math.inf else -1
+        if not (0 <= raw <= 0xFFFF):
+            raise EncodeError(refusal.format(value))
+        return Frame(code, actuator_id, struct.pack("<H", raw))
+    if kind is StreamStart:
+        if not (1 <= command.period_ms <= 0xFF):
+            raise EncodeError(f"stream period must be 1..255 ms, got {command.period_ms}")
+        return Frame(code, actuator_id, bytes([command.period_ms]))
     return Frame(code, actuator_id)
 
 
@@ -253,23 +252,18 @@ def parse_command(frame: Frame) -> Command | None:
     Unknown command codes are rejected, never raised on: a device must keep
     running whatever arrives.
     """
-    cmd, payload = frame.command, frame.payload
-    if cmd == CMD_SET_PRESSURE_TARGET:
+    kind, payload = _COMMAND_TYPES.get(frame.command), frame.payload
+    if kind in _TARGETS:
         if len(payload) != 2:
             return None
-        return SetPressureTarget(struct.unpack("<H", payload)[0] * _PRESSURE_LSB_PA)
-    if cmd == CMD_SET_CURVATURE_TARGET:
-        if len(payload) != 2:
-            return None
-        return SetCurvatureTarget(struct.unpack("<H", payload)[0] * _CURVATURE_LSB)
-    if cmd == CMD_STREAM_START:
+        return kind(struct.unpack("<H", payload)[0] * _TARGETS[kind][0])
+    if kind is StreamStart:
         if len(payload) != 1 or payload[0] == 0:
             return None
         return StreamStart(payload[0])
-    ctor = _NO_PAYLOAD_TYPES.get(cmd)
-    if ctor is None or payload:
+    if kind is None or payload:
         return None
-    return ctor()
+    return kind()
 
 
 def encode_telemetry(actuator_id: int, t_ms: int, pressure_counts: int,

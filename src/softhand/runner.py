@@ -335,7 +335,8 @@ def read_csv(path, required) -> dict[str, np.ndarray]:
     file with several gets an error naming the file and one of them.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark some spreadsheet exports put first.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             header = fh.readline().strip().split(",")
             missing = [c for c in required if c not in header]
             if missing:

@@ -8,13 +8,12 @@ errors keep the parser's line/column.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from importlib import resources
 
 from . import controller, physics, protocol, sensors
-from .errors import ScenarioError, SofthandError
+from .errors import ScenarioError, SofthandError, finite, integer, json_object
 
 DEFAULT_FINGERS = 3
 # Longest run a scenario may ask for, in control ticks (600 s at the 5 ms
@@ -129,42 +128,6 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ScenarioError(f"{path}: {message}")
 
 
-def _finite(value, path: str, error: type[SofthandError] = ScenarioError) -> float:
-    """A JSON number as a finite float; NaN, +-Infinity and integers too large for a float fail."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise error(f"{path}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise error(f"{path}: must be finite, got an integer too large for a float") from None
-    if not math.isfinite(number):
-        raise error(f"{path}: must be finite")
-    return number
-
-
-def _integer(value, path: str, error: type[SofthandError] = ScenarioError) -> int:
-    """A number with no fractional part as an int; booleans, fractions, NaN and +-inf fail."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise error(f"{path}: must be an integer, got {value!r}")
-    return value
-
-
-def _object(raw, path: str, required=(), optional=None,
-            error: type[SofthandError] = ScenarioError) -> dict:
-    """raw as a JSON object holding every required key; given optional, no other key."""
-    if not isinstance(raw, dict):
-        raise error(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    for key in raw:
-        if optional is not None and key not in required and key not in optional:
-            raise error(f"{path}.{key}: unknown key (known: {sorted({*required, *optional})})")
-    for key in required:
-        if key not in raw:
-            raise error(f"{path}.{key}: required key missing")
-    return raw
-
-
 def _build(path: str, make, *args, **kwargs):
     """make(*args, **kwargs), with the SofthandError it raises renamed a ScenarioError at path."""
     try:
@@ -174,34 +137,30 @@ def _build(path: str, make, *args, **kwargs):
 
 
 def _number(raw: dict, path: str, key: str, default: float | None = None,
-            minimum: float | None = None, strict_min: bool = False) -> float:
+            rule: str | None = None) -> float:
     if key not in raw:
         if default is None:
             raise ScenarioError(f"{path}.{key}: required key missing")
         return default
-    value = _finite(raw[key], f"{path}.{key}")
-    if minimum is not None:
-        if strict_min:
-            _expect(value > minimum, f"{path}.{key}", f"must be > {minimum}, got {value}")
-        else:
-            _expect(value >= minimum, f"{path}.{key}", f"must be >= {minimum}, got {value}")
+    value = finite(raw[key], f"{path}.{key}", ScenarioError)
+    _expect(rule is None or (value > 0 if rule == "> 0" else value >= 0), f"{path}.{key}",
+            f"must be {rule}, got {value}")
     return value
 
 
 def _params(raw, path: str, key_map: dict, cls, **fixed):
     """cls built from fixed and the unit-suffixed file keys of raw, which holds no other key.
 
-    cls owns every default and bound; its refusal "<field>: <rule>" is reported
-    at that field's file key, or at path when raw does not hold the key.
+    cls owns every default and bound and refuses a number that is not finite; its
+    refusal "<field>: <rule>" is reported at that field's file key, or at path
+    when raw does not hold the key.
     """
     kwargs = {}
-    for key, value in _object(raw, path, optional=key_map).items():
+    for key, value in json_object(raw, path, optional=key_map, error=ScenarioError).items():
         if key == "bits":
-            value = _integer(value, f"{path}.{key}")
+            value = integer(value, f"{path}.{key}", ScenarioError)
         elif key == "share_pump_flow":
             _expect(isinstance(value, bool), f"{path}.{key}", f"expected a boolean, got {value!r}")
-        else:
-            _finite(value, f"{path}.{key}")
         kwargs[key_map[key]] = value
     try:
         return cls(**kwargs, **fixed)
@@ -214,7 +173,7 @@ def _params(raw, path: str, key_map: dict, cls, **fixed):
 
 
 def _finger(value, path: str, n_fingers: int) -> int:
-    finger = _integer(value, path)
+    finger = integer(value, path, ScenarioError)
     _expect(0 <= finger < n_fingers, path, f"finger {finger} does not exist (have {n_fingers})")
     return finger
 
@@ -222,12 +181,14 @@ def _finger(value, path: str, n_fingers: int) -> int:
 def _build_command(raw, path: str, n_fingers: int,
                    config: controller.ControllerConfig) -> ScheduledCommand:
     """The command, checked as the device receives it: encoded, decoded, then applied."""
-    _object(raw, path, ("command", "t_s"), ("actuator_id", *_PAYLOAD_KEYS.values()))
+    json_object(raw, path, ("command", "t_s"), ("actuator_id", *_PAYLOAD_KEYS.values()),
+                ScenarioError)
     name = raw["command"]
     _expect(isinstance(name, str) and name in _COMMANDS, f"{path}.command",
             f"unknown command {name!r} (known: {sorted(_COMMANDS)})")
-    t_s = _number(raw, path, "t_s", minimum=0.0)
-    actuator_id = _integer(raw.get("actuator_id", protocol.BROADCAST_ID), f"{path}.actuator_id")
+    t_s = _number(raw, path, "t_s", rule=">= 0")
+    actuator_id = integer(raw.get("actuator_id", protocol.BROADCAST_ID), f"{path}.actuator_id",
+                          ScenarioError)
     _expect(0 <= actuator_id < n_fingers or actuator_id == protocol.BROADCAST_ID,
             f"{path}.actuator_id",
             f"finger {actuator_id} does not exist (have {n_fingers}, broadcast is 255)")
@@ -236,7 +197,7 @@ def _build_command(raw, path: str, n_fingers: int,
     if key is None:
         command: protocol.Command = kind()
     elif name == "stream_start":
-        command = kind(_integer(raw.get(key, 5), f"{path}.{key}"))
+        command = kind(integer(raw.get(key, 5), f"{path}.{key}", ScenarioError))
     else:
         command = kind(_number(raw, path, key))
     at = path if key is None else f"{path}.{key}"
@@ -246,25 +207,25 @@ def _build_command(raw, path: str, n_fingers: int,
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
-    _object(raw, "$", optional=(
+    json_object(raw, "$", optional=(
         "name", "duration_s", "dt_s", "tick_s", "seed", "pump_pressure_pa",
         "atmosphere_offset_pa", "share_pump_flow", "actuators", "sensors", "controller",
-        "objects", "commands", "disturbances"))
+        "objects", "commands", "disturbances"), error=ScenarioError)
 
     name = raw.get("name", name)
     _expect(isinstance(name, str) and name != "", "$.name", "must be a non-empty string")
-    duration = _number(raw, "$", "duration_s", minimum=0.0, strict_min=True)
-    dt = _number(raw, "$", "dt_s", default=physics.DEFAULT_DT, minimum=0.0, strict_min=True)
-    tick = _number(raw, "$", "tick_s", default=controller.DEFAULT_TICK_PERIOD,
-                   minimum=0.0, strict_min=True)
+    duration = _number(raw, "$", "duration_s", rule="> 0")
+    dt = _number(raw, "$", "dt_s", default=physics.DEFAULT_DT, rule="> 0")
+    tick = _number(raw, "$", "tick_s", default=controller.DEFAULT_TICK_PERIOD, rule="> 0")
     _build("$.dt_s", physics.substeps, tick, dt)
     _expect(duration >= tick, "$.duration_s", f"must cover at least one tick ({tick} s)")
     _expect(round(duration / tick) <= MAX_TICKS, "$.duration_s",
             f"must be at most {MAX_TICKS} ticks ({MAX_TICKS * tick:g} s at tick_s {tick}), "
             f"got {duration}")
-    seed = _integer(raw.get("seed", 0), "$.seed")
+    seed = integer(raw.get("seed", 0), "$.seed", ScenarioError)
 
-    sensors_raw = _object(raw.get("sensors", {}), "$.sensors", optional=("gauge", "pressure", "adc"))
+    sensors_raw = json_object(raw.get("sensors", {}), "$.sensors",
+                              optional=("gauge", "pressure", "adc"), error=ScenarioError)
     gauge = _params(sensors_raw.get("gauge", {}), "$.sensors.gauge", _GAUGE_KEYS,
                     sensors.StrainGaugeParams)
     pressure_sensor = _params(sensors_raw.get("pressure", {}), "$.sensors.pressure",
@@ -277,7 +238,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     actuators, chains = [], []
     for i, entry in enumerate(actuators_raw):
         path = f"$.actuators[{i}]"
-        _object(entry, path, optional={**_ACTUATOR_KEYS, **_CHAIN_KEYS})
+        json_object(entry, path, optional={**_ACTUATOR_KEYS, **_CHAIN_KEYS}, error=ScenarioError)
         actuators.append(_params({k: v for k, v in entry.items() if k in _ACTUATOR_KEYS}, path,
                                  _ACTUATOR_KEYS, physics.ActuatorParams))
         chains.append(_params({k: v for k, v in entry.items() if k in _CHAIN_KEYS}, path,
@@ -299,10 +260,10 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     claimed: set[int] = set()
     for i, entry in enumerate(objects_raw):
         path = f"$.objects[{i}]"
-        _object(entry, path, ("radius_m", "fingers"), ("mass_kg", "position_m"))
+        json_object(entry, path, ("radius_m", "fingers"), ("mass_kg", "position_m"), ScenarioError)
         radius = _params({"radius_m": entry["radius_m"]}, path, {"radius_m": "radius"},
                          physics.RigidObject).radius
-        mass = _number(entry, path, "mass_kg", default=0.0, minimum=0.0)
+        mass = _number(entry, path, "mass_kg", default=0.0, rule=">= 0")
         position = _number(entry, path, "position_m", default=0.0)
         fingers_raw = entry["fingers"]
         _expect(isinstance(fingers_raw, list) and fingers_raw != [], f"{path}.fingers",
@@ -328,9 +289,10 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     disturbances = []
     for i, entry in enumerate(disturbances_raw):
         path = f"$.disturbances[{i}]"
-        _object(entry, path, optional=("t_s", "finger", "pressure_step_pa", "curvature_step_per_m"))
+        json_object(entry, path, optional=("t_s", "finger", "pressure_step_pa",
+                                           "curvature_step_per_m"), error=ScenarioError)
         disturbances.append(Disturbance(
-            t_s=_number(entry, path, "t_s", minimum=0.0),
+            t_s=_number(entry, path, "t_s", rule=">= 0"),
             finger=_finger(entry.get("finger", 0), f"{path}.finger", n_fingers),
             pressure_step_pa=_number(entry, path, "pressure_step_pa", default=0.0),
             curvature_step_per_m=_number(entry, path, "curvature_step_per_m", default=0.0)))

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, check_fields
 from .rand import DeterministicRng
 from .units import PSI_TO_PA
 
@@ -55,13 +55,8 @@ class StrainGaugeParams:
     noise_sigma: float = 1e-4
 
     def __post_init__(self):
-        for name in ("r0", "r_limit", "v_excitation", "amp_gain"):
-            if not (getattr(self, name) > 0.0):
-                raise DomainError(f"{name}: must be > 0, got {getattr(self, name)}")
-        if not (self.r_lead >= 0.0):
-            raise DomainError(f"r_lead: must be >= 0, got {self.r_lead}")
-        if not (self.noise_sigma >= 0.0):
-            raise DomainError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
+        check_fields(self, positive=("r0", "r_limit", "v_excitation", "amp_gain"),
+                     non_negative=("r_lead", "noise_sigma"))
 
 
 @dataclass(frozen=True)
@@ -75,13 +70,8 @@ class PressureSensorParams:
     noise_sigma: float = 1e-4
 
     def __post_init__(self):
-        for name in ("full_scale_pressure", "full_scale_voltage", "amp_gain"):
-            if not (getattr(self, name) > 0.0):
-                raise DomainError(f"{name}: must be > 0, got {getattr(self, name)}")
-        if not math.isfinite(self.offset_drift):
-            raise DomainError(f"offset_drift: must be finite, got {self.offset_drift}")
-        if not (self.noise_sigma >= 0.0):
-            raise DomainError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
+        check_fields(self, positive=("full_scale_pressure", "full_scale_voltage", "amp_gain"),
+                     non_negative=("noise_sigma",))
 
 
 @dataclass(frozen=True)
@@ -90,10 +80,9 @@ class AdcParams:
     v_ref: float = 2.5
 
     def __post_init__(self):
+        check_fields(self, positive=("v_ref",))
         if not (8 <= self.bits <= 16):
             raise DomainError(f"bits: must be in [8, 16], got {self.bits}")
-        if not (self.v_ref > 0.0):
-            raise DomainError(f"v_ref: must be > 0, got {self.v_ref}")
 
     @property
     def full_scale_counts(self) -> int:
@@ -129,8 +118,7 @@ class SensorChain:
             if not isinstance(getattr(self, name), kind):
                 raise DomainError(f"{name}: must be a {kind.__name__}, "
                                   f"got {getattr(self, name)!r}")
-        if not (self.d_neutral > 0.0):
-            raise DomainError(f"d_neutral: must be > 0, got {self.d_neutral}")
+        check_fields(self, positive=("d_neutral",))
 
 
 class PhysicalReading(NamedTuple):

@@ -146,7 +146,8 @@ class TestRecordInvariants:
     ], ids=["r0_zero", "r0_negative", "r0_nan", "r_lead_negative", "r_lead_nan",
             "d_neutral_zero", "d_neutral_negative", "d_neutral_nan"])
     def test_fitted_gauge_out_of_range_rejected(self, key, value):
-        with pytest.raises(DomainError, match=rf"^{key}: must be >=? 0, got {value}$"):
+        rule = "finite" if math.isnan(value) else ">=? 0"
+        with pytest.raises(DomainError, match=rf"^{key}: must be {rule}, got {value}$"):
             CalibrationRecord(**dict(FITTED, **{key: value}))
 
     @pytest.mark.parametrize("key", ["p_threshold_hat_pa", "slope_hat_per_m_pa",
@@ -163,12 +164,12 @@ class TestRecordInvariants:
     def test_non_finite_channel_rejected(self, index, key, value):
         numbers = [25.0, 0.0, 0.0]
         numbers[index] = value
-        with pytest.raises(DomainError, match=rf"^{key}: must be finite$"):
+        with pytest.raises(DomainError, match=rf"^{key}: must be finite, got {value}$"):
             ChannelCal(*numbers)
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_non_finite_fit_residual_rejected(self, value):
-        with pytest.raises(DomainError, match=r"^fit_residuals\.x: must be finite$"):
+        with pytest.raises(DomainError, match=rf"^fit_residuals\.x: must be finite, got {value}$"):
             CalibrationRecord(**FITTED, fit_residuals={"x": value})
 
     def test_zero_lead_resistance_accepted(self):

@@ -161,9 +161,15 @@ class TestCalibrateVerbs:
         self.write_pk_csv(csv)
         code = run_cli("calibrate", "pressure-curvature", str(csv), "--warmup-cycles", "12")
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        payload = json.loads(out)
         assert payload["slope_hat_per_m_pa"] == pytest.approx(2.5e-3, rel=1e-6)
         assert payload["p_threshold_hat_pa"] == pytest.approx(30e3, rel=1e-6)
+        # The same bytes behind a UTF-8 byte-order mark, as spreadsheet exports write them.
+        bom = tmp_path / "pk_bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + csv.read_bytes())
+        assert run_cli("calibrate", "pressure-curvature", str(bom), "--warmup-cycles", "12") == 0
+        assert capsys.readouterr().out == out
 
     def test_warmup_column_respected(self, tmp_path, capsys):
         csv = tmp_path / "pk.csv"
@@ -344,7 +350,8 @@ class TestGraspAndFigureVerbs:
                        f"--tolerance-band={band}") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: tolerance_band: must be finite and > 0")
+        rule = "> 0" if float(band) <= 0.0 else "finite"
+        assert captured.err == f"error: tolerance_band: must be {rule}, got {float(band)}\n"
 
     def test_figure_to_stdout(self, run_dir, capsys):
         code = run_cli("figure", str(run_dir / "empty_grasp_telemetry.csv"),

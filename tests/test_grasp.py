@@ -73,7 +73,8 @@ class TestEmptyGraspReference:
 
     @pytest.mark.parametrize("band", [float("nan"), -1.0, 0.0, float("inf")])
     def test_tolerance_band_must_be_finite_and_positive(self, band):
-        with pytest.raises(DomainError, match="^tolerance_band: must be finite and > 0"):
+        rule = "> 0" if band <= 0.0 else "finite"
+        with pytest.raises(DomainError, match=rf"^tolerance_band: must be {rule}, got {band}$"):
             EmptyGraspReference.from_orbit(synthetic_orbit(), tolerance_band=band)
 
 

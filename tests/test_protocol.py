@@ -175,11 +175,26 @@ class TestTypedCommands:
     def test_unknown_command_code_rejected_not_crash(self):
         assert protocol.parse_command(Frame(command=0x7F, actuator_id=0)) is None
 
-    def test_malformed_payload_rejected(self):
-        assert protocol.parse_command(Frame(command=protocol.CMD_SET_PRESSURE_TARGET,
-                                            actuator_id=0, payload=b"\x01")) is None
-        assert protocol.parse_command(Frame(command=CMD_VENT, actuator_id=0,
-                                            payload=b"\x00")) is None
+    @pytest.mark.parametrize("code,payload", [
+        (protocol.CMD_SET_PRESSURE_TARGET, b"\x01"), (CMD_VENT, b"\x00"),
+        (protocol.CMD_SET_CURVATURE_TARGET, b"\x01"),
+        (protocol.CMD_SET_CURVATURE_TARGET, b"\x01\x02\x03"),
+        (protocol.CMD_STREAM_START, b""), (protocol.CMD_STREAM_START, b"\x00"),
+        (protocol.CMD_STREAM_START, b"\x05\x05"),
+    ])
+    def test_malformed_payload_rejected(self, code, payload):
+        from softhand.runner import HandDevice
+
+        frame = Frame(command=code, actuator_id=0, payload=payload)
+        assert protocol.parse_command(frame) is None
+        device = HandDevice(2, controller.ControllerConfig())
+        fsms = device.fsms
+        device.feed(encode(frame), 0.0)
+        assert device.unknown_commands == 1 and device.rejected_commands == 0
+        assert device.fsms == fsms
+        # Nor did it start a stream: the next tick sends nothing.
+        reading = sensors.PhysicalReading(0.0, 0.0, 0.0)
+        assert device.tick([(0, 0, reading)] * 2, 0.005)[1] == b""
 
     def test_telemetry_wire_layout_frozen(self):
         # u32 t_ms, u16 pressure, u16 strain, u8 mode, little endian.

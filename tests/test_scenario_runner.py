@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softhand import calibration, cli, controller, physics, protocol, runner, scenario, sensors
+from softhand import (calibration, cli, controller, grasp, physics, protocol, runner, scenario,
+                      sensors)
 from softhand.errors import DomainError, ScenarioError, SofthandError
 
 # sha256 of each fixture's telemetry CSV at the pinned defaults. The three
@@ -97,6 +98,22 @@ NUMERIC_EDITS = [(slot, value) for slot in SLOTS if slot != ("duration_s",)
 PARAM_TYPES = [physics.ActuatorParams, sensors.StrainGaugeParams, sensors.PressureSensorParams,
                sensors.AdcParams, sensors.SensorChain, controller.ControllerConfig,
                physics.PneumaticCircuit, physics.RigidObject]
+# Every type whose fields errors.check_fields checks, with the arguments of a valid instance.
+FIELD_CHECKED_TYPES = {
+    **{cls: {} for cls in PARAM_TYPES}, physics.RigidObject: {"radius": 0.05},
+    calibration.ChannelCal: {"gain_pa_per_count": 25.0, "offset_pa": 0.0, "rms_pa": 0.0},
+    calibration.CalibrationRecord: {
+        "p_threshold_hat_pa": 30e3, "slope_hat_per_m_pa": 2.5e-3, "kappa0_hat_per_m": 1.0,
+        "r0_hat_ohm": 2.0, "r_lead_hat_ohm": 0.2, "d_neutral_m": 0.01},
+    grasp.EmptyGraspReference: {"pressures": np.array([0.0, 1.0]),
+                                "strains": np.array([0.0, 1.0])},
+}
+
+
+def float_fields(cls) -> list[str]:
+    """The fields that hold a float in a valid instance of cls."""
+    valid = cls(**FIELD_CHECKED_TYPES[cls])
+    return [f.name for f in dataclasses.fields(cls) if isinstance(getattr(valid, f.name), float)]
 
 
 class TestScenarioSchema:
@@ -246,11 +263,20 @@ class TestScenarioSchema:
                                            for f in dataclasses.fields(cls)],
                              ids=lambda x: x if isinstance(x, str) else x.__name__)
     def test_refusal_starts_with_its_field(self, cls, field):
-        for value in (-1, 0, float("nan")):
+        for value in (-1, 0, float("nan"), float("inf"), float("-inf")):
             try:
                 cls(**{field: value})
             except SofthandError as exc:
                 assert str(exc).startswith(f"{field}: "), str(exc)
+
+    @pytest.mark.parametrize("cls,field", [(cls, name) for cls in FIELD_CHECKED_TYPES
+                                           for name in float_fields(cls)],
+                             ids=lambda x: x if isinstance(x, str) else x.__name__)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_float_field_refuses_non_finite(self, cls, field, value):
+        with pytest.raises(SofthandError, match=rf"^{field}: must be finite, got {value}$"):
+            cls(**{**FIELD_CHECKED_TYPES[cls], field: value})
 
     def test_unknown_command_name(self):
         with pytest.raises(ScenarioError, match="unknown command"):
@@ -780,7 +806,7 @@ class TestCsvWriter:
 def legacy_read_csv(path, required):
     """The whole-file CSV reader that chunked ``runner.read_csv`` replaced, kept as its oracle."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             header = fh.readline().strip().split(",")
             rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
     except UnicodeDecodeError as exc:

@@ -470,6 +470,17 @@ class TestSensorPathParity:
             assert expected == (DomainError, "noise_sigma > 0 requires a seeded rng")
             assert outcome(sensors.SensorPath, chain) == expected
 
+    @pytest.mark.parametrize("field,chain", [
+        ("amp_gain", lambda: SensorChain(gauge=StrainGaugeParams(amp_gain=math.inf))),
+        ("r0", lambda: SensorChain(gauge=StrainGaugeParams(r0=math.inf))),
+        ("d_neutral", lambda: SensorChain(d_neutral=math.inf)),
+    ], ids=["amp_gain", "r0", "d_neutral"])
+    def test_infinite_chain_constant_refused_before_a_sample(self, field, chain):
+        # Such a chain once built, and its first sample raised round()'s raw
+        # "ValueError: cannot convert float NaN to integer".
+        with pytest.raises(DomainError, match=rf"^{field}: must be finite, got inf$"):
+            sensors.SensorPath(chain(), rng=DeterministicRng(0)).sample(1e4, 5.0)
+
     @INVALID_FITTED_GAUGES
     def test_invalid_fitted_gauge_raises_as_reference_does(self, r0, r_lead):
         # The record refuses the gauge when built, so the path and the
