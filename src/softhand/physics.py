@@ -106,6 +106,8 @@ class PneumaticCircuit:
 
     def __post_init__(self):
         check_fields(self, positive=("pump_pressure",))
+        if not isinstance(self.share_pump_flow, bool):
+            raise DomainError(f"share_pump_flow: expected a boolean, got {self.share_pump_flow!r}")
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -47,8 +48,8 @@ TELEMETRY_COLUMNS = ("t_s", "finger", "pressure_pa", "curvature_per_m", "strain"
 # Every column not named here is float, in telemetry and calibration CSVs alike.
 _COLUMN_DTYPES = {"finger": int, "strain_counts": int, "pressure_counts": int,
                   "inlet": int, "vent": int, "fsm_mode": object}
-# Lines read_csv reads and converts at a time: a telemetry line costs about
-# 1 kB of Python objects until its chunk is converted.
+# Lines read_csv reads and parses, and rows write_csv formats, at a time: a
+# telemetry line costs about 1 kB of Python objects until its chunk is converted.
 _CHUNK_LINES = 1024
 
 FIGURE_KINDS = {
@@ -164,23 +165,39 @@ class RunResult:
 def write_csv(fh, header, rows) -> None:
     """The one CSV writer: a header line, then one line per row, floats as ``.10g``.
 
-    Each row is formatted by one %-template built from its value types,
-    "%.10g" for floats (numpy's float64 included) and "%s" for everything
-    else, cached per tuple of types for this call. The lines are streamed,
-    never joined into one string.
+    A row is formatted by one %-template built from its value types, "%.10g"
+    for floats (numpy's float64 included) and "%s" for everything else,
+    cached per tuple of types for this call. Rows go out ``_CHUNK_LINES`` at
+    a time: a chunk whose values all have the first row's types, checked by
+    one comparison of type lists, is formatted by that row's template alone
+    (``%`` refuses a row of another length); any other chunk by each row's
+    own. Each chunk is one write, never the whole file as one string.
     """
     fh.write(",".join(header) + "\n")
     templates: dict[tuple[type, ...], str] = {}
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_LINES)):
+        types = tuple(map(type, chunk[0]))
+        if list(map(type, chain.from_iterable(chunk))) == list(types) * len(chunk):
+            try:
+                fh.write("".join(map(_template(templates, types).__mod__, map(tuple, chunk))))
+                continue
+            except TypeError:  # rows of several lengths
+                pass
+        _write_rows_by_type(fh, chunk, templates)
 
-    def line(row) -> str:
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            template = templates[types] = ",".join(
-                "%.10g" if issubclass(t, float) else "%s" for t in types) + "\n"
-        return template % tuple(row)
 
-    fh.writelines(map(line, rows))
+def _template(templates: dict, types: tuple) -> str:
+    template = templates.get(types)
+    if template is None:
+        template = templates[types] = ",".join(
+            "%.10g" if issubclass(t, float) else "%s" for t in types) + "\n"
+    return template
+
+
+def _write_rows_by_type(fh, rows, templates: dict) -> None:
+    """Each row by the template of its own value types."""
+    fh.write("".join(_template(templates, tuple(map(type, row))) % tuple(row) for row in rows))
 
 
 def write_telemetry_csv(rows: list[tuple], path) -> None:
@@ -324,15 +341,41 @@ def rows_to_columns(rows: list[tuple]) -> dict[str, np.ndarray]:
             for i, name in enumerate(TELEMETRY_COLUMNS)}
 
 
+def _parse_chunk(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """A chunk's lines as one structured array by numpy's C text reader, or None
+    when the reader refuses or warns (a bad cell, a row of another length, a
+    chunk of blank lines, a spelling only Python's int or float reads).
+
+    The reader sees ASCII text only, free of the separators \\x1c-\\x1f: it
+    strips those as whitespace where Python's int and float refuse them, and
+    it reads some non-ASCII letters as digits.
+    """
+    text = "".join(lines)
+    if not text.isascii() or any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+
+_intern_cells = np.frompyfunc(sys.intern, 1, 1)
+
+
 def read_csv(path, required) -> dict[str, np.ndarray]:
     """CSV file back into typed column arrays; malformed or non-finite input raises DomainError.
 
-    The file is read ``_CHUNK_LINES`` lines at a time and each chunk is
-    converted column by column, so the Python objects a read holds beyond
-    the returned arrays are those of one chunk; each column is joined once
-    at the end. ``fsm_mode`` cells are interned, one str per mode name. A
-    file with one defect gets the error that names it wherever it lies; a
-    file with several gets an error naming the file and one of them.
+    The file is read ``_CHUNK_LINES`` lines at a time, so the Python objects
+    a read holds beyond the returned arrays are those of one chunk; each
+    column is joined once at the end. Each chunk is parsed by numpy's C text
+    reader; a chunk it refuses is split and converted column by column,
+    which names the defect or reads the few spellings only Python's int and
+    float accept (digit underscores, non-ASCII digits, whitespace-only
+    lines). ``fsm_mode`` cells are interned, one str per mode name. A file
+    with one defect gets the error that names it wherever it lies; a file
+    with several gets an error naming the file and one of them.
     """
     try:
         # utf-8-sig drops the byte-order mark some spreadsheet exports put first.
@@ -345,9 +388,21 @@ def read_csv(path, required) -> dict[str, np.ndarray]:
                 if name in header[:i]:
                     raise DomainError(f"{path}: column {name!r} appears more than once "
                                       f"in the header")
+            dtypes = [_COLUMN_DTYPES.get(name, float) for name in header]
+            # The C reader takes a whitespace-only line for a row when a row is one text cell.
+            table_dtype = (np.dtype([(f"f{i}", dtype) for i, dtype in enumerate(dtypes)])
+                           if len(header) > 1 or dtypes[0] is not object else None)
             parts: list[list[np.ndarray]] = [[] for _ in header]
             n_rows = 0
             while lines := list(islice(fh, _CHUNK_LINES)):
+                table = None if table_dtype is None else _parse_chunk(lines, table_dtype)
+                if table is not None:
+                    n_rows += len(table)
+                    # A field is a strided view that would keep its whole chunk alive.
+                    for part, field, dtype in zip(parts, table_dtype.names, dtypes):
+                        cells = table[field]
+                        part.append(_intern_cells(cells) if dtype is object else cells.copy())
+                    continue
                 rows = [line.rstrip("\n").split(",") for line in lines if line.strip()]
                 for n, row in enumerate(rows, n_rows + 1):
                     if len(row) != len(header):

@@ -151,17 +151,12 @@ def _number(raw: dict, path: str, key: str, default: float | None = None,
 def _params(raw, path: str, key_map: dict, cls, **fixed):
     """cls built from fixed and the unit-suffixed file keys of raw, which holds no other key.
 
-    cls owns every default and bound and refuses a number that is not finite; its
+    cls owns every default, bound and type rule and refuses a number that is not finite; its
     refusal "<field>: <rule>" is reported at that field's file key, or at path
     when raw does not hold the key.
     """
-    kwargs = {}
-    for key, value in json_object(raw, path, optional=key_map, error=ScenarioError).items():
-        if key == "bits":
-            value = integer(value, f"{path}.{key}", ScenarioError)
-        elif key == "share_pump_flow":
-            _expect(isinstance(value, bool), f"{path}.{key}", f"expected a boolean, got {value!r}")
-        kwargs[key_map[key]] = value
+    kwargs = {key_map[key]: value for key, value in
+              json_object(raw, path, optional=key_map, error=ScenarioError).items()}
     try:
         return cls(**kwargs, **fixed)
     except SofthandError as exc:
@@ -310,7 +305,8 @@ def load_scenario(path) -> Scenario:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        # utf-8-sig drops the byte-order mark some editors put first.
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not a UTF-8 text file ({exc})") from None
     try:

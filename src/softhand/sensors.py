@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DomainError, check_fields
+from .errors import DomainError, check_fields, integer
 from .rand import DeterministicRng
 from .units import PSI_TO_PA
 
@@ -81,6 +81,7 @@ class AdcParams:
 
     def __post_init__(self):
         check_fields(self, positive=("v_ref",))
+        object.__setattr__(self, "bits", integer(self.bits, "bits"))  # 12.0 reads as 12
         if not (8 <= self.bits <= 16):
             raise DomainError(f"bits: must be in [8, 16], got {self.bits}")
 

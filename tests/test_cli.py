@@ -38,6 +38,16 @@ class TestRunVerb:
         assert (tmp_path / "empty_grasp_events.jsonl").exists()
         assert "telemetry rows" in capsys.readouterr().out
 
+    def test_scenario_behind_byte_order_mark_runs(self, tmp_path):
+        # The same document behind a UTF-8 byte-order mark, as some editors save it.
+        bom = tmp_path / "empty_grasp.json"
+        with open(fixture_path("empty_grasp"), "rb") as fh:
+            bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        assert run_cli("run", fixture_path("empty_grasp"), "--out", str(tmp_path / "plain")) == 0
+        assert run_cli("run", str(bom), "--out", str(tmp_path / "bom")) == 0
+        assert (tmp_path / "bom" / "empty_grasp_telemetry.csv").read_bytes() == \
+            (tmp_path / "plain" / "empty_grasp_telemetry.csv").read_bytes()
+
     def test_invalid_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"duration_s": 1.0, "dt_s": "fast"}')

@@ -456,6 +456,12 @@ class TestHandStep:
         assert states[0].pressure < solo.pressure
         assert states[0] == states[1] == states[2]
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_share_pump_flow_must_be_a_boolean(self, value):
+        with pytest.raises(DomainError,
+                           match=rf"^share_pump_flow: expected a boolean, got {value!r}$"):
+            PneumaticCircuit(share_pump_flow=value)
+
     def test_errors_carry_finger_index(self, default_params):
         states, params = self.three(default_params)
         bad = (states[0], ActuatorState(pressure=default_params.p_max * 2), states[2])

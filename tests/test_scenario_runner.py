@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -8,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softhand import (calibration, cli, controller, grasp, physics, protocol, runner, scenario,
@@ -212,8 +213,9 @@ class TestScenarioSchema:
         ({"sensors": {"adc": {"bits": 12.5}}},
          r"\$\.sensors\.adc\.bits: must be an integer, got 12\.5"),
         ({"sensors": {"gauge": [1]}}, r"\$\.sensors\.gauge: expected a JSON object, got list"),
+        ({"share_pump_flow": "no"}, r"\$\.share_pump_flow: expected a boolean, got 'no'"),
     ], ids=["finger_true", "disturbance_finger_true", "period_true", "bits_fraction",
-            "gauge_list"])
+            "gauge_list", "share_pump_flow_string"])
     def test_wrong_type_names_path(self, overrides, path):
         with pytest.raises(ScenarioError, match=path):
             scenario.scenario_from_dict(minimal_dict(**overrides))
@@ -293,6 +295,10 @@ class TestScenarioSchema:
         path.write_text('{\n  "duration_s": 1.0,\n  "dt_s": oops\n}\n')
         with pytest.raises(ScenarioError, match=r"broken\.json:3:"):
             scenario.load_scenario(path)
+
+    def test_whole_float_bits_loads(self):
+        sc = scenario.scenario_from_dict(minimal_dict(sensors={"adc": {"bits": 12.0}}))
+        assert all(type(chain.adc.bits) is int and chain.adc.bits == 12 for chain in sc.chains)
 
     def test_non_utf8_file_names_path(self, tmp_path):
         path = tmp_path / "utf16.json"
@@ -765,6 +771,25 @@ class TestClosedLoopProperties:
                 for row in first.rows], name
 
 
+@pytest.fixture(scope="module")
+def shipped_runs():
+    """Every shipped fixture, run once at its pinned defaults."""
+    return {name: runner.run_scenario(scenario.load_shipped_scenario(name))
+            for name in scenario.shipped_scenario_names()}
+
+
+def count_calls(monkeypatch, name) -> list:
+    """Wrap runner.<name> so each call appends to the list returned."""
+    calls, wrapped = [], getattr(runner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(runner, name, counted)
+    return calls
+
+
 class TestCsvWriter:
     @staticmethod
     def per_value_lines(header, rows):
@@ -801,6 +826,28 @@ class TestCsvWriter:
         runner.write_csv(fh, ("x",), [])
         runner.write_csv(fh, ("y",), [()])
         assert fh.getvalue() == "x\ny\n\n"
+
+    def test_every_fixture_chunk_written_by_one_template(self, monkeypatch, shipped_runs):
+        # A chunk whose value types differ from its first row's, or that % refuses,
+        # goes row by row: no fixture row may send a chunk there.
+        per_row = count_calls(monkeypatch, "_write_rows_by_type")
+        for name, res in shipped_runs.items():
+            fh = io.StringIO()
+            runner.write_csv(fh, runner.TELEMETRY_COLUMNS, res.rows)
+            assert fh.getvalue().count("\n") == len(res.rows) + 1, name
+        assert per_row == []
+
+    def test_chunk_of_mixed_rows_written_row_by_row(self, monkeypatch):
+        # Chunks: one float where the first row has an int; uniform; all floats
+        # but rows of three lengths, which the type comparison alone would pass.
+        per_row = count_calls(monkeypatch, "_write_rows_by_type")
+        n = runner._CHUNK_LINES
+        rows = ([(1.5, 2)] * (n - 1) + [(1.5, 2.0)] + [(1.5, 2)] * n
+                + [(0.5, 1.5), (2.5,), (3.5, 4.5, 5.5)])
+        fh = io.StringIO()
+        runner.write_csv(fh, ("a", "b"), rows)
+        assert fh.getvalue() == self.per_value_lines(("a", "b"), rows)
+        assert [len(args[1]) for args in per_row] == [n, 3]
 
 
 def legacy_read_csv(path, required):
@@ -839,11 +886,17 @@ def legacy_read_csv(path, required):
 
 
 # One defect each, placed by the reader test at a data line next to a chunk boundary.
+# From "digit_underscores" on, each is a spelling numpy's text reader and Python's
+# int and float could read differently, or a file cut so its last chunk holds one line.
 CSV_EDITS = ("none", "short_row", "long_row", "non_numeric", "nan", "inf", "int_overflow",
              "blank_lines", "whitespace_lines", "non_utf8", "missing_column", "header_only",
-             "duplicate_column")
+             "duplicate_column", "digit_underscores", "padded_cell", "fraction_in_int",
+             "quoted_cell", "arabic_indic_digits", "separator_char", "last_chunk_one_line")
+# The text each cell edit puts in the cell; "{}" stands for the cell's own text.
 CELL_TEXT = {"non_numeric": "abc", "nan": "nan", "inf": "-inf",
-             "int_overflow": "99999999999999999999"}
+             "int_overflow": "99999999999999999999", "digit_underscores": "1_000",
+             "padded_cell": " {} ", "fraction_in_int": "1.0", "quoted_cell": '"{}"',
+             "arabic_indic_digits": "\u0661\u0662", "separator_char": "\x1e{}"}
 
 
 def edited_csv(lines, edit, at, column, count) -> bytes:
@@ -855,7 +908,7 @@ def edited_csv(lines, edit, at, column, count) -> bytes:
     elif edit == "long_row":
         data[at] = ",".join(cells + ["0"] * count) + "\n"
     elif edit in CELL_TEXT:
-        cells[column] = CELL_TEXT[edit]
+        cells[column] = CELL_TEXT[edit].format(cells[column])
         data[at] = ",".join(cells) + "\n"
     elif edit in ("blank_lines", "whitespace_lines"):
         data[at:at] = ["\n" if edit == "blank_lines" else " \t\n"] * count
@@ -864,6 +917,8 @@ def edited_csv(lines, edit, at, column, count) -> bytes:
                          for cells in (line.rstrip("\n").split(",") for line in [header, *data])]
     elif edit == "header_only":
         data = []
+    elif edit == "last_chunk_one_line":
+        data = data[:runner._CHUNK_LINES + 1]
     elif edit == "duplicate_column":  # the column repeated at the end of every non-blank line
         header, *data = [f"{line.rstrip()},{line.rstrip().split(',')[column]}\n"
                          if line.strip() else line for line in [header, *data]]
@@ -880,6 +935,14 @@ def read_outcome(read, path):
         return str(exc)
 
 
+# Characters where numpy's text reader and Python's int and float could part:
+# whitespace of both kinds, the ASCII separators \x1c-\x1f, non-ASCII digits
+# and letters, underscores, quotes and a comment sign.
+ODD_CELL_CHARS = "019+-.eEnaif_ \t\x0b\x0c\x1c\x1e\x1f\xa0\x85\u2003\u0661\u01fe#\"x"
+ODD_CELLS = st.one_of(st.sampled_from(["1.5", "7", "-0", " 3 ", "Idle", "1e-3"]),
+                      st.text(ODD_CELL_CHARS, max_size=4))
+
+
 class TestCsvReader:
     @pytest.fixture(scope="class")
     def chunk_csv_lines(self, scenario_runs):
@@ -892,6 +955,16 @@ class TestCsvReader:
     @given(edit=st.sampled_from(CSV_EDITS), offset=st.integers(-3, 2),
            column=st.integers(0, len(runner.TELEMETRY_COLUMNS) - 1), count=st.integers(1, 3),
            leading_blanks=st.integers(0, 2))
+    # Each spelling edit once where it decides the outcome: in an int, float or text column.
+    @example(edit="digit_underscores", offset=0, column=1, count=1, leading_blanks=0)
+    @example(edit="padded_cell", offset=-1, column=7, count=1, leading_blanks=1)
+    @example(edit="padded_cell", offset=0, column=5, count=1, leading_blanks=0)
+    @example(edit="fraction_in_int", offset=1, column=6, count=1, leading_blanks=0)
+    @example(edit="quoted_cell", offset=0, column=2, count=1, leading_blanks=0)
+    @example(edit="arabic_indic_digits", offset=-2, column=8, count=1, leading_blanks=2)
+    @example(edit="separator_char", offset=0, column=3, count=1, leading_blanks=0)
+    @example(edit="last_chunk_one_line", offset=0, column=0, count=1, leading_blanks=0)
+    @example(edit="last_chunk_one_line", offset=0, column=0, count=1, leading_blanks=2)
     def test_matches_whole_file_reader(self, chunk_csv_lines, tmp_path_factory,
                                        edit, offset, column, count, leading_blanks):
         # Blank lines after the header are no defect, but move every data row
@@ -912,6 +985,28 @@ class TestCsvReader:
             else:
                 assert got[name].tobytes() == column_values.tobytes(), name
 
+    @settings(max_examples=300, deadline=None)
+    @given(header=st.sampled_from([("a", "finger", "fsm_mode"), ("finger",), ("fsm_mode",)]),
+           lines=st.lists(st.lists(ODD_CELLS, min_size=1, max_size=3).map(",".join),
+                          max_size=4))
+    @example(header=("a",), lines=["1.5", "\x1e2"])
+    @example(header=("finger",), lines=["\u01fe2"])
+    @example(header=("fsm_mode",), lines=["Idle", " \t", "Idle"])
+    def test_odd_cells_read_as_by_the_whole_file_reader(self, tmp_path_factory, header, lines):
+        path = tmp_path_factory.getbasetemp() / "odd_cells.csv"
+        path.write_text(",".join(header) + "\n" + "".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+
+        def outcome(read):
+            try:
+                columns = read(path, ())
+            except DomainError as exc:
+                return str(exc)
+            return {name: (column.dtype, column.tolist() if column.dtype == object
+                           else column.tobytes()) for name, column in columns.items()}
+
+        assert outcome(runner.read_csv) == outcome(legacy_read_csv)
+
     def test_several_defects_name_the_file_and_one_defect(self, chunk_csv_lines, tmp_path):
         # A bad cell in the first chunk and a short row in the second: the
         # whole-file reader checks every row's length before it converts, the
@@ -926,6 +1021,27 @@ class TestCsvReader:
             errors.append(read_outcome(runner.read_csv, path))
         assert errors[2] in errors[:2] and errors[2].startswith(f"{path}: ")
         assert read_outcome(legacy_read_csv, path) in errors[:2]
+
+    def test_shipped_csvs_read_without_the_column_converter(self, monkeypatch, tmp_path,
+                                                             shipped_runs, default_params,
+                                                             default_chain):
+        # The converter runs only on a chunk numpy's reader refuses: every
+        # fixture's telemetry and a calibration samples file must not need it.
+        converted = count_calls(monkeypatch, "_typed_column")
+        for name, res in shipped_runs.items():
+            path = tmp_path / f"{name}.csv"
+            runner.write_telemetry_csv(res.rows, path)
+            assert runner.read_telemetry(path)["t_s"].size == len(res.rows), name
+        data = calibration.simulate_calibration_run(default_params, default_chain,
+                                                    [35e3, 45e3, 55e3], seed=3)
+        samples = tmp_path / "samples.csv"
+        with open(samples, "w", encoding="utf-8", newline="") as fh:
+            runner.write_csv(fh, ("pressure_pa", "kappa_per_m", "warmup_cycles"),
+                             [(p, k, data.warmup_cycles)
+                              for p, k in zip(data.pressures, data.curvatures)])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["calibrate", "pressure-curvature", str(samples)]) == 0
+        assert converted == []
 
     def test_memory_bounded_by_arrays_and_modes_shared(self, tmp_path, scenario_runs):
         fh = io.StringIO()

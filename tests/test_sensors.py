@@ -282,6 +282,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             AdcParams(v_ref=0.0)
 
+    @pytest.mark.parametrize("bits", [12.5, True, "12", float("nan")])
+    def test_adc_bits_must_be_an_integer(self, bits):
+        with pytest.raises(DomainError, match=rf"^bits: must be an integer, got {bits!r}$"):
+            AdcParams(bits=bits)
+
+    def test_adc_bits_whole_float_reads_as_int(self):
+        adc = AdcParams(bits=12.0)
+        assert type(adc.bits) is int and adc.full_scale_counts == 4095
+
     def test_pressure_sensor_invariants(self):
         with pytest.raises(DomainError):
             PressureSensorParams(full_scale_pressure=0.0)
