@@ -3,11 +3,14 @@
 ``finite``, ``integer`` and ``json_object`` check one value read from a JSON
 file (a scenario or a calibration record) and name it by its path.
 ``check_fields`` is the one number rule of every parameter type: each float
-field is finite, and each field it names is > 0 or >= 0. Each refusal reads
-"<field>: <rule>", the form the scenario loader maps back to a file key.
+field is finite and is stored as a Python float, and each field it names is
+> 0 or >= 0. Each refusal reads "<field>: <rule>", the form the scenario
+loader maps back to a file key. A number is any ``numbers.Real`` (numpy's
+scalars included) but a boolean.
 """
 
 import math
+import numbers
 from dataclasses import fields
 
 
@@ -52,8 +55,8 @@ class RecordError(SofthandError, ValueError):
 
 
 def finite(value, path: str, error: type[SofthandError] = DomainError) -> float:
-    """A JSON number as a finite float; NaN, +-Infinity and integers too large for a float fail."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    """A number as a finite float; NaN, +-Infinity and integers too large for a float fail."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise error(f"{path}: expected a number, got {value!r}")
     try:
         number = float(value)
@@ -65,12 +68,13 @@ def finite(value, path: str, error: type[SofthandError] = DomainError) -> float:
 
 
 def integer(value, path: str, error: type[SofthandError] = DomainError) -> int:
-    """A number with no fractional part as an int; booleans, fractions, NaN and +-inf fail."""
+    """An integer, or a float with no fractional part, as an int; booleans, fractions,
+    NaN and +-inf fail."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise error(f"{path}: must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def json_object(raw, path: str, required=(), optional=None,
@@ -90,10 +94,11 @@ def json_object(raw, path: str, required=(), optional=None,
 def check_fields(obj, positive=(), non_negative=(), error: type[SofthandError] = DomainError
                  ) -> None:
     """Refuse a dataclass whose float fields are not all finite numbers, then any field
-    named in positive that is not > 0 or in non_negative that is not >= 0."""
+    named in positive that is not > 0 or in non_negative that is not >= 0. Each float
+    field is stored as a float, so no int or numpy scalar reaches the arithmetic."""
     for f in fields(obj):
         if f.type in ("float", float):
-            finite(getattr(obj, f.name), f.name, error)
+            object.__setattr__(obj, f.name, finite(getattr(obj, f.name), f.name, error))
     for name in positive:
         if not getattr(obj, name) > 0:
             raise error(f"{name}: must be > 0, got {getattr(obj, name)}")

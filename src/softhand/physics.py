@@ -258,7 +258,7 @@ def step(state: ActuatorState, params: ActuatorParams, valves: ValvePair,
 def pump_fill_scale(circuit: PneumaticCircuit, valves) -> float:
     """Share of the fill rate each open inlet gets: 1/open inlets with a shared pump, else 1."""
     if circuit.share_pump_flow:
-        open_inlets = sum(1 for v in valves if v.inlet)
+        open_inlets = [v.inlet for v in valves].count(True)
         if open_inlets > 1:
             return 1.0 / open_inlets
     return 1.0

@@ -7,6 +7,14 @@ telemetry row per finger, then integrate the pneumatics at the physics dt
 until the next tick. Identical scenario + seed gives byte-identical output
 files.
 
+Per finger, one tick is one ``SensorPath.sample``, one ``fsm_tick``, one
+``encode_telemetry`` when the finger streams or was asked for its state,
+one telemetry row and one ``FingerPlant.advance``. Per tick the device and
+host decoders are each fed once, the FSMs are searched for transitions only
+when one of them changed, and the grip force is summed only for objects
+with mass, the ones a ``force_check`` event reports. The loop binds the
+methods it calls every tick once per run.
+
 Telemetry columns (one row per finger per tick):
   t_s              tick time
   finger           actuator index
@@ -51,6 +59,8 @@ _COLUMN_DTYPES = {"finger": int, "strain_counts": int, "pressure_counts": int,
 # Lines read_csv reads and parses, and rows write_csv formats, at a time: a
 # telemetry line costs about 1 kB of Python objects until its chunk is converted.
 _CHUNK_LINES = 1024
+# A valve flag (a bool) as its 0/1 telemetry cell, by index rather than an int() call.
+_FLAG = (0, 1)
 
 FIGURE_KINDS = {
     "pressure_curvature": ("finger", "pressure_pa", "curvature_per_m"),
@@ -125,30 +135,34 @@ class HandDevice:
         """Run one control tick on each finger's (strain_counts, pressure_counts, reading).
 
         Returns the valves, outgoing bytes and FSM transitions: those the
-        commands fed since the last tick made, then this tick's.
+        commands fed since the last tick made, then this tick's. fsm_tick
+        returns an FSM that keeps its state as the same object, so this
+        tick's transitions are looked for only when the FSM tuple changed.
         """
         old_fsms = self.fsms
         fsms, valves = controller.hand_controller_tick(
-            old_fsms, tuple(reading for _, _, reading in samples), t, self.config)
+            old_fsms, tuple([reading for _, _, reading in samples]), t, self.config)
         self.fsms = fsms
         transitions, self._fed_transitions = self._fed_transitions, []
-        transitions += [(i, old.mode, new.mode) for i, (old, new) in enumerate(zip(old_fsms, fsms))
-                        if new is not old and new.mode is not old.mode]
+        if fsms != old_fsms:
+            transitions += [(i, old.mode, new.mode) for i, (old, new)
+                            in enumerate(zip(old_fsms, fsms)) if new.mode is not old.mode]
         if not (self._streaming or self._state_requests):
             return valves, b"", transitions
         t_ms = round(t * 1000.0)
         frames = []
-        periods, last, requests = self._stream_period_ms, self._last_stream_ms, self._state_requests
+        last, requests = self._last_stream_ms, self._state_requests
         wire_modes = protocol.MODE_CODES  # keyed by mode name: a str hashes in C, an Enum in Python
-        for i, (strain_counts, pressure_counts, _) in enumerate(samples):
-            period = periods[i]
-            due = period is not None and t_ms - last[i] >= period
-            if due:
+        for i, period, (strain_counts, pressure_counts, _), fsm in zip(
+                range(len(fsms)), self._stream_period_ms, samples, fsms):
+            if period is not None and t_ms - last[i] >= period:
                 last[i] = t_ms
-            if due or i in requests:
-                frames.append(protocol.encode_telemetry(
-                    i, t_ms, pressure_counts, strain_counts, wire_modes[fsms[i].mode._value_]))
-        requests.clear()
+            elif i not in requests:
+                continue
+            frames.append(protocol.encode_telemetry(
+                i, t_ms, pressure_counts, strain_counts, wire_modes[fsm.mode._value_]))
+        if requests:
+            requests.clear()
         return valves, b"".join(frames), transitions
 
 
@@ -240,10 +254,20 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
     command_times = [c.t_s for c in commands] + [math.inf]
     disturbance_times = [d.t_s for d in disturbances] + [math.inf]
     n_ticks = int(round(sc.duration_s / tick))
-    # Peak total grip force per scenario object (index into sc.objects), and
-    # the plants each object's force is summed over.
-    peak_force: list[tuple[float, float]] = [(0.0, 0.0)] * len(sc.objects)
-    force_groups = [[plants[f] for f in obj.fingers] for obj in sc.objects]
+    # Peak total grip force of each object a force_check event reports (a
+    # mass that is not <= 0), and the plants its force is summed over.
+    weighed = [obj for obj in sc.objects if not obj.mass_kg <= 0.0]
+    peak_force: list[tuple[float, float]] = [(0.0, 0.0)] * len(weighed)
+    force_groups = [[plants[f] for f in obj.fingers] for obj in weighed]
+
+    # Per-run bindings: a bound method or attribute looked up once, not per tick.
+    sensed = [(path.sample, plant) for path, plant in zip(paths, plants)]
+    fingers = list(zip(range(n), plants, [plant.advance for plant in plants]))
+    device_feed, device_tick = device.feed, device.tick
+    device_recv, device_send, host_recv = bus.device_recv, bus.device_send, bus.host_recv
+    host_feed, parse_telemetry = host_decoder.feed, protocol.parse_telemetry
+    share_pump_flow, fault = circuit.share_pump_flow, controller.Mode.FAULT
+    append = rows.append
 
     for k in range(n_ticks):
         t = k * tick
@@ -260,7 +284,7 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
                            "curvature_step_per_m": dist.curvature_step_per_m})
             di += 1
 
-        samples = [path.sample(pl.pressure, pl.curvature) for path, pl in zip(paths, plants)]
+        samples = [sample(plant.pressure, plant.curvature) for sample, plant in sensed]
 
         while command_times[ci] <= due:
             cmd = commands[ci]
@@ -269,38 +293,34 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
                            "actuator_id": cmd.actuator_id,
                            "command": type(cmd.command).__name__})
             ci += 1
-        device.feed(bus.device_recv(t), t)
+        device_feed(device_recv(t), t)
 
-        valves, out_bytes, transitions = device.tick(samples, t)
+        valves, out_bytes, transitions = device_tick(samples, t)
         if out_bytes:
-            bus.device_send(out_bytes, t)
+            device_send(out_bytes, t)
         for i, old, new in transitions:
             events.append({"t_s": t, "kind": "fsm_transition", "finger": i,
                            "from": old._value_, "to": new._value_})
-            if new is controller.Mode.FAULT:
+            if new is fault:
                 events.append({"t_s": t, "kind": "fault", "finger": i})
 
-        fill_scale = physics.pump_fill_scale(circuit, valves) if circuit.share_pump_flow else 1.0
-        for i, ((strain_counts, pressure_counts, r), plant, fsm, v) in enumerate(
-                zip(samples, plants, device.fsms, valves)):
-            rows.append((t, i, r.pressure, plant.curvature, r.strain, strain_counts,
-                         pressure_counts, fsm.mode._value_, int(v.inlet), int(v.vent),
-                         plant.contact_force))
-            plant.advance(v, fill_scale)
+        fill_scale = physics.pump_fill_scale(circuit, valves) if share_pump_flow else 1.0
+        for (i, plant, advance), (strain_counts, pressure_counts, r), fsm, v in zip(
+                fingers, samples, device.fsms, valves):
+            append((t, i, r.pressure, plant.curvature, r.strain, strain_counts, pressure_counts,
+                    fsm.mode._value_, _FLAG[v.inlet], _FLAG[v.vent], plant.contact_force))
+            advance(v, fill_scale)
 
-        for telemetry_frame in host_decoder.feed(bus.host_recv(t)):
-            if protocol.parse_telemetry(telemetry_frame) is not None:
+        for frame in host_feed(host_recv(t)):
+            if parse_telemetry(frame) is not None:
                 wire_telemetry += 1
 
         for oi, group in enumerate(force_groups):
-            total = sum(plant.contact_force for plant in group)
+            total = sum([plant.contact_force for plant in group])
             if total > peak_force[oi][1]:
                 peak_force[oi] = (t, total)
 
-    for oi, obj in enumerate(sc.objects):
-        if obj.mass_kg <= 0.0:
-            continue
-        t_peak, achieved = peak_force[oi]
+    for obj, (t_peak, achieved) in zip(weighed, peak_force):
         required = obj.mass_kg * STANDARD_GRAVITY
         events.append({"t_s": t_peak, "kind": "force_check", "fingers": list(obj.fingers),
                        "mass_kg": obj.mass_kg, "required_n": required,

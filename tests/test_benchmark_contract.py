@@ -34,13 +34,14 @@ def test_traced_name_is_public_callable(name):
     assert callable(owner), name
 
 
-def count_calls(monkeypatch, calls, owner, attr):
-    """Wrap ``owner.attr`` so that each call adds one to ``calls[attr]``."""
+def count_calls(monkeypatch, calls, owner, attr, key=None):
+    """Wrap ``owner.attr`` so that each call adds one to ``calls[key or attr]``."""
     fn = getattr(owner, attr)
-    calls[attr] = 0
+    key = key or attr
+    calls[key] = 0
 
     def wrapper(*args, **kwargs):
-        calls[attr] += 1
+        calls[key] += 1
         return fn(*args, **kwargs)
     monkeypatch.setattr(owner, attr, wrapper)
 
@@ -88,3 +89,33 @@ def test_streamed_run_wire_counts(monkeypatch):
     assert calls["hand_controller_tick"] == n_ticks
     assert calls["fsm_tick"] == 3 * n_ticks
     assert calls["apply_command"] == 6  # the fixture's two broadcasts, to 3 fingers each
+
+
+def test_unstreamed_run_call_counts(monkeypatch):
+    # The fixtures workload's shape: no stream, so no telemetry frame is
+    # encoded or parsed, and every tick still feeds both decoders and ticks
+    # every FSM and plant once.
+    sc = scenario.load_shipped_scenario("cylinder_r4cm")
+    n_ticks = round(sc.duration_s / sc.tick_s)
+    calls = {}
+    count_calls(monkeypatch, calls, runner.HandDevice, "tick")
+    count_calls(monkeypatch, calls, runner.HandDevice, "feed", key="device_feed")
+    count_calls(monkeypatch, calls, controller, "hand_controller_tick")
+    count_calls(monkeypatch, calls, protocol.FrameDecoder, "feed")
+    count_calls(monkeypatch, calls, protocol, "encode")
+    count_calls(monkeypatch, calls, protocol, "encode_telemetry")
+    count_calls(monkeypatch, calls, protocol, "parse_telemetry")
+    count_calls(monkeypatch, calls, controller, "fsm_tick")
+    count_calls(monkeypatch, calls, physics.FingerPlant, "advance")
+    result = runner.run_scenario(sc)
+    assert sc.n_fingers == 3 and n_ticks > 0 and sc.commands
+    assert calls["tick"] == n_ticks
+    assert calls["device_feed"] == n_ticks
+    assert calls["hand_controller_tick"] == n_ticks
+    assert calls["feed"] == 2 * n_ticks  # the device's decoder and the host's
+    assert calls["fsm_tick"] == 3 * n_ticks
+    assert calls["advance"] == 3 * n_ticks
+    assert calls["encode"] == len(sc.commands)
+    assert calls["encode_telemetry"] == 0
+    assert calls["parse_telemetry"] == 0
+    assert result.wire_telemetry_count == 0

@@ -30,6 +30,20 @@ GOLDEN = [
     ("heavy_hold_770g", 8400, "715b9a2613b020fb8e7b73746f4adf5c77499c3896a402398a0f82ae50e98e97"),
     ("wiggle", 18000, "3707edb039eff8f7a7905fd7f7737f226b8ec5a4d92f1079e47b48a6ac5d2612"),
 ]
+# sha256 of each fixture's events JSONL at the pinned defaults. The cylinders
+# and the empty grasp send the same commands to massless objects, so their
+# logs match; each heavy hold adds a force_check event whose t_s and
+# achieved_n come from the per-tick peak of the summed grip force.
+EVENTS_GOLDEN = {
+    "cylinder_r2cm": "1eb0b459e3a4d2a854a83831649e985da419ed4b08b7f73915c8a2295275552f",
+    "cylinder_r4cm": "1eb0b459e3a4d2a854a83831649e985da419ed4b08b7f73915c8a2295275552f",
+    "cylinder_r74mm": "1eb0b459e3a4d2a854a83831649e985da419ed4b08b7f73915c8a2295275552f",
+    "empty_grasp": "1eb0b459e3a4d2a854a83831649e985da419ed4b08b7f73915c8a2295275552f",
+    "heavy_hold_244g": "cd8d965efa738112aa520bbb8ad2565ea50d2045d41e3c9d85b361683128b221",
+    "heavy_hold_628g": "83e09a7b22b510d58ab86868908e5d7aa316bcf343b5e7ec7e862a7444fb8e00",
+    "heavy_hold_770g": "6ba3f8de72e8e5a86dbe27f5e12f027fbe36580ec22ed5832b4d725685a9bb80",
+    "wiggle": "080696e24206f72ef6368ea418925b69c4f813666a06b740ea57895d1f7c3516",
+}
 
 
 def minimal_dict(**overrides):
@@ -280,6 +294,53 @@ class TestScenarioSchema:
         with pytest.raises(SofthandError, match=rf"^{field}: must be finite, got {value}$"):
             cls(**{**FIELD_CHECKED_TYPES[cls], field: value})
 
+    @pytest.mark.parametrize("cls,field", [(cls, name) for cls in FIELD_CHECKED_TYPES
+                                           for name in float_fields(cls)],
+                             ids=lambda x: x if isinstance(x, str) else x.__name__)
+    def test_float_field_stores_numpy_scalar_as_float(self, cls, field):
+        valid = cls(**FIELD_CHECKED_TYPES[cls])
+        for scalar in (np.float32, np.float64):
+            value = scalar(getattr(valid, field))
+            stored = getattr(cls(**{**FIELD_CHECKED_TYPES[cls], field: value}), field)
+            assert type(stored) is float and stored == float(value)
+
+    @pytest.mark.parametrize("cls,field", [(cls, name) for cls in FIELD_CHECKED_TYPES
+                                           for name in float_fields(cls)],
+                             ids=lambda x: x if isinstance(x, str) else x.__name__)
+    @pytest.mark.parametrize("value", [True, np.bool_(True)], ids=["bool", "np.bool_"])
+    def test_float_field_refuses_booleans(self, cls, field, value):
+        with pytest.raises(SofthandError, match=rf"^{field}: expected a number, got"):
+            cls(**{**FIELD_CHECKED_TYPES[cls], field: value})
+
+    def test_numpy_integers_stored_as_python_numbers(self):
+        obj = physics.RigidObject(radius=np.int64(1))
+        adc = sensors.AdcParams(bits=np.int64(12))
+        assert type(obj.radius) is float and obj.radius == 1.0
+        assert type(adc.bits) is int and adc.full_scale_counts == 4095
+
+    def test_run_from_numpy_parameters_matches_golden(self, tmp_path):
+        def as_numpy(params):
+            """params with each float field as np.float64, nested parameter types likewise."""
+            changes = {}
+            for f in dataclasses.fields(params):
+                value = getattr(params, f.name)
+                if type(value) is float:
+                    changes[f.name] = np.float64(value)
+                elif dataclasses.is_dataclass(value):
+                    changes[f.name] = as_numpy(value)
+            return dataclasses.replace(params, **changes)
+
+        name, _, digest = GOLDEN[2]
+        sc = scenario.load_shipped_scenario(name)
+        sc = dataclasses.replace(
+            sc, actuators=tuple(map(as_numpy, sc.actuators)), chains=tuple(map(as_numpy, sc.chains)),
+            control=as_numpy(sc.control), circuit=as_numpy(sc.circuit),
+            objects=tuple(dataclasses.replace(o, radius_m=np.float64(o.radius_m))
+                          for o in sc.objects))
+        assert type(sc.actuators[0].slope_m) is float and type(sc.chains[0].gauge.r0) is float
+        res = runner.run_scenario(sc, out_dir=tmp_path)
+        assert hashlib.sha256(open(res.telemetry_path, "rb").read()).hexdigest() == digest
+
     def test_unknown_command_name(self):
         with pytest.raises(ScenarioError, match="unknown command"):
             scenario.scenario_from_dict(minimal_dict(
@@ -362,6 +423,8 @@ class TestRunDeterminism:
         assert len(res.rows) == n_rows
         actual = hashlib.sha256(open(res.telemetry_path, "rb").read()).hexdigest()
         assert actual == digest
+        events = hashlib.sha256(open(res.events_path, "rb").read()).hexdigest()
+        assert events == EVENTS_GOLDEN[name]
 
     def test_halving_dt_keeps_hold_state_within_1pct(self):
         sc = scenario.load_shipped_scenario("empty_grasp")

@@ -282,7 +282,7 @@ class TestValidation:
         with pytest.raises(DomainError):
             AdcParams(v_ref=0.0)
 
-    @pytest.mark.parametrize("bits", [12.5, True, "12", float("nan")])
+    @pytest.mark.parametrize("bits", [12.5, True, "12", float("nan"), np.bool_(True)])
     def test_adc_bits_must_be_an_integer(self, bits):
         with pytest.raises(DomainError, match=rf"^bits: must be an integer, got {bits!r}$"):
             AdcParams(bits=bits)
