@@ -6,6 +6,16 @@ broadcast, and crc is CRC-8 (polynomial 0x07, init 0, MSB first) over
 length..payload. Command values are scaled integers, never floats:
 pressure targets in Pa/10, curvature targets in 0.01/m.
 
+``encode_telemetry`` reads its CRC from per-field tables instead of walking
+the payload. CRC-8 with init 0 and no final XOR is linear over GF(2) for
+messages of one length: the CRC of a XOR of two 12-byte messages is the XOR
+of their CRCs. A telemetry frame's 12 CRC bytes are the XOR of messages that
+are zero but for one field (the header with its actuator id, each 16-bit
+half of t_ms, the pressure counts, the strain counts, the mode), so its CRC
+is the XOR of those fields' CRCs, each tabulated once from ``_CRC_TABLE``
+(Sarwate, "Computation of cyclic redundancy checks via table look-up",
+CACM 1988). Command frames and the decoder keep the bytewise CRC.
+
 Commands carry no sequence numbers; every command is an absolute setting,
 so retrying over a lossy link is always safe. The incremental decoder
 consumes arbitrary byte streams: on a bad sync, bad length, bad id or CRC
@@ -20,6 +30,8 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, EncodeError
 from .rand import DeterministicRng
@@ -209,6 +221,33 @@ class Telemetry(NamedTuple):
 
 _TELEMETRY_STRUCT = struct.Struct("<IHHB")
 _TELEMETRY_SIZE = _TELEMETRY_STRUCT.size
+# A whole telemetry frame: sync, length, command, actuator_id, payload, crc.
+_TELEMETRY_FRAME = struct.Struct("<BBBBIHHBB")
+
+
+def _telemetry_crc_tables() -> tuple[bytes, bytes, bytes, bytes, bytes]:
+    """The header's CRC share by actuator id, then the u16 tables of t_ms's
+    low and high halves, the pressure counts and the strain counts.
+
+    A byte's share of the CRC over a telemetry frame's 12 CRC bytes is the
+    CRC of that byte followed by as many zero bytes as come after it: a
+    leading zero byte leaves a CRC of init 0 at 0.
+    """
+    table = np.array(_CRC_TABLE, dtype=np.uint8)
+    at = [table]  # at[k]: each byte value's share with k bytes after it, k = 0..11
+    for _ in range(11):
+        at.append(table[at[-1]])
+
+    def u16(low: int, high: int) -> bytes:  # a little-endian u16's share by its value
+        return (at[high][:, None] ^ at[low][None, :]).tobytes()
+
+    header = at[11][_TELEMETRY_SIZE] ^ at[10][CMD_TELEMETRY] ^ at[9]
+    return header.tobytes(), u16(8, 7), u16(6, 5), u16(4, 3), u16(2, 1)
+
+
+# The mode byte is last, so its share is _CRC_TABLE itself.
+(_CRC_BY_ID, _CRC_BY_T_LOW, _CRC_BY_T_HIGH, _CRC_BY_PRESSURE,
+ _CRC_BY_STRAIN) = _telemetry_crc_tables()
 
 # Each command type's wire code, and the same table read backwards.
 _COMMAND_CODES = {SetPressureTarget: CMD_SET_PRESSURE_TARGET,
@@ -268,9 +307,19 @@ def parse_command(frame: Frame) -> Command | None:
 
 def encode_telemetry(actuator_id: int, t_ms: int, pressure_counts: int,
                      strain_counts: int, fsm_mode: int) -> bytes:
-    payload = _TELEMETRY_STRUCT.pack(t_ms & 0xFFFFFFFF, pressure_counts & 0xFFFF,
-                                     strain_counts & 0xFFFF, fsm_mode & 0xFF)
-    return encode(_new_tuple(Frame, (CMD_TELEMETRY, actuator_id, payload)))
+    """The telemetry frame ``encode`` writes for these fields, each masked to
+    its wire width; the CRC is read from the field tables."""
+    if not (0 <= actuator_id <= MAX_ACTUATOR_ID or actuator_id == BROADCAST_ID):
+        raise EncodeError(f"actuator_id must be 0..{MAX_ACTUATOR_ID} or 0xFF, got {actuator_id}")
+    t_ms &= 0xFFFFFFFF
+    pressure_counts &= 0xFFFF
+    strain_counts &= 0xFFFF
+    fsm_mode &= 0xFF
+    crc = (_CRC_BY_ID[actuator_id] ^ _CRC_BY_T_LOW[t_ms & 0xFFFF] ^ _CRC_BY_T_HIGH[t_ms >> 16]
+           ^ _CRC_BY_PRESSURE[pressure_counts] ^ _CRC_BY_STRAIN[strain_counts]
+           ^ _CRC_TABLE[fsm_mode])
+    return _TELEMETRY_FRAME.pack(SYNC, _TELEMETRY_SIZE, CMD_TELEMETRY, actuator_id, t_ms,
+                                 pressure_counts, strain_counts, fsm_mode, crc)
 
 
 def parse_telemetry(frame: Frame) -> Telemetry | None:

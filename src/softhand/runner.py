@@ -254,9 +254,9 @@ def run_scenario(sc: Scenario, out_dir=None, seed: int | None = None,
     command_times = [c.t_s for c in commands] + [math.inf]
     disturbance_times = [d.t_s for d in disturbances] + [math.inf]
     n_ticks = int(round(sc.duration_s / tick))
-    # Peak total grip force of each object a force_check event reports (a
-    # mass that is not <= 0), and the plants its force is summed over.
-    weighed = [obj for obj in sc.objects if not obj.mass_kg <= 0.0]
+    # Peak total grip force of each object a force_check event reports (one
+    # with mass), and the plants its force is summed over.
+    weighed = [obj for obj in sc.objects if obj.mass_kg > 0.0]
     peak_force: list[tuple[float, float]] = [(0.0, 0.0)] * len(weighed)
     force_groups = [[plants[f] for f in obj.fingers] for obj in weighed]
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import controller, physics, protocol, sensors
-from .errors import ScenarioError, SofthandError, finite, integer, json_object
+from .errors import (ScenarioError, SofthandError, check_fields, finite, integer,
+                     json_object)
 
 DEFAULT_FINGERS = 3
 # Longest run a scenario may ask for, in control ticks (600 s at the 5 ms
@@ -72,6 +73,10 @@ class ScenarioObject:
     mass_kg: float
     position_m: float
     fingers: tuple[int, ...]
+
+    def __post_init__(self):
+        check_fields(self, positive=("radius_m",), non_negative=("mass_kg",),
+                     error=ScenarioError)
 
     def to_rigid_object(self) -> physics.RigidObject:
         return physics.RigidObject(radius=self.radius_m)

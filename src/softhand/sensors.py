@@ -15,6 +15,10 @@ drawn from an explicit seeded stream - no global RNG state.
 functions. ``SensorPath`` is the closed loop's sampler and the one fused
 sensor path: ``measure`` then ``counts_to_physical`` with every constant
 read once per run and the noise drawn in blocks, tested against those two.
+Its inverse path depends on the two ADC counts only, so each path tabulates
+it once for every count from 0 to full scale, in numpy, by the same
+operations in the same order (+, -, *, / and sqrt are correctly rounded in
+numpy as in ``math``), and ``sample`` reads the tables.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, check_fields, integer
 from .rand import DeterministicRng
@@ -270,27 +276,25 @@ class SensorPath:
     voltage at or above excitation). The noise is read ahead in blocks from
     ``rng``, so the path owns that stream: nothing else may draw from it.
     Channels with noise_sigma 0 draw nothing, as in ``measure``.
+
+    The inverse path is read from tables of every count 0..full scale, built
+    here: the pressure, the strain and the curvature by count, and the first
+    strain count whose divider voltage reaches excitation. That voltage only
+    rises with the count, so every count from that one on raises. At 16 bits
+    the three tables hold 65,537 doubles each, about 1.5 MB.
     """
 
     __slots__ = ("_d_neutral", "_r0", "_r_lead", "_strain_gain", "_v_excitation",
                  "_two_r_limit", "_strain_sigma", "_offset", "_fsp", "_fsv_per_fsp",
-                 "_pressure_gain", "_pressure_sigma", "_v_ref", "_fsc", "_channel",
-                 "_fsp_per_fsv", "_r0_hat", "_r_lead_hat", "_d_neutral_hat", "_noise")
+                 "_pressure_gain", "_pressure_sigma", "_v_ref", "_fsc", "_noise",
+                 "_pressure_by_count", "_strain_by_count", "_curvature_by_count",
+                 "_strain_limit")
 
     def __init__(self, chain: SensorChain, cal: "CalibrationRecord | None" = None,
                  rng: DeterministicRng | None = None, ambient_offset: float = 0.0):
         gauge, sensor, adc = chain.gauge, chain.pressure, chain.adc
         if (gauge.noise_sigma > 0.0 or sensor.noise_sigma > 0.0) and rng is None:
             raise DomainError("noise_sigma > 0 requires a seeded rng")
-        if cal is not None:
-            r0, r_lead, d_neutral = cal.r0_hat_ohm, cal.r_lead_hat_ohm, cal.d_neutral_m
-        else:
-            r0, r_lead, d_neutral = gauge.r0, gauge.r_lead, chain.d_neutral
-        # The inverse path's gauge: the record's fit when given, else the chain's.
-        self._r0_hat, self._r_lead_hat, self._d_neutral_hat = r0, r_lead, d_neutral
-        channel = cal.pressure_channel if cal is not None else None
-        self._channel = None if channel is None else (channel.gain_pa_per_count,
-                                                      channel.offset_pa)
         self._d_neutral = chain.d_neutral
         self._r0, self._r_lead = gauge.r0, gauge.r_lead
         self._strain_gain = gauge.amp_gain
@@ -300,7 +304,6 @@ class SensorPath:
         self._offset = sensor.offset_drift + ambient_offset
         self._fsp = sensor.full_scale_pressure
         self._fsv_per_fsp = sensor.full_scale_voltage / sensor.full_scale_pressure
-        self._fsp_per_fsv = sensor.full_scale_pressure / sensor.full_scale_voltage
         self._pressure_gain = sensor.amp_gain
         self._pressure_sigma = sensor.noise_sigma
         self._v_ref, self._fsc = adc.v_ref, adc.full_scale_counts
@@ -308,6 +311,41 @@ class SensorPath:
         # the next block is drawn only when the last one is used up.
         self._noise = (itertools.chain.from_iterable(_noise_blocks(rng)).__next__
                        if rng is not None else None)
+        self._tabulate_inverse(chain, cal)
+
+    def _tabulate_inverse(self, chain: SensorChain, cal: "CalibrationRecord | None") -> None:
+        """counts_to_physical's floats for every count, by its operations in its order.
+
+        Each table is a memoryview of a float64 array: 8 bytes per count, and
+        indexing it gives a Python float.
+        """
+        v_ref, fsc = self._v_ref, self._fsc
+        counts = np.arange(fsc + 1, dtype=np.float64)
+        channel = cal.pressure_channel if cal is not None else None
+        if channel is not None:
+            p_raw = channel.gain_pa_per_count * counts + channel.offset_pa
+        else:
+            sensor = chain.pressure
+            p_raw = (counts / fsc * v_ref / sensor.amp_gain
+                     * (sensor.full_scale_pressure / sensor.full_scale_voltage))
+        self._pressure_by_count = memoryview(p_raw - self._offset)
+
+        # The inverse path's gauge: the record's fit when given, else the chain's.
+        if cal is not None:
+            r0, r_lead, d_neutral = cal.r0_hat_ohm, cal.r_lead_hat_ohm, cal.d_neutral_m
+        else:
+            r0, r_lead, d_neutral = self._r0, self._r_lead, self._d_neutral
+        v_sensor = counts / fsc * v_ref / self._strain_gain
+        v_excitation = self._v_excitation
+        at_excitation = np.flatnonzero(v_sensor >= v_excitation)
+        self._strain_limit = int(at_excitation[0]) if at_excitation.size else fsc + 1
+        v_sensor = v_sensor[:self._strain_limit]
+        r = self._two_r_limit * v_sensor / (v_excitation - v_sensor)
+        ratio = (r - r_lead) / r0
+        positive = ratio > 0.0
+        strain = np.where(positive, np.sqrt(np.where(positive, ratio, 0.0)) - 1.0, -1.0)
+        self._strain_by_count = memoryview(strain)
+        self._curvature_by_count = memoryview(np.where(strain < 0.0, 0.0, strain) / d_neutral)
 
     def sample(self, pressure: float, curvature: float
                ) -> tuple[int, int, PhysicalReading]:
@@ -346,19 +384,9 @@ class SensorPath:
             v_adc = v_ref
         pressure_counts = round(v_adc / v_ref * fsc)
 
-        if self._channel is not None:
-            gain, offset = self._channel
-            p_raw = gain * pressure_counts + offset
-        else:
-            p_raw = pressure_counts / fsc * v_ref / amp_gain * self._fsp_per_fsv
-        v_sensor = strain_counts / fsc * v_ref / self._strain_gain
-        v_excitation = self._v_excitation
-        if v_sensor >= v_excitation:
+        if strain_counts >= self._strain_limit:
             raise DomainError("divider voltage at or above excitation; check gains")
-        r = self._two_r_limit * v_sensor / (v_excitation - v_sensor)
-        ratio = (r - self._r_lead_hat) / self._r0_hat
-        strain = math.sqrt(ratio) - 1.0 if ratio > 0.0 else -1.0
         return strain_counts, pressure_counts, _new_tuple(PhysicalReading, (
-            p_raw - self._offset, (0.0 if strain < 0.0 else strain) / self._d_neutral_hat,
-            strain, strain_counts <= 0 or strain_counts >= fsc,
+            self._pressure_by_count[pressure_counts], self._curvature_by_count[strain_counts],
+            self._strain_by_count[strain_counts], strain_counts <= 0 or strain_counts >= fsc,
             pressure_counts <= 0 or pressure_counts >= fsc))

@@ -3,8 +3,9 @@
 perfbench wraps every call site in perfbench/layers.json by its dotted path,
 the calibration_batch workload takes its simulated time from the number of
 controller.fsm_tick calls (one per physics.FingerPlant.advance), and grasp_sweep reports protocol.encode calls as
-its frames-encoded count. A rename or a rerouted loop would otherwise fail
-only the benchmark run, or silently change a reported count.
+its frames-encoded count: command frames only, since protocol.encode_telemetry
+builds telemetry frames without it. A rename or a rerouted loop would otherwise
+fail only the benchmark run, or silently change a reported count.
 """
 
 import dataclasses
@@ -59,7 +60,7 @@ def test_calibration_run_ticks_fsm_once_per_physics_step(monkeypatch):
 def test_streamed_run_wire_counts(monkeypatch):
     # grasp_sweep's shape: a broadcast 5 ms stream_start at t=0 ahead of the
     # fixture's own commands, so every finger sends one telemetry frame per
-    # 5 ms tick, each encoded through protocol.encode.
+    # 5 ms tick, each built by protocol.encode_telemetry alone.
     base = scenario.load_shipped_scenario("cylinder_r74mm")
     stream = scenario.ScheduledCommand(t_s=0.0, actuator_id=protocol.BROADCAST_ID,
                                        command=protocol.StreamStart(5))
@@ -81,7 +82,7 @@ def test_streamed_run_wire_counts(monkeypatch):
     assert sc.n_fingers == 3 and n_ticks > 0
     assert calls["tick"] == n_ticks
     assert calls["advance"] == sc.n_fingers * n_ticks
-    assert calls["encode"] == len(sc.commands) + 3 * n_ticks
+    assert calls["encode"] == len(sc.commands)
     assert result.wire_telemetry_count == 3 * n_ticks
     assert calls["encode_telemetry"] == 3 * n_ticks
     assert calls["feed"] == 2 * n_ticks  # the device's decoder and the host's

@@ -220,6 +220,69 @@ class TestTypedCommands:
         assert protocol.parse_telemetry(FrameDecoder().feed(wire)[0]) is None
 
 
+def telemetry_oracle(actuator_id, t_ms, pressure_counts, strain_counts, fsm_mode):
+    """The telemetry frame by encode's bytewise CRC, with each field masked to its width."""
+    payload = struct.pack("<IHHB", t_ms & 0xFFFFFFFF, pressure_counts & 0xFFFF,
+                          strain_counts & 0xFFFF, fsm_mode & 0xFF)
+    return encode(Frame(protocol.CMD_TELEMETRY, actuator_id, payload))
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and message of the EncodeError it raised."""
+    try:
+        return fn(*args)
+    except EncodeError as exc:
+        return EncodeError, str(exc)
+
+
+class TestTelemetryEncoder:
+    """encode_telemetry's field-table CRC against encode's bytewise one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(actuator_id=st.sampled_from([0, 1, 2, 3, 4, 5, BROADCAST_ID]),
+           t_ms=st.integers(-2 ** 40, 2 ** 40), pressure_counts=st.integers(-2 ** 20, 2 ** 20),
+           strain_counts=st.integers(-2 ** 20, 2 ** 20), fsm_mode=st.integers(-300, 300))
+    def test_same_bytes_as_bytewise_oracle(self, actuator_id, t_ms, pressure_counts,
+                                           strain_counts, fsm_mode):
+        # Fields past their masks, negatives included, wrap as the oracle's do.
+        args = (actuator_id, t_ms, pressure_counts, strain_counts, fsm_mode)
+        wire = protocol.encode_telemetry(*args)
+        assert wire == telemetry_oracle(*args)
+        frames = FrameDecoder().feed(wire)
+        assert len(frames) == 1 and frames[0].actuator_id == actuator_id
+        masked = protocol.Telemetry(t_ms & 0xFFFFFFFF, pressure_counts & 0xFFFF,
+                                    strain_counts & 0xFFFF, fsm_mode & 0xFF)
+        expected = masked if masked.fsm_mode <= max(protocol.MODE_CODES.values()) else None
+        assert protocol.parse_telemetry(frames[0]) == expected
+
+    @pytest.mark.parametrize("field", [0, 1, 2, 3], ids=["t_ms_low", "t_ms_high", "pressure",
+                                                         "strain"])
+    def test_every_u16_table_entry(self, field):
+        # Each 16-bit value of one field, the others zero: every entry of that
+        # field's table against the oracle.
+        for value in range(0x10000):
+            args = [0, 0, 0, 0, 0]
+            if field < 2:
+                args[1] = value << (16 * field)
+            else:
+                args[field] = value
+            assert protocol.encode_telemetry(*args) == telemetry_oracle(*args), value
+
+    def test_every_id_and_mode_entry(self):
+        for actuator_id in (0, 1, 2, 3, 4, 5, BROADCAST_ID):
+            for fsm_mode in range(256):
+                args = (actuator_id, 70000, 4095, 17, fsm_mode)
+                assert protocol.encode_telemetry(*args) == telemetry_oracle(*args)
+
+    def test_bad_actuator_id_refused_as_encode_does(self):
+        for actuator_id in (-1, *range(6, 255), 256, 2 ** 40):
+            args = (actuator_id, 5, 1, 2, 0)
+            expected = outcome(telemetry_oracle, *args)
+            assert expected == (EncodeError,
+                                f"actuator_id must be 0..5 or 0xFF, got {actuator_id}")
+            assert outcome(protocol.encode_telemetry, *args) == expected
+
+
 @pytest.mark.parametrize("cls, fields, defaults, values", [
     (Frame, ("command", "actuator_id", "payload"), {"payload": b""}, (0x85, 2, b"\x01")),
     (protocol.Telemetry, ("t_ms", "pressure_counts", "strain_counts", "fsm_mode"), {},

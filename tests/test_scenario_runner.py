@@ -122,6 +122,8 @@ FIELD_CHECKED_TYPES = {
         "r0_hat_ohm": 2.0, "r_lead_hat_ohm": 0.2, "d_neutral_m": 0.01},
     grasp.EmptyGraspReference: {"pressures": np.array([0.0, 1.0]),
                                 "strains": np.array([0.0, 1.0])},
+    scenario.ScenarioObject: {"radius_m": 0.05, "mass_kg": 0.3, "position_m": 0.0,
+                              "fingers": (0,)},
 }
 
 
@@ -311,6 +313,20 @@ class TestScenarioSchema:
     def test_float_field_refuses_booleans(self, cls, field, value):
         with pytest.raises(SofthandError, match=rf"^{field}: expected a number, got"):
             cls(**{**FIELD_CHECKED_TYPES[cls], field: value})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("mass_kg", float("nan"), "mass_kg: must be finite, got nan"),
+        ("mass_kg", float("inf"), "mass_kg: must be finite, got inf"),
+        ("mass_kg", -0.1, "mass_kg: must be >= 0, got -0.1"),
+        ("radius_m", 0.0, "radius_m: must be > 0, got 0.0"),
+        ("radius_m", -0.05, "radius_m: must be > 0, got -0.05"),
+    ], ids=["mass_nan", "mass_inf", "mass_negative", "radius_zero", "radius_negative"])
+    def test_scenario_object_refuses_bad_mass_or_radius(self, field, value, message):
+        # Built from the Python API, not a file: the loader's own checks, which
+        # name the file key, run before it builds the object.
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}$"):
+            scenario.ScenarioObject(**{**FIELD_CHECKED_TYPES[scenario.ScenarioObject],
+                                       field: value})
 
     def test_numpy_integers_stored_as_python_numbers(self):
         obj = physics.RigidObject(radius=np.int64(1))

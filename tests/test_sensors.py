@@ -502,6 +502,67 @@ class TestSensorPathParity:
             == expected
 
 
+def float_bits(values) -> np.ndarray:
+    """Doubles as their IEEE 754 bit patterns: equal only when bit for bit equal."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestInverseTables:
+    """SensorPath's inverse tables against counts_to_physical, count by count."""
+
+    # At 16 bits a fitted record's oracle takes about 0.6 s, so that width
+    # runs each record kind once, on the gauge whose strain table ends early.
+    @pytest.mark.parametrize("bits,cal_kind,strain_gain", [
+        *[(bits, kind, gain) for bits in (8, 12)
+          for kind in ("none", "ideal", "fitted", "fitted_channel") for gain in (25.0, 0.7)],
+        *[(16, kind, 0.7) for kind in ("none", "ideal", "fitted")]])
+    def test_every_count_matches_counts_to_physical(self, bits, cal_kind, strain_gain):
+        # At gain 0.7 the divider voltage reaches excitation near the top of
+        # the count range, so the strain tables end at that count.
+        chain = SensorChain(gauge=StrainGaugeParams(amp_gain=strain_gain, noise_sigma=0.0),
+                            pressure=PressureSensorParams(offset_drift=750.0, noise_sigma=0.0),
+                            adc=AdcParams(bits=bits), d_neutral=0.011)
+        cal = record_of_kind(cal_kind, chain, 2.1, 0.15, 0.012, 25.2, -40.0)
+        ambient = -1200.0
+        path = sensors.SensorPath(chain, cal, ambient_offset=ambient)
+        offset = chain.pressure.offset_drift + ambient
+        pressures, strains, curvatures = [], [], []
+        limit = None
+        for counts in range(chain.adc.full_scale_counts + 1):
+            reading = outcome(counts_to_physical, SensorFrame(counts, counts, offset), chain, cal)
+            if limit is None and isinstance(reading, PhysicalReading):
+                strains.append(reading.strain)
+                curvatures.append(reading.curvature)
+            else:
+                # The divider voltage only rises with the count: every count
+                # from the first that raises on raises too.
+                assert reading == (DomainError,
+                                   "divider voltage at or above excitation; check gains")
+                limit = counts if limit is None else limit
+                reading = counts_to_physical(SensorFrame(0, counts, offset), chain, cal)
+            pressures.append(reading.pressure)
+        assert (limit is None) == (strain_gain == 25.0)
+        assert path._strain_limit == len(strains)
+        assert np.array_equal(float_bits(path._pressure_by_count), float_bits(pressures))
+        assert np.array_equal(float_bits(path._strain_by_count), float_bits(strains))
+        assert np.array_equal(float_bits(path._curvature_by_count), float_bits(curvatures))
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_divider_at_excitation_raises_at_the_reference_sample(self, bits):
+        # TestSensorPathParity's case at the two other ADC widths: about half
+        # the noisy strain readings reach excitation once inverted. The
+        # samples after each raise match too, so the path reads the noise
+        # stream where the reference does.
+        chain = replace(NOISELESS, gauge=StrainGaugeParams(r_limit=1e-3, amp_gain=0.5,
+                                                           noise_sigma=0.5),
+                        adc=AdcParams(bits=bits))
+        inputs = [(1e4, 100.0)] * 20
+        expected = reference_samples(inputs, chain, None, DeterministicRng(8), 0.0)
+        raised = (DomainError, "divider voltage at or above excitation; check gains")
+        assert 0 < expected.count(raised) < len(inputs)
+        assert path_samples(inputs, chain, None, DeterministicRng(8), 0.0) == expected
+
+
 class TestGaussianDraw:
     def test_draw_consumes_one_uniform(self):
         a, b = DeterministicRng(17), DeterministicRng(17)
