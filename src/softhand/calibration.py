@@ -12,6 +12,7 @@ at least WARMUP_CYCLES_REQUIRED full inflations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -186,6 +187,50 @@ class CalibrationData:
     warmup_cycles: int
 
 
+_FAULT, _HOLDING = controller.Mode.FAULT, controller.Mode.HOLDING
+_SEALED = physics.ValvePair(False, False)
+# Once a hold has broken in a session, the ticks a hold must have lasted
+# before a held span starts.
+_MIN_SPAN = 32
+
+
+def _hold(path: sensors.SensorPath, plant: physics.FingerPlant, fsm_tick, fsm: controller.FsmState,
+          t: float, held_since: float, settle_s: float, config: controller.ControllerConfig,
+          max_ticks: float) -> tuple[controller.FsmState, float, bool]:
+    """The ticks from t until settle_s after held_since, at most max_ticks of them, as one
+    held span: (fsm, t, settled).
+
+    The plant is advanced sealed for every tick of the span, its state kept
+    per tick, and the span is sampled in one block. At the first tick whose
+    fsm_tick leaves Holding, or that the block stops before, the plant is put
+    back to that tick's state and the rest of the span's noise back on the
+    stream. A tick that left Holding is then finished with its own valves;
+    one the block stopped before is left for the caller's next tick, whose
+    sample raises.
+    """
+    tick = controller.DEFAULT_TICK_PERIOD
+    times, states = [], []
+    while True:
+        times.append(t)
+        states.append((plant.pressure, plant.curvature, plant.contact_force))
+        plant.advance(_SEALED)
+        t += tick
+        if t - held_since >= settle_s or len(times) == max_ticks:
+            break
+    _, _, readings = path.sample_block([s[0] for s in states], [s[1] for s in states])
+    for i, reading in enumerate(readings):
+        fsm, valves = fsm_tick(fsm, reading, times[i], config)
+        if fsm.mode is not _HOLDING:
+            path.unread(len(readings) - i - 1)
+            plant.pressure, plant.curvature, plant.contact_force = states[i]
+            plant.advance(valves)
+            return fsm, times[i] + tick, False
+    if len(readings) == len(times):
+        return fsm, t, t - held_since >= settle_s
+    plant.pressure, plant.curvature, plant.contact_force = states[len(readings)]
+    return fsm, times[len(readings)], False
+
+
 def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.SensorChain,
                              levels_pa, seed: int, settle_s: float = 2.5,
                              dt: float = physics.DEFAULT_DT) -> CalibrationData:
@@ -196,32 +241,66 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     quasi-static sampling mirrors how the pressure/curvature data is gathered
     on the bench. Returned values are the noisy, quantized measurements, not
     the simulator truth.
+
+    Every tick samples, ticks the FSM and advances the plant, in that order.
+    Once the FSM holds, the valves stay shut for as long as it keeps holding,
+    so the ticks left until settle_s are run as one held span (_hold): the
+    plant is advanced sealed tick by tick, the span is sampled in one
+    SensorPath.sample_block, and controller.fsm_tick then runs on each
+    reading in order. The floats, the noise read and the fsm_tick calls are
+    those of one tick at a time; the block squares 1 + eps with Python's pow,
+    as sample does, since libm's pow(x, 2) is not always numpy's x*x.
+
+    settle_s must be finite and >= 0: Holding has no timeout, so a session
+    with a NaN or infinite settle_s would never end.
     """
+    if not (0.0 <= settle_s < math.inf):
+        raise DomainError(f"settle_s: must be finite and >= 0, got {settle_s}")
     config = controller.ControllerConfig(p_max=params.p_max)
     path = sensors.SensorPath(chain, ideal_record(params, chain), DeterministicRng(seed))
+    # Looked up per session, not at import, so that a wrapper put on the
+    # module attribute (the benchmark's tracer) sees every tick.
+    fsm_tick = controller.fsm_tick
     fsm = controller.FsmState()
     tick = controller.DEFAULT_TICK_PERIOD
     plant = physics.FingerPlant(params, dt=dt, n_steps=physics.substeps(tick, dt))
     p_out, k_out = [], []
     t = 0.0
-    fault, holding = controller.Mode.FAULT, controller.Mode.HOLDING
+    # A held span runs to settle_s until a hold breaks in the session. After
+    # that a span starts only once the hold has lasted _MIN_SPAN ticks, and
+    # is at most as long as the hold so far, so a session whose holds keep
+    # breaking runs at most one speculative tick per tick it runs.
+    max_ticks = math.inf
     for level in levels_pa:
         fsm = controller.apply_command(fsm, protocol.SetPressureTarget(level), t, config)
         held_since = None
         while True:
             _, _, reading = path.sample(plant.pressure, plant.curvature)
-            fsm, valves = controller.fsm_tick(fsm, reading, t, config)
+            fsm, valves = fsm_tick(fsm, reading, t, config)
             plant.advance(valves)
             t += tick
-            if fsm.mode is fault:
+            if fsm.mode is _FAULT:
                 raise FitError(f"calibration servo faulted at level {level} Pa")
-            if fsm.mode is holding:
-                if held_since is None:
-                    held_since = t
-                if t - held_since >= settle_s:
-                    break
-            else:
+            if fsm.mode is not _HOLDING:
                 held_since = None
+                continue
+            if held_since is None:
+                held_since = t
+            if t - held_since >= settle_s:
+                break
+            if max_ticks < math.inf:
+                max_ticks = round((t - held_since) / tick)
+                if max_ticks < _MIN_SPAN:
+                    continue
+            fsm, t, settled = _hold(path, plant, fsm_tick, fsm, t, held_since, settle_s,
+                                    config, max_ticks)
+            if fsm.mode is _FAULT:
+                raise FitError(f"calibration servo faulted at level {level} Pa")
+            if settled:
+                break
+            if fsm.mode is not _HOLDING:
+                held_since = None
+                max_ticks = _MIN_SPAN
         for _ in range(SAMPLES_PER_LEVEL):
             _, _, reading = path.sample(plant.pressure, plant.curvature)
             p_out.append(reading.pressure)

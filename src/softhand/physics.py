@@ -191,20 +191,47 @@ class FingerPlant:
         self.pressure, self.curvature = p, kappa
 
     def advance(self, valves: ValvePair, fill_scale: float = 1.0) -> None:
-        """Run n_steps substeps of dt with the given valves (see step for the equations)."""
+        """Run n_steps substeps of dt with the given valves (see step for the equations).
+
+        With both valves shut dp/dt is 0, so the pressure, the target
+        curvature, the cap and the contact force are the same on every
+        substep: they are computed once, and only the curvature recurrence
+        runs per substep. The pressure still takes the substep's p + dt*0.0,
+        which turns -0.0 into 0.0.
+        """
         (dt, n_steps, p_max, pump, neg_k_vent, p_threshold, kappa_at_threshold, slope_m,
          force_gain, tau_inflate, tau_deflate, obj_cap) = self._consts
         p, kappa = self.pressure, self.curvature
         inlet, vent = valves.inlet, valves.vent
-        fill_rate = fill_scale * self._k_fill
         inf = math.inf
+        if not (inlet or vent):
+            # The state stays in [0, p_max], so the substep's clamps never fire.
+            p = p + 0.0
+            if p < p_threshold:
+                kappa_target = 0.0
+            else:
+                kappa_target = kappa_at_threshold + slope_m * (p - p_threshold)
+            cap = inf
+            force = 0.0
+            if obj_cap is not None and kappa_target >= obj_cap:
+                cap = obj_cap
+                force = force_gain * (kappa_target - cap)
+                kappa_target = cap
+            for _ in range(n_steps):
+                tau = tau_inflate if kappa_target > kappa else tau_deflate
+                kappa = kappa + dt * (kappa_target - kappa) / tau
+                if kappa > cap:
+                    kappa = cap
+                if kappa < 0.0:
+                    kappa = 0.0
+            self.pressure, self.curvature, self.contact_force = p, kappa, force
+            return
+        fill_rate = fill_scale * self._k_fill
         for _ in range(n_steps):
             if inlet:
                 dpdt = fill_rate * (pump - p)
-            elif vent:
-                dpdt = neg_k_vent * p
             else:
-                dpdt = 0.0
+                dpdt = neg_k_vent * p
             # min(max(p + dt * dpdt, 0.0), p_max) without the two builtin calls.
             p = p + dt * dpdt
             if p < 0.0:

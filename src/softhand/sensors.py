@@ -19,6 +19,13 @@ Its inverse path depends on the two ADC counts only, so each path tabulates
 it once for every count from 0 to full scale, in numpy, by the same
 operations in the same order (+, -, *, / and sqrt are correctly rounded in
 numpy as in ``math``), and ``sample`` reads the tables.
+
+``SensorPath.sample_block`` runs ``sample`` over many (pressure, curvature)
+pairs at once, elementwise in numpy, with one exception: it squares
+1 + eps with Python's pow, one element at a time. libm's pow(x, 2) is not
+always x*x, which is what numpy's ** 2 and np.power compute: on 2,000,000
+uniform draws in [1, 1.8) the two differ in the last bit on 1,577 (glibc,
+x86-64). Any vectorised forward path has to square the same way.
 """
 
 from __future__ import annotations
@@ -258,10 +265,17 @@ def counts_to_physical(frame: SensorFrame, chain: SensorChain,
         pressure_saturated=frame.pressure_counts <= 0 or frame.pressure_counts >= fsc)
 
 
-def _noise_blocks(rng: DeterministicRng):
-    """rng's standard Gaussians in stream order, as lists of _NOISE_BLOCK drawn one at a time."""
+def _noise_blocks(rng: DeterministicRng, active: list):
+    """active[0], then rng's standard Gaussians in lists of _NOISE_BLOCK drawn one at a time.
+
+    Each block's iterator is put in active[0] before it is yielded, so
+    active[0] is always the iterator the stream reads from, and its unread
+    rest is the head of the stream.
+    """
+    yield active[0]
     while True:
-        yield rng.normals(_NOISE_BLOCK).tolist()
+        active[0] = iter(rng.normals(_NOISE_BLOCK).tolist())
+        yield active[0]
 
 
 class SensorPath:
@@ -282,13 +296,18 @@ class SensorPath:
     strain count whose divider voltage reaches excitation. That voltage only
     rises with the count, so every count from that one on raises. At 16 bits
     the three tables hold 65,537 doubles each, about 1.5 MB.
+
+    ``sample_block`` is ``sample`` over many (pressure, curvature) pairs at
+    once, in numpy, and ``unread`` puts the noise of its last samples back
+    at the head of the stream. ``sample`` reads the stream as before, so
+    neither makes it slower.
     """
 
     __slots__ = ("_d_neutral", "_r0", "_r_lead", "_strain_gain", "_v_excitation",
                  "_two_r_limit", "_strain_sigma", "_offset", "_fsp", "_fsv_per_fsp",
                  "_pressure_gain", "_pressure_sigma", "_v_ref", "_fsc", "_noise",
                  "_pressure_by_count", "_strain_by_count", "_curvature_by_count",
-                 "_strain_limit")
+                 "_strain_limit", "_rng", "_active", "_draws_per_sample", "_block_noise")
 
     def __init__(self, chain: SensorChain, cal: "CalibrationRecord | None" = None,
                  rng: DeterministicRng | None = None, ambient_offset: float = 0.0):
@@ -307,11 +326,22 @@ class SensorPath:
         self._pressure_gain = sensor.amp_gain
         self._pressure_sigma = sensor.noise_sigma
         self._v_ref, self._fsc = adc.v_ref, adc.full_scale_counts
-        # A C iterator over the blocks: each Gaussian is one __next__ call, and
-        # the next block is drawn only when the last one is used up.
-        self._noise = (itertools.chain.from_iterable(_noise_blocks(rng)).__next__
-                       if rng is not None else None)
+        self._rng = rng
+        self._noise = None
+        self._draws_per_sample = (self._strain_sigma > 0.0) + (self._pressure_sigma > 0.0)
+        self._block_noise = np.empty((0, self._draws_per_sample))
+        if rng is not None:
+            self._read_next([])
         self._tabulate_inverse(chain, cal)
+
+    def _read_next(self, draws: list) -> None:
+        """Make the noise stream read draws, then the rng's next Gaussians.
+
+        A C iterator over the blocks: each Gaussian is one __next__ call, and
+        the next block is drawn only when the last one is used up.
+        """
+        self._active = [iter(draws)]
+        self._noise = itertools.chain.from_iterable(_noise_blocks(self._rng, self._active)).__next__
 
     def _tabulate_inverse(self, chain: SensorChain, cal: "CalibrationRecord | None") -> None:
         """counts_to_physical's floats for every count, by its operations in its order.
@@ -390,3 +420,90 @@ class SensorPath:
             self._pressure_by_count[pressure_counts], self._curvature_by_count[strain_counts],
             self._strain_by_count[strain_counts], strain_counts <= 0 or strain_counts >= fsc,
             pressure_counts <= 0 or pressure_counts >= fsc))
+
+    def sample_block(self, pressures, curvatures
+                     ) -> tuple[np.ndarray, np.ndarray, list[PhysicalReading]]:
+        """``sample`` of each (pressure, curvature) pair in order, up to the first it refuses.
+
+        Returns (strain_counts, pressure_counts, readings): the counts as int
+        arrays and the readings as a list, entry i what ``sample`` returns for
+        pair i.
+
+        The same operations in the same order, elementwise over float64
+        arrays, with the same noise read in stream order: strain, then
+        pressure, for each sample. (1 + eps) is squared with Python's pow, one
+        element at a time: libm's pow(x, 2) is not always x*x, which is what
+        numpy's ** 2 and np.power compute. The block stops before the first
+        sample that ``sample`` refuses, and before a 1 + eps of 2**511 or
+        more, whose square may overflow; that sample's noise stays unread, so
+        ``sample`` on it raises what it raises after the same draws.
+        """
+        curvatures = np.asarray(curvatures, dtype=np.float64)
+        one_plus_eps = 1.0 + self._d_neutral * curvatures
+        # Refused before a draw (curvature NaN, infinite or < 0), or left to sample.
+        unsampled = np.flatnonzero(~((0.0 <= curvatures) & (one_plus_eps < 2.0 ** 511)))
+        n = int(unsampled[0]) if unsampled.size else curvatures.size
+        v_ref, fsc = self._v_ref, self._fsc
+
+        per = self._draws_per_sample
+        if per:
+            noise = list(self._active[0])
+            if len(noise) < n * per:
+                noise = np.concatenate((noise, self._rng.normals(n * per - len(noise))))
+            noise = np.asarray(noise, dtype=np.float64)
+            leftover, noise = noise[n * per:], noise[:n * per].reshape(n, per)
+        else:
+            noise = np.empty((n, 0))
+
+        r = self._r0 * np.array([x ** 2 for x in one_plus_eps[:n].tolist()]) + self._r_lead
+        amp_gain = self._strain_gain
+        v_adc = amp_gain * (self._v_excitation * r / (r + self._two_r_limit))
+        if self._strain_sigma > 0.0:
+            v_adc = v_adc + amp_gain * (noise[:, 0] * self._strain_sigma)
+        v_adc = np.where(v_adc < 0.0, 0.0, v_adc)
+        v_adc = np.where(v_adc > v_ref, v_ref, v_adc)
+        strain_counts = np.rint(v_adc / v_ref * fsc)
+        # Refused after its draws: a NaN channel pressure, or the divider at excitation.
+        refused = np.isnan(v_adc) | (strain_counts >= self._strain_limit)
+
+        p_channel = np.asarray(pressures, dtype=np.float64)[:n] + self._offset
+        p_channel = np.where(p_channel < 0.0, 0.0, p_channel)
+        fsp = self._fsp
+        amp_gain = self._pressure_gain
+        v_adc = amp_gain * (np.where(fsp < p_channel, fsp, p_channel) * self._fsv_per_fsp)
+        if self._pressure_sigma > 0.0:
+            v_adc = v_adc + amp_gain * (noise[:, -1] * self._pressure_sigma)
+        v_adc = np.where(v_adc < 0.0, 0.0, v_adc)
+        v_adc = np.where(v_adc > v_ref, v_ref, v_adc)
+        pressure_counts = np.rint(v_adc / v_ref * fsc)
+        refused |= np.isnan(v_adc)
+
+        refused = np.flatnonzero(refused)
+        if refused.size:
+            n = int(refused[0])
+        self._block_noise = noise[:n]
+        if per:
+            self._read_next(noise[n:].ravel().tolist() + leftover.tolist())
+        strain_counts = strain_counts[:n].astype(np.intp)
+        pressure_counts = pressure_counts[:n].astype(np.intp)
+        readings = list(map(_new_tuple, itertools.repeat(PhysicalReading), zip(
+            np.asarray(self._pressure_by_count)[pressure_counts].tolist(),
+            np.asarray(self._curvature_by_count)[strain_counts].tolist(),
+            np.asarray(self._strain_by_count)[strain_counts].tolist(),
+            ((strain_counts <= 0) | (strain_counts >= fsc)).tolist(),
+            ((pressure_counts <= 0) | (pressure_counts >= fsc)).tolist())))
+        return strain_counts, pressure_counts, readings
+
+    def unread(self, n_samples: int) -> None:
+        """Put the noise of the last n_samples that sample_block returned back at the head.
+
+        The next draws are then those samples' draws again, in stream order.
+        Only valid before the path samples again.
+        """
+        kept = len(self._block_noise) - n_samples
+        if not (0 <= n_samples and 0 <= kept):
+            raise DomainError(f"n_samples: must be in [0, the last block's samples], "
+                              f"got {n_samples}")
+        if n_samples and self._draws_per_sample:
+            self._read_next(self._block_noise[kept:].ravel().tolist() + list(self._active[0]))
+        self._block_noise = self._block_noise[:kept]

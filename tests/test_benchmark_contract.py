@@ -57,6 +57,19 @@ def test_calibration_run_ticks_fsm_once_per_physics_step(monkeypatch):
     assert calls["fsm_tick"] == calls["advance"]
 
 
+def test_calibration_batch_session_fsm_ticks_pinned(monkeypatch):
+    # calibration_batch's session shape at seed 1: 304 Inflating ticks and
+    # 2,507 Holding ticks. The benchmark's simulated time is this count times
+    # the tick period, so a loop that ran fsm_tick less often than once per
+    # tick would shrink it.
+    calls = {}
+    count_calls(monkeypatch, calls, controller, "fsm_tick")
+    calibration.simulate_calibration_run(physics.ActuatorParams(), sensors.SensorChain(),
+                                         [30e3 + 5e3 * k for k in range(1, 6)], seed=1,
+                                         settle_s=2.5, dt=2.5e-3)
+    assert calls["fsm_tick"] == 2811
+
+
 def test_streamed_run_wire_counts(monkeypatch):
     # grasp_sweep's shape: a broadcast 5 ms stream_start at t=0 ahead of the
     # fixture's own commands, so every finger sends one telemetry frame per

@@ -3,17 +3,20 @@ import hashlib
 import math
 import pathlib
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from softhand import calibration
+from softhand import calibration, controller, physics, protocol, sensors
 from softhand.calibration import (CalibrationData, CalibrationRecord, ChannelCal,
                                   fit_pressure_curvature, fit_strain_resistance,
                                   simulate_calibration_run, threshold_from_fit)
 from softhand.errors import DomainError, FitError, WarmupError
+from softhand.rand import DeterministicRng
+from softhand.sensors import PressureSensorParams, SensorChain
 
 TRUE_SLOPE = 0.754e-3  # 1/(m*Pa), the hand-checked synthetic line
 CAL_LEVELS = tuple(30e3 + 5e3 * k for k in range(1, 6))  # 35..55 kPa holds
@@ -198,6 +201,121 @@ class TestIdentifiabilityLoop:
                                      seed=7, settle_s=1.0, dt=2.5e-3)
         assert np.array_equal(a.pressures, b.pressures)
         assert np.array_equal(a.curvatures, b.curvatures)
+
+
+def tick_loop_calibration_run(params, chain, levels_pa, seed, settle_s=2.5,
+                              dt=physics.DEFAULT_DT):
+    """simulate_calibration_run one tick at a time: sample, fsm_tick, advance, also while holding."""
+    config = controller.ControllerConfig(p_max=params.p_max)
+    path = sensors.SensorPath(chain, calibration.ideal_record(params, chain),
+                              DeterministicRng(seed))
+    fsm = controller.FsmState()
+    tick = controller.DEFAULT_TICK_PERIOD
+    plant = physics.FingerPlant(params, dt=dt, n_steps=physics.substeps(tick, dt))
+    p_out, k_out = [], []
+    t = 0.0
+    fault, holding = controller.Mode.FAULT, controller.Mode.HOLDING
+    for level in levels_pa:
+        fsm = controller.apply_command(fsm, protocol.SetPressureTarget(level), t, config)
+        held_since = None
+        while True:
+            _, _, reading = path.sample(plant.pressure, plant.curvature)
+            fsm, valves = controller.fsm_tick(fsm, reading, t, config)
+            plant.advance(valves)
+            t += tick
+            if fsm.mode is fault:
+                raise FitError(f"calibration servo faulted at level {level} Pa")
+            if fsm.mode is holding:
+                if held_since is None:
+                    held_since = t
+                if t - held_since >= settle_s:
+                    break
+            else:
+                held_since = None
+        for _ in range(calibration.SAMPLES_PER_LEVEL):
+            _, _, reading = path.sample(plant.pressure, plant.curvature)
+            p_out.append(reading.pressure)
+            k_out.append(reading.curvature)
+    return CalibrationData(pressures=np.array(p_out), curvatures=np.array(k_out),
+                           warmup_cycles=calibration.WARMUP_CYCLES_REQUIRED)
+
+
+class RecordedPath(sensors.SensorPath):
+    """A SensorPath that keeps every instance built and every unread count, per class."""
+
+    __slots__ = ()
+    made: list = []
+    unreads: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made.append(self)
+
+    def unread(self, n_samples):
+        self.unreads.append(n_samples)
+        super().unread(n_samples)
+
+
+def session_outcome(run, *args, **kwargs):
+    """(data or the FitError's text, the session path's next Gaussians, unread counts)."""
+    RecordedPath.made, RecordedPath.unreads = [], []
+    with mock.patch.object(sensors, "SensorPath", RecordedPath):
+        try:
+            data = run(*args, **kwargs)
+            result = (data.pressures.tobytes(), data.curvatures.tobytes())
+        except FitError as exc:
+            result = str(exc)
+    (path,) = RecordedPath.made
+    return result, [path._noise() for _ in range(8)], RecordedPath.unreads
+
+
+class TestHeldSpans:
+    """Sessions whose holds break match the tick-by-tick loop: data or FitError, and stream."""
+
+    def same_as_tick_loop(self, params, chain, levels, seed, settle_s, dt):
+        got = session_outcome(simulate_calibration_run, params, chain, levels, seed, settle_s, dt)
+        expected = session_outcome(tick_loop_calibration_run, params, chain, levels, seed,
+                                   settle_s, dt)
+        assert got[:2] == expected[:2]
+        return got
+
+    def test_reengaged_hold_matches_the_tick_loop(self, default_params):
+        # Pressure noise of about 500 Pa re-engages the 1,034 Pa servo mid-hold.
+        chain = SensorChain(pressure=PressureSensorParams(noise_sigma=5e-4))
+        result, _, unreads = self.same_as_tick_loop(default_params, chain, (40e3, 50e3), 0,
+                                                    0.5, 2.5e-3)
+        assert not isinstance(result, str) and len(unreads) > 2 and max(unreads) > 0
+
+    def test_overpressure_fault_from_a_hold_matches_the_tick_loop(self):
+        # A 58.7 kPa hold under a 60 kPa p_max: the noise trips the overpressure Fault.
+        params = physics.ActuatorParams(p_max=60e3)
+        chain = SensorChain(pressure=PressureSensorParams(noise_sigma=5e-4))
+        result, _, unreads = self.same_as_tick_loop(params, chain, (58.7e3,), 0, 2.5, 2.5e-3)
+        assert result == "calibration servo faulted at level 58700.0 Pa"
+        assert unreads and unreads[-1] > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(sigma=st.floats(0.0, 8e-4), levels=st.lists(st.floats(32e3, 59e3), min_size=1,
+                                                          max_size=3),
+           p_max=st.sampled_from((60e3, physics.ActuatorParams().p_max)),
+           seed=st.integers(0, 2 ** 64 - 1), settle_s=st.floats(0.0, 0.6),
+           dt=st.sampled_from((1e-3, 2.5e-3, 5e-3)))
+    def test_any_session_matches_the_tick_loop(self, sigma, levels, p_max, seed, settle_s, dt):
+        chain = SensorChain(pressure=PressureSensorParams(noise_sigma=sigma))
+        self.same_as_tick_loop(physics.ActuatorParams(p_max=p_max), chain, levels, seed,
+                               settle_s, dt)
+
+    @pytest.mark.parametrize("settle_s", [math.nan, math.inf, -math.inf, -0.1])
+    def test_settle_s_refused_before_a_tick(self, monkeypatch, default_params, default_chain,
+                                            settle_s):
+        # A NaN or infinite settle_s never ended: Holding has no timeout.
+        ticks = []
+        monkeypatch.setattr(controller, "fsm_tick", lambda *args: ticks.append(args))
+        with pytest.raises(DomainError, match=rf"^settle_s: must be finite and >= 0, got "
+                                              rf"{settle_s}$"):
+            simulate_calibration_run(default_params, default_chain, CAL_LEVELS, seed=1,
+                                     settle_s=settle_s)
+        assert ticks == []
 
 
 class TestRecordFiles:

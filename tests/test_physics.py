@@ -418,6 +418,48 @@ class TestFingerPlant:
         assert plant.state == ActuatorState()
 
 
+@st.composite
+def sealed_start(draw, params, radius):
+    """A start state: the pressure at -0.0, 0, below, at or above the threshold, or p_max;
+    the curvature anywhere, or at or above the object's cap."""
+    pressure = draw(st.sampled_from((-0.0, 0.0, params.p_threshold, params.p_max))
+                    | st.floats(0.0, params.p_threshold, exclude_max=True)
+                    | st.floats(params.p_threshold, params.p_max, exclude_min=True))
+    curvature = draw(st.floats(0.0, 120.0))
+    if radius is not None:
+        cap = 1.0 / radius
+        curvature = draw(st.sampled_from((curvature, cap)) | st.floats(cap, 4.0 * cap))
+    return ActuatorState(pressure, curvature, draw(st.sampled_from((0.0, 0.7))))
+
+
+class TestSealedAdvance:
+    """With both valves shut, advance computes the pressure, target, cap and force once,
+    and gives the floats of every substep run whole."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), params=actuator_params(), radius=st.none() | st.floats(0.01, 0.2),
+           n_steps=st.integers(1, 10), dt=st.sampled_from((5e-4, 1e-3, 2.5e-3, 5e-3)),
+           fill_scale=st.floats(0.0, 1.0, exclude_min=True), ticks=st.integers(1, 4))
+    def test_sealed_advance_equals_the_whole_substep_loop(self, data, params, radius, n_steps,
+                                                           dt, fill_scale, ticks):
+        # reference_step is one substep of the whole loop, term by term.
+        obj = None if radius is None else RigidObject(radius=radius)
+        start = data.draw(sealed_start(params, radius))
+        plant = FingerPlant(params, obj, dt, PneumaticCircuit(), n_steps, start)
+        expected = start
+        for _ in range(ticks):
+            plant.advance(SEALED, fill_scale)
+            for _ in range(n_steps):
+                expected = reference_step(expected, params, SEALED, obj, dt, PneumaticCircuit(),
+                                          fill_scale)
+            assert float_bits(plant.state) == float_bits(expected)
+
+    def test_negative_zero_pressure_comes_out_positive(self, default_params):
+        plant = FingerPlant(default_params, state=ActuatorState(pressure=-0.0))
+        plant.advance(SEALED)
+        assert float_bits(plant.state)[0] == float.hex(0.0)
+
+
 class TestHandStep:
     def three(self, default_params):
         params = (default_params,) * 3
