@@ -189,9 +189,12 @@ class CalibrationData:
 
 _FAULT, _HOLDING = controller.Mode.FAULT, controller.Mode.HOLDING
 _SEALED = physics.ValvePair(False, False)
-# Once a hold has broken in a session, the ticks a hold must have lasted
-# before a held span starts.
-_MIN_SPAN = 32
+# The fewest ticks a held span runs. A span is never longer than the hold
+# has lasted, so the sealed advances a re-engage wastes are at most the
+# ticks already held. One sample_block call costs about what 40 ticks save
+# by running in a span; tools/session_pairs.py times sessions whose holds
+# break against the parent commit.
+_MIN_SPAN = 64
 
 
 def _hold(path: sensors.SensorPath, plant: physics.FingerPlant, fsm_tick, fsm: controller.FsmState,
@@ -217,7 +220,7 @@ def _hold(path: sensors.SensorPath, plant: physics.FingerPlant, fsm_tick, fsm: c
         t += tick
         if t - held_since >= settle_s or len(times) == max_ticks:
             break
-    _, _, readings = path.sample_block([s[0] for s in states], [s[1] for s in states])
+    readings = path.sample_block([s[0] for s in states], [s[1] for s in states])
     for i, reading in enumerate(readings):
         fsm, valves = fsm_tick(fsm, reading, times[i], config)
         if fsm.mode is not _HOLDING:
@@ -244,12 +247,14 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
 
     Every tick samples, ticks the FSM and advances the plant, in that order.
     Once the FSM holds, the valves stay shut for as long as it keeps holding,
-    so the ticks left until settle_s are run as one held span (_hold): the
-    plant is advanced sealed tick by tick, the span is sampled in one
-    SensorPath.sample_block, and controller.fsm_tick then runs on each
-    reading in order. The floats, the noise read and the fsm_tick calls are
-    those of one tick at a time; the block squares 1 + eps with Python's pow,
-    as sample does, since libm's pow(x, 2) is not always numpy's x*x.
+    so a hold's ticks can run as held spans (_hold): the plant is advanced
+    sealed tick by tick, the span is sampled in one SensorPath.sample_block,
+    and controller.fsm_tick then runs on each reading in order. A span runs
+    as many ticks as the hold has lasted, up to settle_s, and only when that
+    is at least _MIN_SPAN ticks; the other ticks run one at a time. The
+    floats, the noise read and the fsm_tick calls are those of one tick at a
+    time; the block squares 1 + eps with Python's pow, as sample does, since
+    libm's pow(x, 2) is not always numpy's x*x.
 
     settle_s must be finite and >= 0: Holding has no timeout, so a session
     with a NaN or infinite settle_s would never end.
@@ -266,11 +271,10 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     plant = physics.FingerPlant(params, dt=dt, n_steps=physics.substeps(tick, dt))
     p_out, k_out = [], []
     t = 0.0
-    # A held span runs to settle_s until a hold breaks in the session. After
-    # that a span starts only once the hold has lasted _MIN_SPAN ticks, and
-    # is at most as long as the hold so far, so a session whose holds keep
-    # breaking runs at most one speculative tick per tick it runs.
-    max_ticks = math.inf
+    holding, min_span = _HOLDING, _MIN_SPAN
+    # A span of at least min_span ticks fits before settle_s while the hold
+    # has lasted at most this many ticks.
+    last_span_start = settle_s / tick - min_span
     for level in levels_pa:
         fsm = controller.apply_command(fsm, protocol.SetPressureTarget(level), t, config)
         held_since = None
@@ -279,28 +283,29 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
             fsm, valves = fsm_tick(fsm, reading, t, config)
             plant.advance(valves)
             t += tick
-            if fsm.mode is _FAULT:
-                raise FitError(f"calibration servo faulted at level {level} Pa")
-            if fsm.mode is not _HOLDING:
+            if fsm.mode is not holding:
+                if fsm.mode is _FAULT:
+                    raise FitError(f"calibration servo faulted at level {level} Pa")
                 held_since = None
                 continue
             if held_since is None:
-                held_since = t
+                held_since, held = t, 0
+            else:
+                held += 1
             if t - held_since >= settle_s:
                 break
-            if max_ticks < math.inf:
-                max_ticks = round((t - held_since) / tick)
-                if max_ticks < _MIN_SPAN:
-                    continue
+            if not min_span <= held <= last_span_start:
+                continue
             fsm, t, settled = _hold(path, plant, fsm_tick, fsm, t, held_since, settle_s,
-                                    config, max_ticks)
-            if fsm.mode is _FAULT:
-                raise FitError(f"calibration servo faulted at level {level} Pa")
+                                    config, held)
             if settled:
                 break
-            if fsm.mode is not _HOLDING:
+            if fsm.mode is holding:
+                held = round((t - held_since) / tick)
+            elif fsm.mode is _FAULT:
+                raise FitError(f"calibration servo faulted at level {level} Pa")
+            else:
                 held_since = None
-                max_ticks = _MIN_SPAN
         for _ in range(SAMPLES_PER_LEVEL):
             _, _, reading = path.sample(plant.pressure, plant.curvature)
             p_out.append(reading.pressure)

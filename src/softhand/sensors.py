@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -306,8 +307,9 @@ class SensorPath:
     __slots__ = ("_d_neutral", "_r0", "_r_lead", "_strain_gain", "_v_excitation",
                  "_two_r_limit", "_strain_sigma", "_offset", "_fsp", "_fsv_per_fsp",
                  "_pressure_gain", "_pressure_sigma", "_v_ref", "_fsc", "_noise",
-                 "_pressure_by_count", "_strain_by_count", "_curvature_by_count",
-                 "_strain_limit", "_rng", "_active", "_draws_per_sample", "_block_noise")
+                 "_pressure_by_count", "_strain_by_count", "_curvature_by_count", "_clipped_by_count",
+                 "_strain_limit", "_rng", "_stream", "_active", "_draws_per_sample",
+                 "_block_samples", "_block_noise", "_block_head")
 
     def __init__(self, chain: SensorChain, cal: "CalibrationRecord | None" = None,
                  rng: DeterministicRng | None = None, ambient_offset: float = 0.0):
@@ -329,7 +331,7 @@ class SensorPath:
         self._rng = rng
         self._noise = None
         self._draws_per_sample = (self._strain_sigma > 0.0) + (self._pressure_sigma > 0.0)
-        self._block_noise = np.empty((0, self._draws_per_sample))
+        self._block_samples, self._block_noise, self._block_head = 0, [], None
         if rng is not None:
             self._read_next([])
         self._tabulate_inverse(chain, cal)
@@ -341,7 +343,8 @@ class SensorPath:
         the next block is drawn only when the last one is used up.
         """
         self._active = [iter(draws)]
-        self._noise = itertools.chain.from_iterable(_noise_blocks(self._rng, self._active)).__next__
+        self._stream = itertools.chain.from_iterable(_noise_blocks(self._rng, self._active))
+        self._noise = self._stream.__next__
 
     def _tabulate_inverse(self, chain: SensorChain, cal: "CalibrationRecord | None") -> None:
         """counts_to_physical's floats for every count, by its operations in its order.
@@ -359,6 +362,7 @@ class SensorPath:
             p_raw = (counts / fsc * v_ref / sensor.amp_gain
                      * (sensor.full_scale_pressure / sensor.full_scale_voltage))
         self._pressure_by_count = memoryview(p_raw - self._offset)
+        self._clipped_by_count = (counts <= 0.0) | (counts >= fsc)
 
         # The inverse path's gauge: the record's fit when given, else the chain's.
         if cal is not None:
@@ -421,13 +425,10 @@ class SensorPath:
             self._strain_by_count[strain_counts], strain_counts <= 0 or strain_counts >= fsc,
             pressure_counts <= 0 or pressure_counts >= fsc))
 
-    def sample_block(self, pressures, curvatures
-                     ) -> tuple[np.ndarray, np.ndarray, list[PhysicalReading]]:
+    def sample_block(self, pressures, curvatures) -> list[PhysicalReading]:
         """``sample`` of each (pressure, curvature) pair in order, up to the first it refuses.
 
-        Returns (strain_counts, pressure_counts, readings): the counts as int
-        arrays and the readings as a list, entry i what ``sample`` returns for
-        pair i.
+        Entry i of the list is the reading ``sample`` returns for pair i.
 
         The same operations in the same order, elementwise over float64
         arrays, with the same noise read in stream order: strain, then
@@ -441,69 +442,73 @@ class SensorPath:
         curvatures = np.asarray(curvatures, dtype=np.float64)
         one_plus_eps = 1.0 + self._d_neutral * curvatures
         # Refused before a draw (curvature NaN, infinite or < 0), or left to sample.
-        unsampled = np.flatnonzero(~((0.0 <= curvatures) & (one_plus_eps < 2.0 ** 511)))
-        n = int(unsampled[0]) if unsampled.size else curvatures.size
+        sampled = (0.0 <= curvatures) & (one_plus_eps < 2.0 ** 511)
+        n = curvatures.size if sampled.all() else int(sampled.argmin())
         v_ref, fsc = self._v_ref, self._fsc
 
+        # The draws come off the stream sample reads, a 1024-draw block at a time.
         per = self._draws_per_sample
-        if per:
-            noise = list(self._active[0])
-            if len(noise) < n * per:
-                noise = np.concatenate((noise, self._rng.normals(n * per - len(noise))))
-            noise = np.asarray(noise, dtype=np.float64)
-            leftover, noise = noise[n * per:], noise[:n * per].reshape(n, per)
-        else:
-            noise = np.empty((n, 0))
+        draws = list(itertools.islice(self._stream, n * per)) if per else []
+        noise = np.array(draws, dtype=np.float64).reshape(n, per)
 
         r = self._r0 * np.array([x ** 2 for x in one_plus_eps[:n].tolist()]) + self._r_lead
         amp_gain = self._strain_gain
         v_adc = amp_gain * (self._v_excitation * r / (r + self._two_r_limit))
         if self._strain_sigma > 0.0:
             v_adc = v_adc + amp_gain * (noise[:, 0] * self._strain_sigma)
-        v_adc = np.where(v_adc < 0.0, 0.0, v_adc)
-        v_adc = np.where(v_adc > v_ref, v_ref, v_adc)
+        # Each clamp keeps a NaN, as sample's comparisons do; a -0.0 left by
+        # either still rounds to count 0.
+        v_adc = np.minimum(np.maximum(v_adc, 0.0), v_ref)
         strain_counts = np.rint(v_adc / v_ref * fsc)
         # Refused after its draws: a NaN channel pressure, or the divider at excitation.
         refused = np.isnan(v_adc) | (strain_counts >= self._strain_limit)
 
         p_channel = np.asarray(pressures, dtype=np.float64)[:n] + self._offset
-        p_channel = np.where(p_channel < 0.0, 0.0, p_channel)
-        fsp = self._fsp
         amp_gain = self._pressure_gain
-        v_adc = amp_gain * (np.where(fsp < p_channel, fsp, p_channel) * self._fsv_per_fsp)
+        v_adc = amp_gain * (np.minimum(np.maximum(p_channel, 0.0), self._fsp) * self._fsv_per_fsp)
         if self._pressure_sigma > 0.0:
             v_adc = v_adc + amp_gain * (noise[:, -1] * self._pressure_sigma)
-        v_adc = np.where(v_adc < 0.0, 0.0, v_adc)
-        v_adc = np.where(v_adc > v_ref, v_ref, v_adc)
+        v_adc = np.minimum(np.maximum(v_adc, 0.0), v_ref)
         pressure_counts = np.rint(v_adc / v_ref * fsc)
         refused |= np.isnan(v_adc)
 
-        refused = np.flatnonzero(refused)
-        if refused.size:
-            n = int(refused[0])
-        self._block_noise = noise[:n]
-        if per:
-            self._read_next(noise[n:].ravel().tolist() + leftover.tolist())
+        if refused.any():
+            n = int(refused.argmax())
+            if per:
+                self._read_next(draws[n * per:] + list(self._active[0]))
+        self._block_samples, self._block_noise = n, draws[:n * per]
+        self._block_head = self._stream_head()
         strain_counts = strain_counts[:n].astype(np.intp)
         pressure_counts = pressure_counts[:n].astype(np.intp)
-        readings = list(map(_new_tuple, itertools.repeat(PhysicalReading), zip(
-            np.asarray(self._pressure_by_count)[pressure_counts].tolist(),
-            np.asarray(self._curvature_by_count)[strain_counts].tolist(),
-            np.asarray(self._strain_by_count)[strain_counts].tolist(),
-            ((strain_counts <= 0) | (strain_counts >= fsc)).tolist(),
-            ((pressure_counts <= 0) | (pressure_counts >= fsc)).tolist())))
-        return strain_counts, pressure_counts, readings
+        clipped = self._clipped_by_count
+        return list(map(_new_tuple, itertools.repeat(PhysicalReading), zip(
+            self._pressure_by_count.obj[pressure_counts].tolist(),
+            self._curvature_by_count.obj[strain_counts].tolist(),
+            self._strain_by_count.obj[strain_counts].tolist(),
+            clipped[strain_counts].tolist(), clipped[pressure_counts].tolist())))
+
+    def _stream_head(self) -> tuple | None:
+        """The iterator at the head of the noise stream and how many draws it has left."""
+        if not self._draws_per_sample:
+            return None
+        return self._active[0], operator.length_hint(self._active[0])
 
     def unread(self, n_samples: int) -> None:
         """Put the noise of the last n_samples that sample_block returned back at the head.
 
         The next draws are then those samples' draws again, in stream order.
-        Only valid before the path samples again.
+        Refused once the path has drawn since (a ``sample`` in between): the
+        draws put back would no longer be the head's. A path that draws
+        nothing has nothing to put back.
         """
-        kept = len(self._block_noise) - n_samples
+        kept = self._block_samples - n_samples
         if not (0 <= n_samples and 0 <= kept):
             raise DomainError(f"n_samples: must be in [0, the last block's samples], "
                               f"got {n_samples}")
-        if n_samples and self._draws_per_sample:
-            self._read_next(self._block_noise[kept:].ravel().tolist() + list(self._active[0]))
-        self._block_noise = self._block_noise[:kept]
+        if self._stream_head() != self._block_head:
+            raise DomainError("unread: the path has drawn since its last sample_block")
+        per = self._draws_per_sample
+        if n_samples and per:
+            self._read_next(self._block_noise[kept * per:] + list(self._active[0]))
+        self._block_samples, self._block_noise = kept, self._block_noise[:kept * per]
+        self._block_head = self._stream_head()

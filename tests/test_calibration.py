@@ -283,7 +283,7 @@ class TestHeldSpans:
         # Pressure noise of about 500 Pa re-engages the 1,034 Pa servo mid-hold.
         chain = SensorChain(pressure=PressureSensorParams(noise_sigma=5e-4))
         result, _, unreads = self.same_as_tick_loop(default_params, chain, (40e3, 50e3), 0,
-                                                    0.5, 2.5e-3)
+                                                    2.5, 2.5e-3)
         assert not isinstance(result, str) and len(unreads) > 2 and max(unreads) > 0
 
     def test_overpressure_fault_from_a_hold_matches_the_tick_loop(self):
@@ -299,11 +299,16 @@ class TestHeldSpans:
                                                           max_size=3),
            p_max=st.sampled_from((60e3, physics.ActuatorParams().p_max)),
            seed=st.integers(0, 2 ** 64 - 1), settle_s=st.floats(0.0, 0.6),
-           dt=st.sampled_from((1e-3, 2.5e-3, 5e-3)))
-    def test_any_session_matches_the_tick_loop(self, sigma, levels, p_max, seed, settle_s, dt):
+           dt=st.sampled_from((1e-3, 2.5e-3, 5e-3)),
+           min_span=st.sampled_from((1, 2, 7, calibration._MIN_SPAN)))
+    def test_any_session_matches_the_tick_loop(self, sigma, levels, p_max, seed, settle_s, dt,
+                                               min_span):
+        # Spans from one tick on: short holds, and spans that end at settle_s,
+        # run as held spans too.
         chain = SensorChain(pressure=PressureSensorParams(noise_sigma=sigma))
-        self.same_as_tick_loop(physics.ActuatorParams(p_max=p_max), chain, levels, seed,
-                               settle_s, dt)
+        with mock.patch.object(calibration, "_MIN_SPAN", min_span):
+            self.same_as_tick_loop(physics.ActuatorParams(p_max=p_max), chain, levels, seed,
+                                   settle_s, dt)
 
     @pytest.mark.parametrize("settle_s", [math.nan, math.inf, -math.inf, -0.1])
     def test_settle_s_refused_before_a_tick(self, monkeypatch, default_params, default_chain,

@@ -581,12 +581,14 @@ def sample_calls(path, inputs):
     return out
 
 
+def readings(outcomes):
+    """The readings of sample_calls' outcomes, and what the last one raised."""
+    return [out if isinstance(out[-1], str) else out[2] for out in outcomes]
+
+
 def block_calls(path, inputs):
     """sample_block on the pairs, then sample on the first pair the block stopped before."""
-    strain_counts, pressure_counts, readings = path.sample_block(
-        [p for p, _ in inputs], [k for _, k in inputs])
-    assert strain_counts.dtype == pressure_counts.dtype == np.intp
-    out = list(zip(strain_counts.tolist(), pressure_counts.tolist(), readings))
+    out = path.sample_block([p for p, _ in inputs], [k for _, k in inputs])
     if len(out) < len(inputs):
         out.append(outcome(path.sample, *inputs[len(out)]))
         assert isinstance(out[-1][-1], str), "the block stopped before a sample sample takes"
@@ -628,7 +630,7 @@ class TestSampleBlock:
             block = sensors.SensorPath(chain, cal, DeterministicRng(seed), ambient)
             scalar = sensors.SensorPath(chain, cal, DeterministicRng(seed), ambient)
             assert sample_calls(block, before) == sample_calls(scalar, before)
-            assert block_calls(block, inputs) == sample_calls(scalar, inputs)
+            assert block_calls(block, inputs) == readings(sample_calls(scalar, inputs))
             assert next_draws(block) == next_draws(scalar)
 
     @settings(max_examples=40, deadline=None)
@@ -641,11 +643,11 @@ class TestSampleBlock:
             block = sensors.SensorPath(chain, rng=DeterministicRng(seed))
             scalar = sensors.SensorPath(chain, rng=DeterministicRng(seed))
             expected = sample_calls(scalar, inputs)
-            _, _, readings = block.sample_block([p for p, _ in inputs], [k for _, k in inputs])
-            n = data.draw(st.integers(0, len(readings)))
+            got = block.sample_block([p for p, _ in inputs], [k for _, k in inputs])
+            n = data.draw(st.integers(0, len(got)))
             block.unread(n)
-            kept = len(readings) - n
-            assert readings[:kept] == [reading for _, _, reading in expected[:kept]]
+            kept = len(got) - n
+            assert got[:kept] == readings(expected[:kept])
             assert sample_calls(block, inputs[kept:]) == expected[kept:]
             assert next_draws(block) == next_draws(scalar)
 
@@ -658,6 +660,26 @@ class TestSampleBlock:
         path.unread(3)
         with pytest.raises(DomainError, match="^n_samples"):
             path.unread(1)
+
+    @pytest.mark.parametrize("draws_since", [1, 2, 1024], ids=["one", "two", "a_whole_block"])
+    def test_unread_refused_after_the_path_drew(self, draws_since):
+        # The draws since the block are the head of the stream, not the
+        # block's; putting the block's back would read those draws twice.
+        path = sensors.SensorPath(SensorChain(), rng=DeterministicRng(4))
+        path.sample_block([2e4] * 3, [5.0] * 3)
+        for _ in range(draws_since):
+            path._noise()
+        with pytest.raises(DomainError, match="^unread: the path has drawn since"):
+            path.unread(1)
+
+    def test_unread_refused_after_a_sample(self):
+        path = sensors.SensorPath(SensorChain(), rng=DeterministicRng(4))
+        path.sample_block([2e4] * 3, [5.0] * 3)
+        path.sample(2e4, 5.0)
+        with pytest.raises(DomainError, match="^unread: the path has drawn since"):
+            path.unread(1)
+        path.sample_block([2e4] * 3, [5.0] * 3)
+        path.unread(1)
 
     @pytest.mark.parametrize("bits", [8, 12, 16])
     def test_block_stops_at_the_strain_limit(self, bits):
@@ -676,7 +698,7 @@ class TestSampleBlock:
             part = block_calls(block, inputs[len(got):])
             got += part
             longest = max(longest, len(part))
-        expected = [outcome(scalar.sample, p, k) for p, k in inputs]
+        expected = readings([outcome(scalar.sample, p, k) for p, k in inputs])
         raised = (DomainError, "divider voltage at or above excitation; check gains")
         assert 0 < expected.count(raised) < len(inputs) and longest > 2
         assert got == expected
@@ -690,7 +712,7 @@ class TestSampleBlock:
         for chain in (NOISELESS, SensorChain()):
             block = sensors.SensorPath(chain, rng=DeterministicRng(3))
             scalar = sensors.SensorPath(chain, rng=DeterministicRng(3))
-            got, expected = block_calls(block, inputs), sample_calls(scalar, inputs)
+            got, expected = block_calls(block, inputs), readings(sample_calls(scalar, inputs))
             assert len(got) == 3 and expected[2][0] is DomainError
             assert got == expected
             assert next_draws(block) == next_draws(scalar)
@@ -707,7 +729,7 @@ class TestSampleBlock:
         inputs = [(2e4, curvature)] * 3
         expected = sample_calls(sensors.SensorPath(chain), inputs)
         assert [s for s, _, _ in expected] == [1507] * 3
-        assert block_calls(sensors.SensorPath(chain), inputs) == expected
+        assert block_calls(sensors.SensorPath(chain), inputs) == readings(expected)
 
     def test_block_clamps_at_zero_and_full_scale(self):
         chain = SensorChain(pressure=PressureSensorParams(amp_gain=30.0, offset_drift=-2e3))
@@ -716,8 +738,8 @@ class TestSampleBlock:
         scalar = sensors.SensorPath(chain, rng=DeterministicRng(12))
         got, expected = block_calls(block, inputs), sample_calls(scalar, inputs)
         fsc = chain.adc.full_scale_counts
-        assert {s for s, _, _ in got} >= {fsc} and {p for _, p, _ in got} >= {0, fsc}
-        assert got == expected
+        assert {s for s, _, _ in expected} >= {fsc} and {p for _, p, _ in expected} >= {0, fsc}
+        assert got == readings(expected)
         assert next_draws(block) == next_draws(scalar)
 
 
@@ -732,6 +754,11 @@ PINNED_RAMP = [(250.0 * i, 0.225 * i) for i in range(400)]
 PINNED_STREAMS = {
     "none": "3083ab6c427598e2f4c46a81b7139c3be27c43f7f941637b7fc4ea18ced872a6",
     "fitted": "419001a710693f1843cce1c1608a5aaa9fc2727935e457e22e5c6c951bc72525",
+}
+# The same streams' readings alone, as sample_block returns them.
+PINNED_READINGS = {
+    "none": "9b67ae70da643f41793c5374b8dd29803527776b862563d98005973b63608040",
+    "fitted": "4919c9c7649fffaa5977279e3f678e35a2450bacedb8327481b881836f26ed58",
 }
 
 
@@ -750,10 +777,11 @@ class TestPinnedNominalInverse:
 
     @pytest.mark.parametrize("cal_kind", sorted(PINNED_STREAMS))
     def test_stream_bytes_pinned_through_the_block(self, cal_kind):
-        # Counts as ints, so the repr is sample's.
-        samples = block_calls(self.path(cal_kind), PINNED_RAMP)
-        digest = hashlib.sha256(repr(samples).encode()).hexdigest()
-        assert digest == PINNED_STREAMS[cal_kind]
+        path = self.path(cal_kind)
+        expected = readings([path.sample(p, k) for p, k in PINNED_RAMP])
+        got = block_calls(self.path(cal_kind), PINNED_RAMP)
+        assert hashlib.sha256(repr(expected).encode()).hexdigest() == PINNED_READINGS[cal_kind]
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == PINNED_READINGS[cal_kind]
 
 
 class TestGaussianDraw:
