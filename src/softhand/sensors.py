@@ -307,9 +307,9 @@ class SensorPath:
     __slots__ = ("_d_neutral", "_r0", "_r_lead", "_strain_gain", "_v_excitation",
                  "_two_r_limit", "_strain_sigma", "_offset", "_fsp", "_fsv_per_fsp",
                  "_pressure_gain", "_pressure_sigma", "_v_ref", "_fsc", "_noise",
-                 "_pressure_by_count", "_strain_by_count", "_curvature_by_count", "_clipped_by_count",
-                 "_strain_limit", "_rng", "_stream", "_active", "_draws_per_sample",
-                 "_block_samples", "_block_noise", "_block_head")
+                 "_pressure_by_count", "_strain_by_count", "_curvature_by_count",
+                 "_clipped_by_count", "_strain_limit", "_rng", "_stream", "_active",
+                 "_draws_per_sample", "_block_samples", "_block_noise", "_block_head")
 
     def __init__(self, chain: SensorChain, cal: "CalibrationRecord | None" = None,
                  rng: DeterministicRng | None = None, ambient_offset: float = 0.0):
@@ -350,7 +350,8 @@ class SensorPath:
         """counts_to_physical's floats for every count, by its operations in its order.
 
         Each table is a memoryview of a float64 array: 8 bytes per count, and
-        indexing it gives a Python float.
+        indexing it gives a Python float. sample_block indexes their arrays,
+        and _clipped_by_count, whether a count is 0 or full scale.
         """
         v_ref, fsc = self._v_ref, self._fsc
         counts = np.arange(fsc + 1, dtype=np.float64)

@@ -205,7 +205,7 @@ class TestIdentifiabilityLoop:
 
 def tick_loop_calibration_run(params, chain, levels_pa, seed, settle_s=2.5,
                               dt=physics.DEFAULT_DT):
-    """simulate_calibration_run one tick at a time: sample, fsm_tick, advance, also while holding."""
+    """simulate_calibration_run one tick at a time (sample, fsm_tick, advance), also holding."""
     config = controller.ControllerConfig(p_max=params.p_max)
     path = sensors.SensorPath(chain, calibration.ideal_record(params, chain),
                               DeterministicRng(seed))

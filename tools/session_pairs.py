@@ -85,7 +85,8 @@ def run_load(packages: dict, sigma: float, settle_s: float, sessions: int, round
     totals = {side: [sum(per[r] for per in ms[side]) for r in range(rounds)] for side in ms}
     parent, change = quartiles(totals["parent"]), quartiles(totals["change"])
     return {
-        "sigma": sigma, "settle_s": settle_s, "seeds": seeds, "mismatched_seeds": sorted(mismatched),
+        "sigma": sigma, "settle_s": settle_s, "seeds": seeds,
+        "mismatched_seeds": sorted(mismatched),
         "session_ms": {side: [[round(v, 3) for v in per] for per in ms[side]] for side in ms},
         "round_total_ms": {"parent": parent, "change": change},
         "change_wins": sum(c < p for p, c in zip(totals["parent"], totals["change"])),
