@@ -192,14 +192,14 @@ _SEALED = physics.ValvePair(False, False)
 # The fewest ticks a held span runs. A span is never longer than the hold
 # has lasted, so the sealed advances a re-engage wastes are at most the
 # ticks already held. One sample_block call costs about what 40 ticks save
-# by running in a span; tools/session_pairs.py times sessions whose holds
-# break against the parent commit.
+# by running in a span. tools/session_pairs.py times sessions whose holds
+# break, beside a parent commit.
 _MIN_SPAN = 64
 
 
 def _hold(path: sensors.SensorPath, plant: physics.FingerPlant, fsm_tick, fsm: controller.FsmState,
           t: float, held_since: float, settle_s: float, config: controller.ControllerConfig,
-          max_ticks: float) -> tuple[controller.FsmState, float, bool]:
+          max_ticks: int) -> tuple[controller.FsmState, float, bool]:
     """The ticks from t until settle_s after held_since, at most max_ticks of them, as one
     held span: (fsm, t, settled).
 
