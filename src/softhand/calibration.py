@@ -257,7 +257,9 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     libm's pow(x, 2) is not always numpy's x*x.
 
     settle_s must be finite and >= 0: Holding has no timeout, so a session
-    with a NaN or infinite settle_s would never end.
+    with a NaN or infinite settle_s would never end. So could noise that
+    keeps breaking holds: a level that has run controller.MAX_TICKS ticks
+    fails at its next tick that does not hold, so held spans pay nothing.
     """
     if not (0.0 <= settle_s < math.inf):
         raise DomainError(f"settle_s: must be finite and >= 0, got {settle_s}")
@@ -278,6 +280,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     for level in levels_pa:
         fsm = controller.apply_command(fsm, protocol.SetPressureTarget(level), t, config)
         held_since = None
+        give_up = t + (controller.MAX_TICKS - 0.5) * tick  # MAX_TICKS ticks from now
         while True:
             _, _, reading = path.sample(plant.pressure, plant.curvature)
             fsm, valves = fsm_tick(fsm, reading, t, config)
@@ -286,6 +289,9 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
             if fsm.mode is not holding:
                 if fsm.mode is _FAULT:
                     raise FitError(f"calibration servo faulted at level {level} Pa")
+                if t >= give_up:
+                    raise FitError(f"calibration servo did not settle at level {level} Pa "
+                                   f"in {controller.MAX_TICKS} ticks")
                 held_since = None
                 continue
             if held_since is None:

@@ -30,6 +30,9 @@ MAX_ACTUATORS = 6
 DEFAULT_PRESSURE_DEADBAND = 0.15 * PSI_TO_PA  # Pa
 DEFAULT_CURVATURE_DEADBAND = 0.3  # 1/m
 DEFAULT_TICK_PERIOD = 0.005  # s, 200 Hz
+# Ticks a scenario may run (it keeps a telemetry row per finger per tick) and a
+# calibration level may run without settling: 600 s at the default tick.
+MAX_TICKS = 120_000
 DEFAULT_TIMEOUT = 10.0  # s
 
 

@@ -39,7 +39,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -56,6 +56,13 @@ TELEMETRY_COLUMNS = ("t_s", "finger", "pressure_pa", "curvature_per_m", "strain"
 # Every column not named here is float, in telemetry and calibration CSVs alike.
 _COLUMN_DTYPES = {"finger": int, "strain_counts": int, "pressure_counts": int,
                   "inlet": int, "vent": int, "fsm_mode": object}
+
+
+def _column_dtype(name: str) -> type:
+    """The type of a CSV column, as read_csv reads it and write_csv formats it."""
+    return _COLUMN_DTYPES.get(name, float)
+
+
 # Lines read_csv reads and parses, and rows write_csv formats, at a time: a
 # telemetry line costs about 1 kB of Python objects until its chunk is converted.
 _CHUNK_LINES = 1024
@@ -177,41 +184,32 @@ class RunResult:
 
 
 def write_csv(fh, header, rows) -> None:
-    """The one CSV writer: a header line, then one line per row, floats as ``.10g``.
+    """The one CSV writer: a header line, then one line per row.
 
-    A row is formatted by one %-template built from its value types, "%.10g"
-    for floats (numpy's float64 included) and "%s" for everything else,
-    cached per tuple of types for this call. Rows go out ``_CHUNK_LINES`` at
-    a time: a chunk whose values all have the first row's types, checked by
-    one comparison of type lists, is formatted by that row's template alone
-    (``%`` refuses a row of another length); any other chunk by each row's
-    own. Each chunk is one write, never the whole file as one string.
+    A cell is formatted by its column's type, as read_csv reads it: "%.10g" in
+    a float column, "%s" in the others. One template built from the header
+    formats ``_CHUNK_LINES`` rows per write. A row it refuses (another length,
+    or a cell of a float column that is not a number) is a DomainError naming
+    its data row, raised before its chunk is written.
     """
     fh.write(",".join(header) + "\n")
-    templates: dict[tuple[type, ...], str] = {}
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK_LINES)):
-        types = tuple(map(type, chunk[0]))
-        if list(map(type, chain.from_iterable(chunk))) == list(types) * len(chunk):
-            try:
-                fh.write("".join(map(_template(templates, types).__mod__, map(tuple, chunk))))
-                continue
-            except TypeError:  # rows of several lengths
-                pass
-        _write_rows_by_type(fh, chunk, templates)
-
-
-def _template(templates: dict, types: tuple) -> str:
-    template = templates.get(types)
-    if template is None:
-        template = templates[types] = ",".join(
-            "%.10g" if issubclass(t, float) else "%s" for t in types) + "\n"
-    return template
-
-
-def _write_rows_by_type(fh, rows, templates: dict) -> None:
-    """Each row by the template of its own value types."""
-    fh.write("".join(_template(templates, tuple(map(type, row))) % tuple(row) for row in rows))
+    formats = ["%.10g" if _column_dtype(name) is float else "%s" for name in header]
+    template, rows, n_rows = ",".join(formats) + "\n", iter(rows), 0
+    while chunk := list(map(tuple, islice(rows, _CHUNK_LINES))):
+        try:
+            fh.write("".join(map(template.__mod__, chunk)))
+        except TypeError:  # only here are the chunk's rows formatted one at a time
+            for n, row in enumerate(chunk, n_rows + 1):
+                if len(row) != len(header):
+                    raise DomainError(f"data row {n} has {len(row)} fields, "
+                                      f"the header has {len(header)}") from None
+                for name, cell_format, cell in zip(header, formats, row):
+                    try:
+                        cell_format % (cell,)
+                    except TypeError as exc:
+                        raise DomainError(f"data row {n}: column {name!r}: {exc}") from None
+            raise
+        n_rows += len(chunk)
 
 
 def write_telemetry_csv(rows: list[tuple], path) -> None:
@@ -346,7 +344,7 @@ def _typed_column(name: str, cells) -> np.ndarray:
     Interning makes every ``fsm_mode`` cell with the same name one str. A
     cell the dtype refuses raises DomainError naming the column.
     """
-    dtype = _COLUMN_DTYPES.get(name, float)
+    dtype = _column_dtype(name)
     if dtype is object:
         cells = list(map(sys.intern, cells))
     try:
@@ -408,7 +406,7 @@ def read_csv(path, required) -> dict[str, np.ndarray]:
                 if name in header[:i]:
                     raise DomainError(f"{path}: column {name!r} appears more than once "
                                       f"in the header")
-            dtypes = [_COLUMN_DTYPES.get(name, float) for name in header]
+            dtypes = list(map(_column_dtype, header))
             # The C reader takes a whitespace-only line for a row when a row is one text cell.
             table_dtype = (np.dtype([(f"f{i}", dtype) for i, dtype in enumerate(dtypes)])
                            if len(header) > 1 or dtypes[0] is not object else None)

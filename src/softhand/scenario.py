@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import controller, physics, protocol, sensors
+from .controller import MAX_TICKS
 from .errors import (ScenarioError, SofthandError, check_fields, finite, integer,
                      json_object)
 
 DEFAULT_FINGERS = 3
-# Longest run a scenario may ask for, in control ticks (600 s at the 5 ms
-# default tick): a run keeps one telemetry row per finger per tick in memory.
-MAX_TICKS = 120_000
 
 _ACTUATOR_KEYS = {
     "p_threshold_pa": "p_threshold",

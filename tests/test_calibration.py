@@ -205,7 +205,11 @@ class TestIdentifiabilityLoop:
 
 def tick_loop_calibration_run(params, chain, levels_pa, seed, settle_s=2.5,
                               dt=physics.DEFAULT_DT):
-    """simulate_calibration_run one tick at a time (sample, fsm_tick, advance), also holding."""
+    """simulate_calibration_run one tick at a time (sample, fsm_tick, advance), also holding.
+
+    A level that has run controller.MAX_TICKS ticks fails at its next tick
+    that does not hold.
+    """
     config = controller.ControllerConfig(p_max=params.p_max)
     path = sensors.SensorPath(chain, calibration.ideal_record(params, chain),
                               DeterministicRng(seed))
@@ -218,11 +222,13 @@ def tick_loop_calibration_run(params, chain, levels_pa, seed, settle_s=2.5,
     for level in levels_pa:
         fsm = controller.apply_command(fsm, protocol.SetPressureTarget(level), t, config)
         held_since = None
+        ticks = 0
         while True:
             _, _, reading = path.sample(plant.pressure, plant.curvature)
             fsm, valves = controller.fsm_tick(fsm, reading, t, config)
             plant.advance(valves)
             t += tick
+            ticks += 1
             if fsm.mode is fault:
                 raise FitError(f"calibration servo faulted at level {level} Pa")
             if fsm.mode is holding:
@@ -230,6 +236,9 @@ def tick_loop_calibration_run(params, chain, levels_pa, seed, settle_s=2.5,
                     held_since = t
                 if t - held_since >= settle_s:
                     break
+            elif ticks >= controller.MAX_TICKS:
+                raise FitError(f"calibration servo did not settle at level {level} Pa "
+                               f"in {controller.MAX_TICKS} ticks")
             else:
                 held_since = None
         for _ in range(calibration.SAMPLES_PER_LEVEL):
@@ -309,6 +318,15 @@ class TestHeldSpans:
         with mock.patch.object(calibration, "_MIN_SPAN", min_span):
             self.same_as_tick_loop(physics.ActuatorParams(p_max=p_max), chain, levels, seed,
                                    settle_s, dt)
+
+    def test_level_that_never_settles_ends_in_a_fit_error(self, monkeypatch, default_params):
+        # Pressure noise of about 1.5 kPa breaks every hold before 0.5 s: the
+        # level would run without end. 2,000 ticks stand in for the bound.
+        monkeypatch.setattr(controller, "MAX_TICKS", 2_000)
+        chain = SensorChain(pressure=PressureSensorParams(noise_sigma=1.5e-3))
+        result, _, _ = self.same_as_tick_loop(default_params, chain, (40e3,), 0, 0.5,
+                                              physics.DEFAULT_DT)
+        assert result == "calibration servo did not settle at level 40000.0 Pa in 2000 ticks"
 
     @pytest.mark.parametrize("settle_s", [math.nan, math.inf, -math.inf, -0.1])
     def test_settle_s_refused_before_a_tick(self, monkeypatch, default_params, default_chain,

@@ -486,7 +486,7 @@ def csv_files(draw):
             return repr(0.005 * i)
         if name in CELL_CHOICES:
             return rng.choice(CELL_CHOICES[name])
-        if runner._COLUMN_DTYPES.get(name) is int:
+        if runner._column_dtype(name) is int:
             return str(rng.randint(-1, 4096))
         return repr(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 6))
 

@@ -526,11 +526,12 @@ def assert_transitions_replay_rows(res):
     assert not any(pending.values())
 
 
-class TestStreamedRunPinned:
-    @pytest.fixture(scope="class")
-    def streamed(self, tmp_path_factory):
-        return recorded_run(STREAMED_RUN, tmp_path_factory.mktemp("streamed"))
+@pytest.fixture(scope="module")
+def streamed(tmp_path_factory):
+    return recorded_run(STREAMED_RUN, tmp_path_factory.mktemp("streamed"))
 
+
+class TestStreamedRunPinned:
     def test_reaches_every_unpinned_path(self, streamed):
         res, _ = streamed
         transitions = {(e["finger"], e["to"]) for e in res.events if e["kind"] == "fsm_transition"}
@@ -596,11 +597,12 @@ COMMAND_DIGESTS = {
 }
 
 
-class TestCommandRunPinned:
-    @pytest.fixture(scope="class")
-    def commanded(self, tmp_path_factory):
-        return recorded_run(COMMAND_RUN, tmp_path_factory.mktemp("commanded"))
+@pytest.fixture(scope="module")
+def commanded(tmp_path_factory):
+    return recorded_run(COMMAND_RUN, tmp_path_factory.mktemp("commanded"))
 
+
+class TestCommandRunPinned:
     def test_reaches_every_command_path(self, commanded):
         res, _ = commanded
         t_s, finger, fsm_mode = (runner.TELEMETRY_COLUMNS.index(name)
@@ -871,62 +873,97 @@ def count_calls(monkeypatch, name) -> list:
 
 class TestCsvWriter:
     @staticmethod
-    def per_value_lines(header, rows):
-        """The writer's format, one ``format`` or ``str`` call per value."""
+    def per_column_lines(header, rows):
+        """The writer's format, one ``format`` or ``str`` call per cell, by its column."""
         lines = [",".join(header) + "\n"]
         for row in rows:
-            lines.append(",".join(format(v, ".10g") if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
+            lines.append(",".join(
+                format(v, ".10g") if runner._column_dtype(name) is float else str(v)
+                for name, v in zip(header, row)) + "\n")
         return "".join(lines)
 
-    def test_matches_per_value_formatting(self):
-        header = ("a", "b", "c", "d", "e")
+    def test_matches_per_column_formatting(self):
+        # Float columns take ints, bools and numpy scalars as numbers; the
+        # others are written as str, a "%" in a cell included.
+        header = ("a", "finger", "fsm_mode", "b")
         rows = [
-            (0.1, np.float64(2.0 / 3.0), 7, np.int64(-12), True),
-            (-0.0, float("nan"), float("inf"), -float("inf"), False),
-            (1e300, np.float64(-1e-300), 10 ** 20, "50%, done", "%s%%d"),
-            (1, 2.5, "x", np.float64("nan"), 3.0),  # same columns, other types
-            (np.float32(0.1), np.int32(3), None, (1, 2), np.str_("s")),
-            (0.1, np.float64(2.0 / 3.0), 7, np.int64(-12), True),
+            (0.1, 7, "Idle", np.float64(2.0 / 3.0)),
+            (-0.0, np.int64(-12), "50%s%%d", float("nan")),
+            (1e300, 10 ** 20, np.str_("s"), -float("inf")),
+            (1, np.int32(3), "x", 10 ** 20),
+            (np.float32(0.1), True, None, np.int64(-12)),
+            (True, 0, "Holding", np.float64(-1e-300)),
         ]
         fh = io.StringIO()
         runner.write_csv(fh, header, rows)
-        assert fh.getvalue() == self.per_value_lines(header, rows)
+        assert fh.getvalue() == self.per_column_lines(header, rows)
 
     def test_fixture_telemetry_matches_per_value_formatting(self, tmp_path, scenario_runs):
         res = scenario_runs["cylinder_r74mm"]
         path = tmp_path / "t.csv"
         runner.write_telemetry_csv(res.rows, path)
-        expected = self.per_value_lines(runner.TELEMETRY_COLUMNS, res.rows)
+        expected = self.per_column_lines(runner.TELEMETRY_COLUMNS, res.rows)
         assert path.read_text(encoding="utf-8") == expected
 
     def test_header_only_and_empty_row(self):
         fh = io.StringIO()
         runner.write_csv(fh, ("x",), [])
-        runner.write_csv(fh, ("y",), [()])
-        assert fh.getvalue() == "x\ny\n\n"
+        runner.write_csv(fh, (), [(), []])
+        assert fh.getvalue() == "x\n\n\n\n"
 
-    def test_every_fixture_chunk_written_by_one_template(self, monkeypatch, shipped_runs):
-        # A chunk whose value types differ from its first row's, or that % refuses,
-        # goes row by row: no fixture row may send a chunk there.
-        per_row = count_calls(monkeypatch, "_write_rows_by_type")
-        for name, res in shipped_runs.items():
-            fh = io.StringIO()
-            runner.write_csv(fh, runner.TELEMETRY_COLUMNS, res.rows)
-            assert fh.getvalue().count("\n") == len(res.rows) + 1, name
-        assert per_row == []
+    def test_every_written_csv_parsed_by_the_c_reader(self, monkeypatch, tmp_path, shipped_runs,
+                                                     streamed, commanded):
+        # Every telemetry file the runner writes and every figure table drawn
+        # from it reads back through numpy's reader, chunk by chunk, with no
+        # chunk sent to the per-column converter.
+        parsed, parse_chunk = [], runner._parse_chunk
+        monkeypatch.setattr(runner, "_parse_chunk",
+                            lambda lines, dtype: parsed.append(parse_chunk(lines, dtype))
+                            or parsed[-1])
+        runs = {**shipped_runs, "streamed": streamed[0], "commanded": commanded[0]}
+        n_chunks = 0
+        for name, res in runs.items():
+            path = tmp_path / f"{name}.csv"
+            runner.write_telemetry_csv(res.rows, path)
+            columns = runner.read_telemetry(path)
+            assert columns["t_s"].size == len(res.rows), name
+            for kind in runner.FIGURE_KINDS:
+                figure = tmp_path / f"{name}_{kind}.csv"
+                runner.emit_figure_data(columns, kind, figure)
+                assert runner.read_csv(figure, runner.FIGURE_KINDS[kind])["finger"].size \
+                    == len(res.rows), (name, kind)
+            n_chunks += 4 * -(-len(res.rows) // runner._CHUNK_LINES)
+        assert len(parsed) == n_chunks
+        assert all(table is not None for table in parsed)
 
-    def test_chunk_of_mixed_rows_written_row_by_row(self, monkeypatch):
-        # Chunks: one float where the first row has an int; uniform; all floats
-        # but rows of three lengths, which the type comparison alone would pass.
-        per_row = count_calls(monkeypatch, "_write_rows_by_type")
-        n = runner._CHUNK_LINES
-        rows = ([(1.5, 2)] * (n - 1) + [(1.5, 2.0)] + [(1.5, 2)] * n
-                + [(0.5, 1.5), (2.5,), (3.5, 4.5, 5.5)])
+    @pytest.mark.parametrize("bad_row, message", [
+        ((0.5,), "data row 1027 has 1 fields, the header has 3"),
+        ((0.5, 1, "Idle", 2), "data row 1027 has 4 fields, the header has 3"),
+        (("0.5", 1, "Idle"), "data row 1027: column 'a': must be real number, not str"),
+    ])
+    def test_row_refused_names_its_data_row(self, bad_row, message):
+        # The bad row lies inside the second chunk; the first is written, the
+        # second is not.
+        header = ("a", "finger", "fsm_mode")
+        rows = [(0.25 * k, k % 3, "Idle") for k in range(runner._CHUNK_LINES + 40)]
+        rows[runner._CHUNK_LINES + 2] = bad_row
         fh = io.StringIO()
-        runner.write_csv(fh, ("a", "b"), rows)
-        assert fh.getvalue() == self.per_value_lines(("a", "b"), rows)
-        assert [len(args[1]) for args in per_row] == [n, 3]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            runner.write_csv(fh, header, rows)
+        assert fh.getvalue() == self.per_column_lines(header, rows[:runner._CHUNK_LINES])
+
+    @pytest.mark.parametrize("row, message", [
+        ((), "data row 1 has 0 fields, the header has 1"),
+        ((None,), "data row 1: column 'y': must be real number, not NoneType"),
+        (((1, 2),), "data row 1: column 'y': must be real number, not tuple"),
+    ])
+    def test_one_column_row_refused(self, row, message):
+        # An empty row under one column, and a None or a tuple in a float
+        # column: none of them would read back as the row it was.
+        fh = io.StringIO()
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            runner.write_csv(fh, ("y",), [row])
+        assert fh.getvalue() == "y\n"
 
 
 def legacy_read_csv(path, required):
@@ -953,7 +990,7 @@ def legacy_read_csv(path, required):
     for i, name in enumerate(header):
         try:
             columns[name] = np.array([row[i] for row in rows],
-                                     dtype=runner._COLUMN_DTYPES.get(name, float))
+                                     dtype=runner._column_dtype(name))
         except (ValueError, OverflowError) as exc:
             raise DomainError(f"{path}: column {name!r}: {exc}") from None
     for name, column in columns.items():
@@ -1102,15 +1139,11 @@ class TestCsvReader:
         assert read_outcome(legacy_read_csv, path) in errors[:2]
 
     def test_shipped_csvs_read_without_the_column_converter(self, monkeypatch, tmp_path,
-                                                             shipped_runs, default_params,
-                                                             default_chain):
-        # The converter runs only on a chunk numpy's reader refuses: every
-        # fixture's telemetry and a calibration samples file must not need it.
+                                                             default_params, default_chain):
+        # The converter runs only on a chunk numpy's reader refuses: a
+        # calibration samples file must not need it (telemetry and figure
+        # files: TestCsvWriter.test_every_written_csv_parsed_by_the_c_reader).
         converted = count_calls(monkeypatch, "_typed_column")
-        for name, res in shipped_runs.items():
-            path = tmp_path / f"{name}.csv"
-            runner.write_telemetry_csv(res.rows, path)
-            assert runner.read_telemetry(path)["t_s"].size == len(res.rows), name
         data = calibration.simulate_calibration_run(default_params, default_chain,
                                                     [35e3, 45e3, 55e3], seed=3)
         samples = tmp_path / "samples.csv"
@@ -1192,7 +1225,8 @@ class TestFigureData:
         runner.emit_figure_data(cols, kind, out=out)
         wanted = runner.FIGURE_KINDS[kind]
         scalar_rows = list(zip(*(cols[c] for c in wanted)))
-        assert out.read_text(encoding="utf-8") == TestCsvWriter.per_value_lines(wanted, scalar_rows)
+        expected = TestCsvWriter.per_column_lines(wanted, scalar_rows)
+        assert out.read_text(encoding="utf-8") == expected
 
     def test_unknown_kind_rejected(self, telemetry):
         with pytest.raises(DomainError, match="unknown figure kind"):

@@ -80,7 +80,11 @@ def copy_working_tree(dest: Path) -> None:
 
 
 def bench_run(side_dir: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run: its exit code, result line and context line."""
+    """One perfbench run: its exit code, result line and context line.
+
+    The run's stderr tail is kept when it exits non-zero, since a failed check
+    prints its FAILED lines there, or when its result line does not parse.
+    """
     proc = run_child([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
                       str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                      side_dir, RUN_TIMEOUT_S)
@@ -90,6 +94,8 @@ def bench_run(side_dir: Path, workload: str, seed: int, seconds: float, trace: i
         record["result"] = json.loads(lines[-1])
         record["context"] = json.loads(lines[-2])["context"]
     except (IndexError, ValueError, KeyError):
+        pass
+    if proc.returncode or "context" not in record:
         record["stderr"] = proc.stderr[-2000:]
     return record
 
@@ -133,9 +139,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 def flat_run(record: dict, workload: str, seed: int, pair: int, side: str, first: str) -> dict:
     flat = {"workload": workload, "seed": seed, "pair": pair, "side": side, "first": first,
             "rc": record["rc"]}
+    if "stderr" in record:
+        flat["stderr"] = record["stderr"]
     result, context = record.get("result"), record.get("context")
     if result is None:
-        flat["stderr"] = record.get("stderr", "")
         return flat
     flat.update(failed=result["failed"], attempted=result["attempted"],
                 correct=result["correct"], passes=context["passes"],
@@ -152,6 +159,7 @@ def traced_pass(dirs: dict, workload: str) -> dict:
               for name in values["parent"]
               if name.endswith(".calls") and values["parent"][name] != values["change"].get(name)}
     return {"calls_that_differ": differ, "exit_codes": [r["rc"] for r in per_side.values()],
+            "stderr": {side: r["stderr"] for side, r in per_side.items() if "stderr" in r},
             **values}
 
 
