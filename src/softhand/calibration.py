@@ -188,50 +188,38 @@ class CalibrationData:
 
 
 _FAULT, _HOLDING = controller.Mode.FAULT, controller.Mode.HOLDING
-_SEALED = physics.ValvePair(False, False)
-# The fewest ticks a held span runs. A span is never longer than the hold
-# has lasted, so the sealed advances a re-engage wastes are at most the
-# ticks already held. One sample_block call costs about what 40 ticks save
-# by running in a span. tools/session_pairs.py times sessions whose holds
-# break, beside a parent commit.
-_MIN_SPAN = 64
 
 
 def _hold(path: sensors.SensorPath, plant: physics.FingerPlant, fsm_tick, fsm: controller.FsmState,
-          t: float, held_since: float, settle_s: float, config: controller.ControllerConfig,
-          max_ticks: int) -> tuple[controller.FsmState, float, bool]:
-    """The ticks from t until settle_s after held_since, at most max_ticks of them, as one
-    held span: (fsm, t, settled).
+          t: float, held_since: float, settle_s: float, config: controller.ControllerConfig
+          ) -> tuple[controller.FsmState, float]:
+    """The rest of a hold from t, up to settle_s or its first tick that leaves Holding: (fsm, t).
 
-    The plant is advanced sealed for every tick of the span, its state kept
-    per tick, and the span is sampled in one block. At the first tick whose
-    fsm_tick leaves Holding, or that the block stops before, the plant is put
-    back to that tick's state and the rest of the span's noise back on the
-    stream. A tick that left Holding is then finished with its own valves;
-    one the block stopped before is left for the caller's next tick, whose
-    sample raises.
+    The ticks run in held spans, each as many ticks as the hold has lasted,
+    up to settle_s. The plant runs a span's ticks sealed in one
+    FingerPlant.hold, and each tick then samples the state it starts at and
+    ticks the FSM, as a single tick does. The tick before a span held too,
+    so the pressure and contact force each tick starts at are those hold
+    leaves. At a tick that leaves Holding, the plant goes back to that
+    tick's curvature and advances with its valves.
     """
-    tick = controller.DEFAULT_TICK_PERIOD
-    times, states = [], []
-    while True:
-        times.append(t)
-        states.append((plant.pressure, plant.curvature, plant.contact_force))
-        plant.advance(_SEALED)
-        t += tick
-        if t - held_since >= settle_s or len(times) == max_ticks:
-            break
-    readings = path.sample_block([s[0] for s in states], [s[1] for s in states])
-    for i, reading in enumerate(readings):
-        fsm, valves = fsm_tick(fsm, reading, times[i], config)
-        if fsm.mode is not _HOLDING:
-            path.unread(len(readings) - i - 1)
-            plant.pressure, plant.curvature, plant.contact_force = states[i]
-            plant.advance(valves)
-            return fsm, times[i] + tick, False
-    if len(readings) == len(times):
-        return fsm, t, t - held_since >= settle_s
-    plant.pressure, plant.curvature, plant.contact_force = states[len(readings)]
-    return fsm, times[len(readings)], False
+    tick, sample, holding = controller.DEFAULT_TICK_PERIOD, path.sample, _HOLDING
+    while t - held_since < settle_s:
+        # The ticks left before settle_s, rounded down, never carry a span
+        # past it: t's rounding error is far below a tick. A last tick left
+        # over runs as a span of its own.
+        lasted, left = t - held_since, settle_s - (t - held_since)
+        kappas = plant.hold(max(1, min(round(lasted / tick), int(left / tick))))
+        p = plant.pressure
+        for kappa in kappas:
+            _, _, reading = sample(p, kappa)
+            fsm, valves = fsm_tick(fsm, reading, t, config)
+            t += tick
+            if fsm.mode is not holding:
+                plant.curvature = kappa
+                plant.advance(valves)
+                return fsm, t
+    return fsm, t
 
 
 def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.SensorChain,
@@ -247,19 +235,17 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
 
     Every tick samples, ticks the FSM and advances the plant, in that order.
     Once the FSM holds, the valves stay shut for as long as it keeps holding,
-    so a hold's ticks can run as held spans (_hold): the plant is advanced
-    sealed tick by tick, the span is sampled in one SensorPath.sample_block,
-    and controller.fsm_tick then runs on each reading in order. A span runs
-    as many ticks as the hold has lasted, up to settle_s, and only when that
-    is at least _MIN_SPAN ticks; the other ticks run one at a time. The
-    floats, the noise read and the fsm_tick calls are those of one tick at a
-    time; the block squares 1 + eps with Python's pow, as sample does, since
-    libm's pow(x, 2) is not always numpy's x*x.
+    so from the second held tick on the plant runs ahead in held spans
+    (_hold), each as many ticks as the hold has lasted, up to settle_s,
+    advanced sealed in one FingerPlant.hold; each tick is then sampled and
+    ticked as before. The floats, the noise read and the fsm_tick calls are
+    those of one tick at a time; only the sealed ticks a span runs past a
+    tick that leaves Holding are wasted.
 
     settle_s must be finite and >= 0: Holding has no timeout, so a session
     with a NaN or infinite settle_s would never end. So could noise that
     keeps breaking holds: a level that has run controller.MAX_TICKS ticks
-    fails at its next tick that does not hold, so held spans pay nothing.
+    fails at its next tick that does not hold, in a span or not.
     """
     if not (0.0 <= settle_s < math.inf):
         raise DomainError(f"settle_s: must be finite and >= 0, got {settle_s}")
@@ -273,10 +259,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     plant = physics.FingerPlant(params, dt=dt, n_steps=physics.substeps(tick, dt))
     p_out, k_out = [], []
     t = 0.0
-    holding, min_span = _HOLDING, _MIN_SPAN
-    # A span of at least min_span ticks fits before settle_s while the hold
-    # has lasted at most this many ticks.
-    last_span_start = settle_s / tick - min_span
+    holding = _HOLDING
     for level in levels_pa:
         fsm = controller.apply_command(fsm, protocol.SetPressureTarget(level), t, config)
         held_since = None
@@ -286,32 +269,21 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
             fsm, valves = fsm_tick(fsm, reading, t, config)
             plant.advance(valves)
             t += tick
-            if fsm.mode is not holding:
-                if fsm.mode is _FAULT:
-                    raise FitError(f"calibration servo faulted at level {level} Pa")
-                if t >= give_up:
-                    raise FitError(f"calibration servo did not settle at level {level} Pa "
-                                   f"in {controller.MAX_TICKS} ticks")
-                held_since = None
-                continue
-            if held_since is None:
-                held_since, held = t, 0
-            else:
-                held += 1
-            if t - held_since >= settle_s:
-                break
-            if not min_span <= held <= last_span_start:
-                continue
-            fsm, t, settled = _hold(path, plant, fsm_tick, fsm, t, held_since, settle_s,
-                                    config, held)
-            if settled:
-                break
             if fsm.mode is holding:
-                held = round((t - held_since) / tick)
-            elif fsm.mode is _FAULT:
+                if held_since is None:
+                    held_since = t
+                elif t - held_since < settle_s:
+                    fsm, t = _hold(path, plant, fsm_tick, fsm, t, held_since, settle_s, config)
+                if fsm.mode is holding:
+                    if t - held_since >= settle_s:
+                        break
+                    continue
+            if fsm.mode is _FAULT:
                 raise FitError(f"calibration servo faulted at level {level} Pa")
-            else:
-                held_since = None
+            if t >= give_up:
+                raise FitError(f"calibration servo did not settle at level {level} Pa "
+                               f"in {controller.MAX_TICKS} ticks")
+            held_since = None
         for _ in range(SAMPLES_PER_LEVEL):
             _, _, reading = path.sample(plant.pressure, plant.curvature)
             p_out.append(reading.pressure)

@@ -190,33 +190,33 @@ class FingerPlant:
         _check_state(p, kappa, self._p_max)
         self.pressure, self.curvature = p, kappa
 
-    def advance(self, valves: ValvePair, fill_scale: float = 1.0) -> None:
-        """Run n_steps substeps of dt with the given valves (see step for the equations).
+    def hold(self, n_ticks: int) -> list[float]:
+        """Run n_ticks ticks of advance with both valves shut: the curvature each tick starts at.
 
         With both valves shut dp/dt is 0, so the pressure, the target
         curvature, the cap and the contact force are the same on every
         substep: they are computed once, and only the curvature recurrence
-        runs per substep. The pressure still takes the substep's p + dt*0.0,
-        which turns -0.0 into 0.0.
+        runs per substep. The pressure still takes the first substep's
+        p + dt*0.0, which turns -0.0 into 0.0.
         """
-        (dt, n_steps, p_max, pump, neg_k_vent, p_threshold, kappa_at_threshold, slope_m,
+        (dt, n_steps, _, _, _, p_threshold, kappa_at_threshold, slope_m,
          force_gain, tau_inflate, tau_deflate, obj_cap) = self._consts
-        p, kappa = self.pressure, self.curvature
-        inlet, vent = valves.inlet, valves.vent
-        inf = math.inf
-        if not (inlet or vent):
-            # The state stays in [0, p_max], so the substep's clamps never fire.
-            p = p + 0.0
-            if p < p_threshold:
-                kappa_target = 0.0
-            else:
-                kappa_target = kappa_at_threshold + slope_m * (p - p_threshold)
-            cap = inf
-            force = 0.0
-            if obj_cap is not None and kappa_target >= obj_cap:
-                cap = obj_cap
-                force = force_gain * (kappa_target - cap)
-                kappa_target = cap
+        # The state stays in [0, p_max], so the substep's clamps never fire.
+        p = self.pressure + 0.0
+        if p < p_threshold:
+            kappa_target = 0.0
+        else:
+            kappa_target = kappa_at_threshold + slope_m * (p - p_threshold)
+        cap = math.inf
+        force = 0.0
+        if obj_cap is not None and kappa_target >= obj_cap:
+            cap = obj_cap
+            force = force_gain * (kappa_target - cap)
+            kappa_target = cap
+        kappa = self.curvature
+        starts = []
+        for _ in range(n_ticks):
+            starts.append(kappa)
             for _ in range(n_steps):
                 tau = tau_inflate if kappa_target > kappa else tau_deflate
                 kappa = kappa + dt * (kappa_target - kappa) / tau
@@ -224,8 +224,22 @@ class FingerPlant:
                     kappa = cap
                 if kappa < 0.0:
                     kappa = 0.0
-            self.pressure, self.curvature, self.contact_force = p, kappa, force
+        self.pressure, self.curvature, self.contact_force = p, kappa, force
+        return starts
+
+    def advance(self, valves: ValvePair, fill_scale: float = 1.0) -> None:
+        """Run n_steps substeps of dt with the given valves (see step for the equations).
+
+        With both valves shut this is one tick of hold.
+        """
+        inlet, vent = valves.inlet, valves.vent
+        if not (inlet or vent):
+            self.hold(1)
             return
+        (dt, n_steps, p_max, pump, neg_k_vent, p_threshold, kappa_at_threshold, slope_m,
+         force_gain, tau_inflate, tau_deflate, obj_cap) = self._consts
+        p, kappa = self.pressure, self.curvature
+        inf = math.inf
         fill_rate = fill_scale * self._k_fill
         for _ in range(n_steps):
             if inlet:

@@ -20,19 +20,17 @@ it once for every count from 0 to full scale, in numpy, by the same
 operations in the same order (+, -, *, / and sqrt are correctly rounded in
 numpy as in ``math``), and ``sample`` reads the tables.
 
-``SensorPath.sample_block`` runs ``sample`` over many (pressure, curvature)
-pairs at once, elementwise in numpy, with one exception: it squares
-1 + eps with Python's pow, one element at a time. libm's pow(x, 2) is not
-always x*x, which is what numpy's ** 2 and np.power compute: on 2,000,000
-uniform draws in [1, 1.8) the two differ in the last bit on 1,577 (glibc,
-x86-64). Any vectorised forward path has to square the same way.
+The forward path stays scalar: it squares 1 + eps with Python's pow, and
+libm's pow(x, 2) is not always x*x, which is what numpy's ** 2 and np.power
+compute: on 2,000,000 uniform draws in [1, 1.8) the two differ in the last
+bit on 1,577 (glibc, x86-64). Any vectorised forward path has to square the
+same way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -266,17 +264,10 @@ def counts_to_physical(frame: SensorFrame, chain: SensorChain,
         pressure_saturated=frame.pressure_counts <= 0 or frame.pressure_counts >= fsc)
 
 
-def _noise_blocks(rng: DeterministicRng, active: list):
-    """active[0], then rng's standard Gaussians in lists of _NOISE_BLOCK drawn one at a time.
-
-    Each block's iterator is put in active[0] before it is yielded, so
-    active[0] is always the iterator the stream reads from, and its unread
-    rest is the head of the stream.
-    """
-    yield active[0]
+def _noise_blocks(rng: DeterministicRng):
+    """rng's standard Gaussians in lists of _NOISE_BLOCK, each drawn when the last is used up."""
     while True:
-        active[0] = iter(rng.normals(_NOISE_BLOCK).tolist())
-        yield active[0]
+        yield rng.normals(_NOISE_BLOCK).tolist()
 
 
 class SensorPath:
@@ -297,19 +288,13 @@ class SensorPath:
     strain count whose divider voltage reaches excitation. That voltage only
     rises with the count, so every count from that one on raises. At 16 bits
     the three tables hold 65,537 doubles each, about 1.5 MB.
-
-    ``sample_block`` is ``sample`` over many (pressure, curvature) pairs at
-    once, in numpy, and ``unread`` puts the noise of its last samples back
-    at the head of the stream. ``sample`` reads the stream as before, so
-    neither makes it slower.
     """
 
     __slots__ = ("_d_neutral", "_r0", "_r_lead", "_strain_gain", "_v_excitation",
                  "_two_r_limit", "_strain_sigma", "_offset", "_fsp", "_fsv_per_fsp",
                  "_pressure_gain", "_pressure_sigma", "_v_ref", "_fsc", "_noise",
                  "_pressure_by_count", "_strain_by_count", "_curvature_by_count",
-                 "_clipped_by_count", "_strain_limit", "_rng", "_stream", "_active",
-                 "_draws_per_sample", "_block_samples", "_block_noise", "_block_head")
+                 "_strain_limit")
 
     def __init__(self, chain: SensorChain, cal: "CalibrationRecord | None" = None,
                  rng: DeterministicRng | None = None, ambient_offset: float = 0.0):
@@ -328,30 +313,16 @@ class SensorPath:
         self._pressure_gain = sensor.amp_gain
         self._pressure_sigma = sensor.noise_sigma
         self._v_ref, self._fsc = adc.v_ref, adc.full_scale_counts
-        self._rng = rng
-        self._noise = None
-        self._draws_per_sample = (self._strain_sigma > 0.0) + (self._pressure_sigma > 0.0)
-        self._block_samples, self._block_noise, self._block_head = 0, [], None
-        if rng is not None:
-            self._read_next([])
+        # A C iterator over the blocks: each Gaussian is one __next__ call.
+        self._noise = (None if rng is None
+                       else itertools.chain.from_iterable(_noise_blocks(rng)).__next__)
         self._tabulate_inverse(chain, cal)
-
-    def _read_next(self, draws: list) -> None:
-        """Make the noise stream read draws, then the rng's next Gaussians.
-
-        A C iterator over the blocks: each Gaussian is one __next__ call, and
-        the next block is drawn only when the last one is used up.
-        """
-        self._active = [iter(draws)]
-        self._stream = itertools.chain.from_iterable(_noise_blocks(self._rng, self._active))
-        self._noise = self._stream.__next__
 
     def _tabulate_inverse(self, chain: SensorChain, cal: "CalibrationRecord | None") -> None:
         """counts_to_physical's floats for every count, by its operations in its order.
 
         Each table is a memoryview of a float64 array: 8 bytes per count, and
-        indexing it gives a Python float. sample_block indexes their arrays,
-        and _clipped_by_count, whether a count is 0 or full scale.
+        indexing it gives a Python float.
         """
         v_ref, fsc = self._v_ref, self._fsc
         counts = np.arange(fsc + 1, dtype=np.float64)
@@ -363,7 +334,6 @@ class SensorPath:
             p_raw = (counts / fsc * v_ref / sensor.amp_gain
                      * (sensor.full_scale_pressure / sensor.full_scale_voltage))
         self._pressure_by_count = memoryview(p_raw - self._offset)
-        self._clipped_by_count = (counts <= 0.0) | (counts >= fsc)
 
         # The inverse path's gauge: the record's fit when given, else the chain's.
         if cal is not None:
@@ -425,91 +395,3 @@ class SensorPath:
             self._pressure_by_count[pressure_counts], self._curvature_by_count[strain_counts],
             self._strain_by_count[strain_counts], strain_counts <= 0 or strain_counts >= fsc,
             pressure_counts <= 0 or pressure_counts >= fsc))
-
-    def sample_block(self, pressures, curvatures) -> list[PhysicalReading]:
-        """``sample`` of each (pressure, curvature) pair in order, up to the first it refuses.
-
-        Entry i of the list is the reading ``sample`` returns for pair i.
-
-        The same operations in the same order, elementwise over float64
-        arrays, with the same noise read in stream order: strain, then
-        pressure, for each sample. (1 + eps) is squared with Python's pow, one
-        element at a time: libm's pow(x, 2) is not always x*x, which is what
-        numpy's ** 2 and np.power compute. The block stops before the first
-        sample that ``sample`` refuses, and before a 1 + eps of 2**511 or
-        more, whose square may overflow; that sample's noise stays unread, so
-        ``sample`` on it raises what it raises after the same draws.
-        """
-        curvatures = np.asarray(curvatures, dtype=np.float64)
-        one_plus_eps = 1.0 + self._d_neutral * curvatures
-        # Refused before a draw (curvature NaN, infinite or < 0), or left to sample.
-        sampled = (0.0 <= curvatures) & (one_plus_eps < 2.0 ** 511)
-        n = curvatures.size if sampled.all() else int(sampled.argmin())
-        v_ref, fsc = self._v_ref, self._fsc
-
-        # The draws come off the stream sample reads, a 1024-draw block at a time.
-        per = self._draws_per_sample
-        draws = list(itertools.islice(self._stream, n * per)) if per else []
-        noise = np.array(draws, dtype=np.float64).reshape(n, per)
-
-        r = self._r0 * np.array([x ** 2 for x in one_plus_eps[:n].tolist()]) + self._r_lead
-        amp_gain = self._strain_gain
-        v_adc = amp_gain * (self._v_excitation * r / (r + self._two_r_limit))
-        if self._strain_sigma > 0.0:
-            v_adc = v_adc + amp_gain * (noise[:, 0] * self._strain_sigma)
-        # Each clamp keeps a NaN, as sample's comparisons do; a -0.0 left by
-        # either still rounds to count 0.
-        v_adc = np.minimum(np.maximum(v_adc, 0.0), v_ref)
-        strain_counts = np.rint(v_adc / v_ref * fsc)
-        # Refused after its draws: a NaN channel pressure, or the divider at excitation.
-        refused = np.isnan(v_adc) | (strain_counts >= self._strain_limit)
-
-        p_channel = np.asarray(pressures, dtype=np.float64)[:n] + self._offset
-        amp_gain = self._pressure_gain
-        v_adc = amp_gain * (np.minimum(np.maximum(p_channel, 0.0), self._fsp) * self._fsv_per_fsp)
-        if self._pressure_sigma > 0.0:
-            v_adc = v_adc + amp_gain * (noise[:, -1] * self._pressure_sigma)
-        v_adc = np.minimum(np.maximum(v_adc, 0.0), v_ref)
-        pressure_counts = np.rint(v_adc / v_ref * fsc)
-        refused |= np.isnan(v_adc)
-
-        if refused.any():
-            n = int(refused.argmax())
-            if per:
-                self._read_next(draws[n * per:] + list(self._active[0]))
-        self._block_samples, self._block_noise = n, draws[:n * per]
-        self._block_head = self._stream_head()
-        strain_counts = strain_counts[:n].astype(np.intp)
-        pressure_counts = pressure_counts[:n].astype(np.intp)
-        clipped = self._clipped_by_count
-        return list(map(_new_tuple, itertools.repeat(PhysicalReading), zip(
-            self._pressure_by_count.obj[pressure_counts].tolist(),
-            self._curvature_by_count.obj[strain_counts].tolist(),
-            self._strain_by_count.obj[strain_counts].tolist(),
-            clipped[strain_counts].tolist(), clipped[pressure_counts].tolist())))
-
-    def _stream_head(self) -> tuple | None:
-        """The iterator at the head of the noise stream and how many draws it has left."""
-        if not self._draws_per_sample:
-            return None
-        return self._active[0], operator.length_hint(self._active[0])
-
-    def unread(self, n_samples: int) -> None:
-        """Put the noise of the last n_samples that sample_block returned back at the head.
-
-        The next draws are then those samples' draws again, in stream order.
-        Refused once the path has drawn since (a ``sample`` in between): the
-        draws put back would no longer be the head's. A path that draws
-        nothing has nothing to put back.
-        """
-        kept = self._block_samples - n_samples
-        if not (0 <= n_samples and 0 <= kept):
-            raise DomainError(f"n_samples: must be in [0, the last block's samples], "
-                              f"got {n_samples}")
-        if self._stream_head() != self._block_head:
-            raise DomainError("unread: the path has drawn since its last sample_block")
-        per = self._draws_per_sample
-        if n_samples and per:
-            self._read_next(self._block_noise[kept * per:] + list(self._active[0]))
-        self._block_samples, self._block_noise = kept, self._block_noise[:kept * per]
-        self._block_head = self._stream_head()

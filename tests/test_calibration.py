@@ -3,6 +3,7 @@ import hashlib
 import math
 import pathlib
 import tempfile
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -250,72 +251,128 @@ def tick_loop_calibration_run(params, chain, levels_pa, seed, settle_s=2.5,
 
 
 class RecordedPath(sensors.SensorPath):
-    """A SensorPath that keeps every instance built and every unread count, per class."""
+    """A SensorPath that keeps every instance built, per class."""
 
     __slots__ = ()
     made: list = []
-    unreads: list = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.made.append(self)
 
-    def unread(self, n_samples):
-        self.unreads.append(n_samples)
-        super().unread(n_samples)
+
+class RecordedPlant(physics.FingerPlant):
+    """A FingerPlant that logs each advance and each held span, per class.
+
+    Each entry is (kind, n_ticks, the fsm_tick calls so far): ("advance", 1,
+    ...) after its tick's fsm_tick, ("span", n_ticks, ...) for a hold called
+    on its own, before its ticks' fsm_tick calls. fsm_ticks is kept by
+    session_outcome.
+    """
+
+    __slots__ = ()
+    fsm_ticks = 0
+    advancing = False
+    log: list = []
+
+    def advance(self, valves, fill_scale=1.0):
+        self.log.append(("advance", 1, RecordedPlant.fsm_ticks))
+        RecordedPlant.advancing = True
+        try:
+            super().advance(valves, fill_scale)
+        finally:
+            RecordedPlant.advancing = False
+
+    def hold(self, n_ticks):
+        if not RecordedPlant.advancing:
+            self.log.append(("span", n_ticks, RecordedPlant.fsm_ticks))
+        return super().hold(n_ticks)
 
 
-def session_outcome(run, *args, **kwargs):
-    """(data or the FitError's text, the session path's next Gaussians, unread counts)."""
-    RecordedPath.made, RecordedPath.unreads = [], []
-    with mock.patch.object(sensors, "SensorPath", RecordedPath):
+class Outcome(NamedTuple):
+    result: object  # the data's bytes or the FitError's text
+    next_draws: list  # the session path's next 8 Gaussians
+    fsm_ticks: int
+    log: list  # RecordedPlant.log
+
+    def breaks(self) -> list[tuple[int, int]]:
+        """(n_ticks, the ticks sampled) of each held span that a tick left Holding in.
+
+        A span is followed by the next tick's advance; the tick that leaves
+        Holding advances before the span's next tick would have sampled.
+        """
+        return [(n_ticks, after - before)
+                for (kind, n_ticks, before), (_, _, after) in zip(self.log, self.log[1:])
+                if kind == "span" and after - before <= n_ticks]
+
+    def last_tick_broke(self) -> tuple[int, int] | None:
+        """breaks()' entry for a held span that the session's last tick left Holding in."""
+        kind, n_ticks, before = self.log[-2]
+        if kind == "span" and self.fsm_ticks - before <= n_ticks:
+            return n_ticks, self.fsm_ticks - before
+        return None
+
+
+def session_outcome(run, *args, **kwargs) -> Outcome:
+    """A session run with RecordedPath, RecordedPlant and a counted controller.fsm_tick."""
+    RecordedPath.made, RecordedPlant.log, RecordedPlant.fsm_ticks = [], [], 0
+    fsm_tick = controller.fsm_tick
+
+    def counted(*tick_args):
+        RecordedPlant.fsm_ticks += 1
+        return fsm_tick(*tick_args)
+
+    with mock.patch.object(sensors, "SensorPath", RecordedPath), \
+            mock.patch.object(physics, "FingerPlant", RecordedPlant), \
+            mock.patch.object(controller, "fsm_tick", counted):
         try:
             data = run(*args, **kwargs)
             result = (data.pressures.tobytes(), data.curvatures.tobytes())
         except FitError as exc:
             result = str(exc)
     (path,) = RecordedPath.made
-    return result, [path._noise() for _ in range(8)], RecordedPath.unreads
+    return Outcome(result, [path._noise() for _ in range(8)], RecordedPlant.fsm_ticks,
+                   RecordedPlant.log)
 
 
 class TestHeldSpans:
-    """Sessions whose holds break match the tick-by-tick loop: data or FitError, and stream."""
+    """Sessions whose holds break match the tick-by-tick loop: data or FitError, the
+    stream and the number of fsm_tick calls."""
 
     def same_as_tick_loop(self, params, chain, levels, seed, settle_s, dt):
         got = session_outcome(simulate_calibration_run, params, chain, levels, seed, settle_s, dt)
         expected = session_outcome(tick_loop_calibration_run, params, chain, levels, seed,
                                    settle_s, dt)
-        assert got[:2] == expected[:2]
+        assert got[:3] == expected[:3]
         return got
 
     def test_reengaged_hold_matches_the_tick_loop(self, default_params):
         # Pressure noise of about 500 Pa re-engages the 1,034 Pa servo mid-hold.
         chain = SensorChain(pressure=PressureSensorParams(noise_sigma=5e-4))
-        result, _, unreads = self.same_as_tick_loop(default_params, chain, (40e3, 50e3), 0,
-                                                    2.5, 2.5e-3)
-        assert not isinstance(result, str) and len(unreads) > 2 and max(unreads) > 0
+        got = self.same_as_tick_loop(default_params, chain, (40e3, 50e3), 0, 2.5, 2.5e-3)
+        assert not isinstance(got.result, str)
+        assert any(sampled < n_ticks for n_ticks, sampled in got.breaks())
 
     def test_overpressure_fault_from_a_hold_matches_the_tick_loop(self):
         # A 58.7 kPa hold under a 60 kPa p_max: the noise trips the overpressure Fault.
         params = physics.ActuatorParams(p_max=60e3)
         chain = SensorChain(pressure=PressureSensorParams(noise_sigma=5e-4))
-        result, _, unreads = self.same_as_tick_loop(params, chain, (58.7e3,), 0, 2.5, 2.5e-3)
-        assert result == "calibration servo faulted at level 58700.0 Pa"
-        assert unreads and unreads[-1] > 0
+        got = self.same_as_tick_loop(params, chain, (58.7e3,), 0, 2.5, 2.5e-3)
+        assert got.result == "calibration servo faulted at level 58700.0 Pa"
+        n_ticks, sampled = got.last_tick_broke()
+        assert sampled < n_ticks
 
     @settings(max_examples=25, deadline=None)
-    @given(sigma=st.floats(0.0, 8e-4), levels=st.lists(st.floats(32e3, 59e3), min_size=1,
+    @given(sigma=st.floats(0.0, 1e-3), levels=st.lists(st.floats(32e3, 59e3), min_size=1,
                                                           max_size=3),
            p_max=st.sampled_from((60e3, physics.ActuatorParams().p_max)),
-           seed=st.integers(0, 2 ** 64 - 1), settle_s=st.floats(0.0, 0.6),
-           dt=st.sampled_from((1e-3, 2.5e-3, 5e-3)),
-           min_span=st.sampled_from((1, 2, 7, calibration._MIN_SPAN)))
-    def test_any_session_matches_the_tick_loop(self, sigma, levels, p_max, seed, settle_s, dt,
-                                               min_span):
-        # Spans from one tick on: short holds, and spans that end at settle_s,
-        # run as held spans too.
+           seed=st.integers(0, 2 ** 64 - 1), settle_s=st.floats(0.0, 1.5),
+           dt=st.sampled_from((1e-3, 2.5e-3, 5e-3)))
+    def test_any_session_matches_the_tick_loop(self, sigma, levels, p_max, seed, settle_s, dt):
+        # At this noise some levels never settle: 20,000 ticks bound an
+        # example's time, and the deadline is reached inside spans too.
         chain = SensorChain(pressure=PressureSensorParams(noise_sigma=sigma))
-        with mock.patch.object(calibration, "_MIN_SPAN", min_span):
+        with mock.patch.object(controller, "MAX_TICKS", 20_000):
             self.same_as_tick_loop(physics.ActuatorParams(p_max=p_max), chain, levels, seed,
                                    settle_s, dt)
 
@@ -324,9 +381,21 @@ class TestHeldSpans:
         # level would run without end. 2,000 ticks stand in for the bound.
         monkeypatch.setattr(controller, "MAX_TICKS", 2_000)
         chain = SensorChain(pressure=PressureSensorParams(noise_sigma=1.5e-3))
-        result, _, _ = self.same_as_tick_loop(default_params, chain, (40e3,), 0, 0.5,
-                                              physics.DEFAULT_DT)
-        assert result == "calibration servo did not settle at level 40000.0 Pa in 2000 ticks"
+        got = self.same_as_tick_loop(default_params, chain, (40e3,), 0, 0.5, physics.DEFAULT_DT)
+        assert got.result == "calibration servo did not settle at level 40000.0 Pa in 2000 ticks"
+
+    @pytest.mark.parametrize("sigma,settle_s,max_ticks", [(8e-4, 1.5, 1_500),
+                                                          (1e-3, 1.0, 5_089)])
+    def test_deadline_passed_in_a_span_fails_the_level(self, monkeypatch, default_params, sigma,
+                                                       settle_s, max_ticks):
+        # The level's deadline passes while a held span runs, and that span
+        # breaks: the level fails at that tick, as at any tick that does not hold.
+        monkeypatch.setattr(controller, "MAX_TICKS", max_ticks)
+        chain = SensorChain(pressure=PressureSensorParams(noise_sigma=sigma))
+        got = self.same_as_tick_loop(default_params, chain, (40e3,), 0, settle_s, 2.5e-3)
+        assert got.result == (f"calibration servo did not settle at level 40000.0 Pa "
+                              f"in {max_ticks} ticks")
+        assert got.last_tick_broke()
 
     @pytest.mark.parametrize("settle_s", [math.nan, math.inf, -math.inf, -0.1])
     def test_settle_s_refused_before_a_tick(self, monkeypatch, default_params, default_chain,

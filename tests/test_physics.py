@@ -459,6 +459,23 @@ class TestSealedAdvance:
         plant.advance(SEALED)
         assert float_bits(plant.state)[0] == float.hex(0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), params=actuator_params(), radius=st.none() | st.floats(0.01, 0.2),
+           n_steps=st.integers(1, 10), dt=st.sampled_from((5e-4, 1e-3, 2.5e-3, 5e-3)),
+           n_ticks=st.integers(1, 40))
+    def test_hold_equals_sealed_advances(self, data, params, radius, n_steps, dt, n_ticks):
+        # sealed_start covers a -0.0 pressure, and curvatures at or above the cap.
+        obj = None if radius is None else RigidObject(radius=radius)
+        start = data.draw(sealed_start(params, radius))
+        held = FingerPlant(params, obj, dt, PneumaticCircuit(), n_steps, start)
+        stepped = FingerPlant(params, obj, dt, PneumaticCircuit(), n_steps, start)
+        starts = []
+        for _ in range(n_ticks):
+            starts.append(stepped.curvature)
+            stepped.advance(SEALED)
+        assert [float.hex(k) for k in held.hold(n_ticks)] == [float.hex(k) for k in starts]
+        assert float_bits(held.state) == float_bits(stepped.state)
+
 
 class TestHandStep:
     def three(self, default_params):

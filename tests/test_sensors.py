@@ -448,6 +448,22 @@ class TestSensorPathParity:
         assert path_samples(inputs, chain, cal, DeterministicRng(31), 1500.0) == \
             reference_samples(inputs, chain, cal, DeterministicRng(31), 1500.0)
 
+    def test_sample_squares_with_pythons_pow(self):
+        # libm's pow(x, 2), which Python's ** calls, is not always x*x. At this
+        # gain and curvature the two squares of 1 + eps fall on either side of
+        # a count boundary: sample reads 1507, and x*x would give 1508.
+        chain = replace(NOISELESS, gauge=StrainGaugeParams(amp_gain=20.01199549889114,
+                                                           noise_sigma=0.0))
+        curvature = 14.599250507175652
+        x = 1.0 + chain.d_neutral * curvature
+        assert x ** 2 != x * x
+        r = chain.gauge.r0 * (x * x) + chain.gauge.r_lead
+        assert resistance_to_counts(r, chain.gauge, chain.adc) == 1508
+        inputs = [(2e4, curvature)]
+        expected = reference_samples(inputs, chain, None, None, 0.0)
+        assert expected[0][0] == 1507
+        assert path_samples(inputs, chain, None, None, 0.0) == expected
+
     @pytest.mark.parametrize("pressure,curvature,message", [
         (1e4, float("nan"), "curvature must be finite and >= 0, got nan"),
         (1e4, -0.1, "curvature must be finite and >= 0, got -0.1"),
@@ -564,201 +580,16 @@ class TestInverseTables:
         assert path_samples(inputs, chain, None, DeterministicRng(8), 0.0) == expected
 
 
-# --- SensorPath.sample_block against sample --------------------------------
-
-def next_draws(path, n=24):
-    """The next n Gaussians of the path's stream: equal when both paths stand at one place."""
-    return [path._noise() for _ in range(n)]
-
-
-def sample_calls(path, inputs):
-    """sample on each pair, up to and with the first one it refuses."""
-    out = []
-    for pressure, curvature in inputs:
-        out.append(outcome(path.sample, pressure, curvature))
-        if isinstance(out[-1][-1], str):
-            break
-    return out
-
-
-def readings(outcomes):
-    """The readings of sample_calls' outcomes, and what the last one raised."""
-    return [out if isinstance(out[-1], str) else out[2] for out in outcomes]
-
-
-def block_calls(path, inputs):
-    """sample_block on the pairs, then sample on the first pair the block stopped before."""
-    out = path.sample_block([p for p, _ in inputs], [k for _, k in inputs])
-    if len(out) < len(inputs):
-        out.append(outcome(path.sample, *inputs[len(out)]))
-        assert isinstance(out[-1][-1], str), "the block stopped before a sample sample takes"
-    return out
-
-
-@st.composite
-def block_chains(draw):
-    """Noise-free or noisy channels at 8, 12 or 16 bits; gains that clamp at full scale."""
-    return SensorChain(
-        gauge=StrainGaugeParams(noise_sigma=draw(st.sampled_from((0.0, 1e-4, 1e-3))),
-                                amp_gain=draw(st.sampled_from((25.0, 40.0)))),
-        pressure=PressureSensorParams(
-            offset_drift=draw(st.floats(-3e3, 6e3)),
-            amp_gain=draw(st.sampled_from((20.0, 30.0))),
-            noise_sigma=draw(st.sampled_from((0.0, 1e-4, 1e-3)))),
-        adc=AdcParams(bits=draw(st.sampled_from((8, 12, 16)))),
-        d_neutral=draw(st.floats(0.002, 0.03)))
-
-
-# Pressures below the offset clamp at 0 counts, above about 86 kPa at gain 30
-# at full scale; curvatures past about 74 /m at gain 25 reach full scale.
-BLOCK_INPUTS = st.lists(st.tuples(st.floats(-8e3, 150e3), st.floats(0.0, 150.0)),
-                        min_size=0, max_size=40)
-
-
-class TestSampleBlock:
-    @settings(max_examples=60, deadline=None,
-              phases=[phase for phase in Phase if phase is not Phase.explain])
-    @given(chain=block_chains(), ambient=st.floats(-5e3, 5e3), seed=st.integers(0, 2 ** 64 - 1),
-           cal_kind=st.sampled_from(("none", "ideal", "fitted", "fitted_channel")),
-           before=st.lists(st.tuples(st.floats(0.0, 120e3), st.floats(0.0, 150.0)), max_size=5),
-           inputs=BLOCK_INPUTS)
-    def test_block_equals_sample_calls(self, chain, ambient, seed, cal_kind, before, inputs):
-        # Blocks of 8 draws: a few scalar samples first leave the head block part
-        # read, and a block of more than 4 samples reads past it.
-        cal = record_of_kind(cal_kind, chain, 2.1, 0.15, 0.012, 25.2, -40.0)
-        with mock.patch.object(sensors, "_NOISE_BLOCK", 8):
-            block = sensors.SensorPath(chain, cal, DeterministicRng(seed), ambient)
-            scalar = sensors.SensorPath(chain, cal, DeterministicRng(seed), ambient)
-            assert sample_calls(block, before) == sample_calls(scalar, before)
-            assert block_calls(block, inputs) == readings(sample_calls(scalar, inputs))
-            assert next_draws(block) == next_draws(scalar)
-
-    @settings(max_examples=40, deadline=None)
-    @given(chain=block_chains(), seed=st.integers(0, 2 ** 64 - 1), inputs=BLOCK_INPUTS,
-           data=st.data())
-    def test_unread_samples_read_again(self, chain, seed, inputs, data):
-        # A block, then its last n samples again with sample: the readings of
-        # sample on the whole input, so unread put back exactly those draws.
-        with mock.patch.object(sensors, "_NOISE_BLOCK", 8):
-            block = sensors.SensorPath(chain, rng=DeterministicRng(seed))
-            scalar = sensors.SensorPath(chain, rng=DeterministicRng(seed))
-            expected = sample_calls(scalar, inputs)
-            got = block.sample_block([p for p, _ in inputs], [k for _, k in inputs])
-            n = data.draw(st.integers(0, len(got)))
-            block.unread(n)
-            kept = len(got) - n
-            assert got[:kept] == readings(expected[:kept])
-            assert sample_calls(block, inputs[kept:]) == expected[kept:]
-            assert next_draws(block) == next_draws(scalar)
-
-    def test_unread_refuses_more_than_the_block_returned(self):
-        path = sensors.SensorPath(SensorChain(), rng=DeterministicRng(4))
-        path.sample_block([2e4] * 3, [5.0] * 3)
-        for n in (-1, 4):
-            with pytest.raises(DomainError, match=rf"^n_samples: .*got {n}$"):
-                path.unread(n)
-        path.unread(3)
-        with pytest.raises(DomainError, match="^n_samples"):
-            path.unread(1)
-
-    @pytest.mark.parametrize("draws_since", [1, 2, 1024], ids=["one", "two", "a_whole_block"])
-    def test_unread_refused_after_the_path_drew(self, draws_since):
-        # The draws since the block are the head of the stream, not the
-        # block's; putting the block's back would read those draws twice.
-        path = sensors.SensorPath(SensorChain(), rng=DeterministicRng(4))
-        path.sample_block([2e4] * 3, [5.0] * 3)
-        for _ in range(draws_since):
-            path._noise()
-        with pytest.raises(DomainError, match="^unread: the path has drawn since"):
-            path.unread(1)
-
-    def test_unread_refused_after_a_sample(self):
-        path = sensors.SensorPath(SensorChain(), rng=DeterministicRng(4))
-        path.sample_block([2e4] * 3, [5.0] * 3)
-        path.sample(2e4, 5.0)
-        with pytest.raises(DomainError, match="^unread: the path has drawn since"):
-            path.unread(1)
-        path.sample_block([2e4] * 3, [5.0] * 3)
-        path.unread(1)
-
-    @pytest.mark.parametrize("bits", [8, 12, 16])
-    def test_block_stops_at_the_strain_limit(self, bits):
-        # TestInverseTables' chain: about half the noisy strain readings reach
-        # excitation once inverted, so the block stops early and sample raises.
-        chain = replace(NOISELESS, gauge=StrainGaugeParams(r_limit=1e-3, amp_gain=0.5,
-                                                           noise_sigma=0.5),
-                        adc=AdcParams(bits=bits))
-        # A block from each sample on that follows a raise: the path reads
-        # on after a raise where sample does.
-        inputs = [(1e4, 100.0)] * 20
-        block = sensors.SensorPath(chain, rng=DeterministicRng(8))
-        scalar = sensors.SensorPath(chain, rng=DeterministicRng(8))
-        got, longest = [], 0
-        while len(got) < len(inputs):
-            part = block_calls(block, inputs[len(got):])
-            got += part
-            longest = max(longest, len(part))
-        expected = readings([outcome(scalar.sample, p, k) for p, k in inputs])
-        raised = (DomainError, "divider voltage at or above excitation; check gains")
-        assert 0 < expected.count(raised) < len(inputs) and longest > 2
-        assert got == expected
-        assert next_draws(block) == next_draws(scalar)
-
-    @pytest.mark.parametrize("pressure,curvature", [
-        (1e4, float("nan")), (1e4, -0.1), (float("nan"), 5.0), (1e4, float("inf")),
-    ], ids=["curvature_nan", "curvature_negative", "pressure_nan", "curvature_inf"])
-    def test_block_stops_before_a_refused_input(self, pressure, curvature):
-        inputs = [(2e4, 3.0), (3e4, 8.0), (pressure, curvature), (3e4, 8.0)]
-        for chain in (NOISELESS, SensorChain()):
-            block = sensors.SensorPath(chain, rng=DeterministicRng(3))
-            scalar = sensors.SensorPath(chain, rng=DeterministicRng(3))
-            got, expected = block_calls(block, inputs), readings(sample_calls(scalar, inputs))
-            assert len(got) == 3 and expected[2][0] is DomainError
-            assert got == expected
-            assert next_draws(block) == next_draws(scalar)
-
-    def test_block_squares_with_pythons_pow(self):
-        # libm's pow(x, 2), which Python's ** calls, is not always x*x. At this
-        # gain and curvature the two squares of 1 + eps fall on either side of
-        # a count boundary: sample reads 1507, and x*x would give 1508.
-        chain = replace(NOISELESS, gauge=StrainGaugeParams(amp_gain=20.01199549889114,
-                                                           noise_sigma=0.0))
-        curvature = 14.599250507175652
-        x = 1.0 + chain.d_neutral * curvature
-        assert x ** 2 != x * x
-        inputs = [(2e4, curvature)] * 3
-        expected = sample_calls(sensors.SensorPath(chain), inputs)
-        assert [s for s, _, _ in expected] == [1507] * 3
-        assert block_calls(sensors.SensorPath(chain), inputs) == readings(expected)
-
-    def test_block_clamps_at_zero_and_full_scale(self):
-        chain = SensorChain(pressure=PressureSensorParams(amp_gain=30.0, offset_drift=-2e3))
-        inputs = [(0.0, 0.0), (1e3, 0.5), (150e3, 90.0), (120e3, 80.0)] * 50
-        block = sensors.SensorPath(chain, rng=DeterministicRng(12))
-        scalar = sensors.SensorPath(chain, rng=DeterministicRng(12))
-        got, expected = block_calls(block, inputs), sample_calls(scalar, inputs)
-        fsc = chain.adc.full_scale_counts
-        assert {s for s, _, _ in expected} >= {fsc} and {p for _, p, _ in expected} >= {0, fsc}
-        assert got == readings(expected)
-        assert next_draws(block) == next_draws(scalar)
-
-
 # A seeded stream through the nominal pressure inverse (no record, or a fitted
 # record without a pressure channel) with offset drift and an ambient offset.
 # No GOLDEN, fixture or session digest goes through that inverse: each of
 # those builds its path with ideal_record, whose pressure channel inverts
-# pressure instead. The digests were taken before SensorPath.sample_block
-# existed.
+# pressure instead.
 PINNED_CHAIN = SensorChain(pressure=PressureSensorParams(offset_drift=650.0))
 PINNED_RAMP = [(250.0 * i, 0.225 * i) for i in range(400)]
 PINNED_STREAMS = {
     "none": "3083ab6c427598e2f4c46a81b7139c3be27c43f7f941637b7fc4ea18ced872a6",
     "fitted": "419001a710693f1843cce1c1608a5aaa9fc2727935e457e22e5c6c951bc72525",
-}
-# The same streams' readings alone, as sample_block returns them.
-PINNED_READINGS = {
-    "none": "9b67ae70da643f41793c5374b8dd29803527776b862563d98005973b63608040",
-    "fitted": "4919c9c7649fffaa5977279e3f678e35a2450bacedb8327481b881836f26ed58",
 }
 
 
@@ -774,14 +605,6 @@ class TestPinnedNominalInverse:
         assert {p for _, p, _ in samples} >= {0}  # the ramp starts below the offset
         digest = hashlib.sha256(repr(samples).encode()).hexdigest()
         assert digest == PINNED_STREAMS[cal_kind]
-
-    @pytest.mark.parametrize("cal_kind", sorted(PINNED_STREAMS))
-    def test_stream_bytes_pinned_through_the_block(self, cal_kind):
-        path = self.path(cal_kind)
-        expected = readings([path.sample(p, k) for p, k in PINNED_RAMP])
-        got = block_calls(self.path(cal_kind), PINNED_RAMP)
-        assert hashlib.sha256(repr(expected).encode()).hexdigest() == PINNED_READINGS[cal_kind]
-        assert hashlib.sha256(repr(got).encode()).hexdigest() == PINNED_READINGS[cal_kind]
 
 
 class TestGaussianDraw:
