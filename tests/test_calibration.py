@@ -298,12 +298,14 @@ class Outcome(NamedTuple):
     def breaks(self) -> list[tuple[int, int]]:
         """(n_ticks, the ticks sampled) of each held span that a tick left Holding in.
 
-        A span is followed by the next tick's advance; the tick that leaves
-        Holding advances before the span's next tick would have sampled.
+        A span that breaks is followed by the advance of the tick that left
+        Holding, logged before the span's next tick would have sampled. A span
+        whose ticks all held is followed by the next span, or by the advance
+        of a tick after its last.
         """
         return [(n_ticks, after - before)
-                for (kind, n_ticks, before), (_, _, after) in zip(self.log, self.log[1:])
-                if kind == "span" and after - before <= n_ticks]
+                for (kind, n_ticks, before), (next_kind, _, after) in zip(self.log, self.log[1:])
+                if kind == "span" and next_kind == "advance" and after - before <= n_ticks]
 
     def last_tick_broke(self) -> tuple[int, int] | None:
         """breaks()' entry for a held span that the session's last tick left Holding in."""
@@ -396,6 +398,24 @@ class TestHeldSpans:
         assert got.result == (f"calibration servo did not settle at level 40000.0 Pa "
                               f"in {max_ticks} ticks")
         assert got.last_tick_broke()
+
+    # t is summed tick by tick, so 0.1 s after held_since it stands just under
+    # 20 ticks on and 2.5 s after just under 500: a span stops short of the
+    # last whole tick, and the tick left over runs as a span of its own.
+    @pytest.mark.parametrize("settle_s,spans", [
+        (0.0, []), (0.005, []), (0.01, [1]), (0.0525, [1, 2, 4, 2, 1]),
+        (0.1, [1, 2, 4, 8, 3, 1]), (0.5, [1, 2, 4, 8, 16, 32, 36, 1]),
+        (2.5, [1, 2, 4, 8, 16, 32, 64, 128, 244, 1])])
+    def test_spans_as_long_as_the_hold_has_lasted(self, default_params, default_chain, settle_s,
+                                                  spans):
+        # The default chain's noise never breaks the hold: from the second held
+        # tick on, each span runs as many ticks as the hold has lasted, up to
+        # settle_s.
+        got = self.same_as_tick_loop(default_params, default_chain, (40e3,), 0, settle_s,
+                                     physics.DEFAULT_DT)
+        assert not isinstance(got.result, str) and got.breaks() == []
+        assert [n_ticks for kind, n_ticks, _ in got.log if kind == "span"] == spans
+        assert all(n_ticks <= 1 + sum(spans[:i]) for i, n_ticks in enumerate(spans))
 
     @pytest.mark.parametrize("settle_s", [math.nan, math.inf, -math.inf, -0.1])
     def test_settle_s_refused_before_a_tick(self, monkeypatch, default_params, default_chain,

@@ -464,6 +464,19 @@ class TestSensorPathParity:
         assert expected[0][0] == 1507
         assert path_samples(inputs, chain, None, None, 0.0) == expected
 
+    @pytest.mark.parametrize("bits", [8, 12, 16])
+    def test_sample_clamps_at_zero_and_full_scale(self, bits):
+        # Pressures below the -2 kPa offset read 0 counts; at gain 30,
+        # pressures above about 86 kPa read full scale, and so do curvatures
+        # past about 74 /m at the default strain gain.
+        chain = SensorChain(pressure=PressureSensorParams(amp_gain=30.0, offset_drift=-2e3),
+                            adc=AdcParams(bits=bits))
+        inputs = [(0.0, 0.0), (1e3, 0.5), (150e3, 90.0), (120e3, 80.0)] * 50
+        expected = reference_samples(inputs, chain, None, DeterministicRng(12), 0.0)
+        fsc = chain.adc.full_scale_counts
+        assert {s for s, _, _ in expected} >= {fsc} and {p for _, p, _ in expected} >= {0, fsc}
+        assert path_samples(inputs, chain, None, DeterministicRng(12), 0.0) == expected
+
     @pytest.mark.parametrize("pressure,curvature,message", [
         (1e4, float("nan"), "curvature must be finite and >= 0, got nan"),
         (1e4, -0.1, "curvature must be finite and >= 0, got -0.1"),
@@ -605,6 +618,21 @@ class TestPinnedNominalInverse:
         assert {p for _, p, _ in samples} >= {0}  # the ramp starts below the offset
         digest = hashlib.sha256(repr(samples).encode()).hexdigest()
         assert digest == PINNED_STREAMS[cal_kind]
+
+
+class TestNoiseStream:
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_blocks_drawn_only_when_the_last_is_used_up(self, n):
+        # The path's noise is the rng's Gaussians in order, drawn a block of
+        # 1,024 at a time: after n draws the rng has given exactly the blocks
+        # those n draws began.
+        rng, scalar = DeterministicRng(7), DeterministicRng(7)
+        path = sensors.SensorPath(SensorChain(), rng=rng)
+        drawn = [path._noise().hex() for _ in range(n)]
+        n_blocks = -(-n // sensors._NOISE_BLOCK)
+        expected = [scalar.normal(1.0).hex() for _ in range(n_blocks * sensors._NOISE_BLOCK)]
+        assert drawn == expected[:n]
+        assert rng._state == scalar._state
 
 
 class TestGaussianDraw:
