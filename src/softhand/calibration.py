@@ -190,38 +190,6 @@ class CalibrationData:
 _FAULT, _HOLDING = controller.Mode.FAULT, controller.Mode.HOLDING
 
 
-def _hold(path: sensors.SensorPath, plant: physics.FingerPlant, fsm_tick, fsm: controller.FsmState,
-          t: float, held_since: float, settle_s: float, config: controller.ControllerConfig
-          ) -> tuple[controller.FsmState, float]:
-    """The rest of a hold from t, up to settle_s or its first tick that leaves Holding: (fsm, t).
-
-    The ticks run in held spans, each as many ticks as the hold has lasted,
-    up to settle_s. The plant runs a span's ticks sealed in one
-    FingerPlant.hold, and each tick then samples the state it starts at and
-    ticks the FSM, as a single tick does. The tick before a span held too,
-    so the pressure and contact force each tick starts at are those hold
-    leaves. At a tick that leaves Holding, the plant goes back to that
-    tick's curvature and advances with its valves.
-    """
-    tick, sample, holding = controller.DEFAULT_TICK_PERIOD, path.sample, _HOLDING
-    while t - held_since < settle_s:
-        # The ticks left before settle_s, rounded down, never carry a span
-        # past it: t's rounding error is far below a tick. A last tick left
-        # over runs as a span of its own.
-        lasted, left = t - held_since, settle_s - (t - held_since)
-        kappas = plant.hold(max(1, min(round(lasted / tick), int(left / tick))))
-        p = plant.pressure
-        for kappa in kappas:
-            _, _, reading = sample(p, kappa)
-            fsm, valves = fsm_tick(fsm, reading, t, config)
-            t += tick
-            if fsm.mode is not holding:
-                plant.curvature = kappa
-                plant.advance(valves)
-                return fsm, t
-    return fsm, t
-
-
 def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.SensorChain,
                              levels_pa, seed: int, settle_s: float = 2.5,
                              dt: float = physics.DEFAULT_DT) -> CalibrationData:
@@ -233,19 +201,16 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     on the bench. Returned values are the noisy, quantized measurements, not
     the simulator truth.
 
-    Every tick samples, ticks the FSM and advances the plant, in that order.
-    Once the FSM holds, the valves stay shut for as long as it keeps holding,
-    so from the second held tick on the plant runs ahead in held spans
-    (_hold), each as many ticks as the hold has lasted, up to settle_s,
-    advanced sealed in one FingerPlant.hold; each tick is then sampled and
-    ticked as before. The floats, the noise read and the fsm_tick calls are
-    those of one tick at a time; only the sealed ticks a span runs past a
-    tick that leaves Holding are wasted.
+    Every tick samples, ticks the FSM and advances the plant, in that order,
+    held or not. Once the FSM holds, the valves stay shut, and the plant
+    runs those sealed ticks ahead by itself (physics.FingerPlant), so the
+    floats, the noise read and the fsm_tick calls are those of one tick at
+    a time.
 
     settle_s must be finite and >= 0: Holding has no timeout, so a session
     with a NaN or infinite settle_s would never end. So could noise that
     keeps breaking holds: a level that has run controller.MAX_TICKS ticks
-    fails at its next tick that does not hold, in a span or not.
+    fails at its next tick that does not hold.
     """
     if not (0.0 <= settle_s < math.inf):
         raise DomainError(f"settle_s: must be finite and >= 0, got {settle_s}")
@@ -257,6 +222,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
     fsm = controller.FsmState()
     tick = controller.DEFAULT_TICK_PERIOD
     plant = physics.FingerPlant(params, dt=dt, n_steps=physics.substeps(tick, dt))
+    sample, advance = path.sample, plant.advance
     p_out, k_out = [], []
     t = 0.0
     holding = _HOLDING
@@ -265,19 +231,16 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
         held_since = None
         give_up = t + (controller.MAX_TICKS - 0.5) * tick  # MAX_TICKS ticks from now
         while True:
-            _, _, reading = path.sample(plant.pressure, plant.curvature)
+            _, _, reading = sample(plant.pressure, plant.curvature)
             fsm, valves = fsm_tick(fsm, reading, t, config)
-            plant.advance(valves)
+            advance(valves)
             t += tick
             if fsm.mode is holding:
                 if held_since is None:
                     held_since = t
-                elif t - held_since < settle_s:
-                    fsm, t = _hold(path, plant, fsm_tick, fsm, t, held_since, settle_s, config)
-                if fsm.mode is holding:
-                    if t - held_since >= settle_s:
-                        break
-                    continue
+                if t - held_since >= settle_s:
+                    break
+                continue
             if fsm.mode is _FAULT:
                 raise FitError(f"calibration servo faulted at level {level} Pa")
             if t >= give_up:
@@ -285,7 +248,7 @@ def simulate_calibration_run(params: physics.ActuatorParams, chain: sensors.Sens
                                f"in {controller.MAX_TICKS} ticks")
             held_since = None
         for _ in range(SAMPLES_PER_LEVEL):
-            _, _, reading = path.sample(plant.pressure, plant.curvature)
+            _, _, reading = sample(plant.pressure, plant.curvature)
             p_out.append(reading.pressure)
             k_out.append(reading.curvature)
     return CalibrationData(pressures=np.array(p_out), curvatures=np.array(k_out),

@@ -11,7 +11,8 @@ returns. PneumaticCircuit holds what is fixed for a run: the pump pressure
 and whether the fingers share its flow. A closed loop holds one FingerPlant
 per finger per run, which reads the parameters and checks dt and the start
 state once and owns the state as floats; each advance runs a control tick's
-n_steps substeps. step and hand_step build a plant and advance it once.
+n_steps substeps, a sealed one from ticks the plant ran ahead (FingerPlant).
+step and hand_step build a plant and advance it once.
 
 Units: gauge Pa, 1/m, N, s. Integration is explicit Euler; the time
 constants are >= 0.1 s so any dt <= 10 ms has a wide stability margin.
@@ -30,6 +31,9 @@ MAX_DT = 10e-3
 # A smaller step resolves nothing the >= 0.1 s time constants need, and a
 # step that rounds to zero would ask for a practically endless run.
 MIN_DT = 1e-5
+# Most sealed ticks a FingerPlant runs ahead of the one it is asked for: a
+# longer span saves little per tick and wastes more when a valve opens.
+SPAN_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -160,9 +164,18 @@ def _check_state(p: float, kappa: float, p_max: float) -> None:
 
 
 class FingerPlant:
-    """One finger for a whole run: constants read, and dt, n_steps and state checked, once."""
+    """One finger for a whole run: constants read, and dt, n_steps and state checked, once.
 
-    __slots__ = ("pressure", "curvature", "contact_force", "_p_max", "_k_fill", "_consts")
+    A sealed advance takes the next tick the plant ran ahead. When none is
+    left it runs a span of sealed ticks, as many as have run sealed since the
+    last open valve or kick (at least 1, at most SPAN_CAP). An open advance
+    and a kick discard what is left, so each advance leaves the floats of one
+    tick at a time. Only advance and kick change the state: callers read
+    pressure, curvature and contact_force and never assign them.
+    """
+
+    __slots__ = ("pressure", "curvature", "contact_force", "_p_max", "_k_fill", "_consts",
+                 "_ahead", "_sealed")
 
     def __init__(self, params: ActuatorParams, obj: RigidObject | None = None,
                  dt: float = DEFAULT_DT, circuit: PneumaticCircuit = PneumaticCircuit(),
@@ -178,6 +191,10 @@ class FingerPlant:
                         params.p_threshold, params.kappa_at_threshold, params.slope_m,
                         params.force_gain, params.tau_inflate, params.tau_deflate,
                         None if obj is None else 1.0 / obj.radius)
+        # The curvatures of the sealed ticks run ahead, the next one last,
+        # and the sealed ticks run since the last open valve or kick.
+        self._ahead: list[float] = []
+        self._sealed = 0
 
     @property
     def state(self) -> ActuatorState:
@@ -189,9 +206,10 @@ class FingerPlant:
         kappa = max(self.curvature + d_curvature, 0.0)
         _check_state(p, kappa, self._p_max)
         self.pressure, self.curvature = p, kappa
+        self._ahead, self._sealed = [], 0
 
-    def hold(self, n_ticks: int) -> list[float]:
-        """Run n_ticks ticks of advance with both valves shut: the curvature each tick starts at.
+    def _sealed_span(self) -> list[float]:
+        """Run the next span of sealed ticks: the curvature each ends at, the last tick first.
 
         With both valves shut dp/dt is 0, so the pressure, the target
         curvature, the cap and the contact force are the same on every
@@ -199,6 +217,8 @@ class FingerPlant:
         runs per substep. The pressure still takes the first substep's
         p + dt*0.0, which turns -0.0 into 0.0.
         """
+        n_ticks = min(self._sealed, SPAN_CAP) or 1
+        self._sealed += n_ticks
         (dt, n_steps, _, _, _, p_threshold, kappa_at_threshold, slope_m,
          force_gain, tau_inflate, tau_deflate, obj_cap) = self._consts
         # The state stays in [0, p_max], so the substep's clamps never fire.
@@ -214,9 +234,8 @@ class FingerPlant:
             force = force_gain * (kappa_target - cap)
             kappa_target = cap
         kappa = self.curvature
-        starts = []
+        ends = []
         for _ in range(n_ticks):
-            starts.append(kappa)
             for _ in range(n_steps):
                 tau = tau_inflate if kappa_target > kappa else tau_deflate
                 kappa = kappa + dt * (kappa_target - kappa) / tau
@@ -224,18 +243,25 @@ class FingerPlant:
                     kappa = cap
                 if kappa < 0.0:
                     kappa = 0.0
-        self.pressure, self.curvature, self.contact_force = p, kappa, force
-        return starts
+            ends.append(kappa)
+        ends.reverse()
+        self.pressure, self.contact_force = p, force
+        return ends
 
     def advance(self, valves: ValvePair, fill_scale: float = 1.0) -> None:
         """Run n_steps substeps of dt with the given valves (see step for the equations).
 
-        With both valves shut this is one tick of hold.
+        With both valves shut this takes the next tick run ahead (see the class).
         """
         inlet, vent = valves.inlet, valves.vent
         if not (inlet or vent):
-            self.hold(1)
+            ahead = self._ahead
+            if not ahead:
+                ahead = self._ahead = self._sealed_span()
+            self.curvature = ahead.pop()
             return
+        if self._sealed:
+            self._ahead, self._sealed = [], 0
         (dt, n_steps, p_max, pump, neg_k_vent, p_threshold, kappa_at_threshold, slope_m,
          force_gain, tau_inflate, tau_deflate, obj_cap) = self._consts
         p, kappa = self.pressure, self.curvature

@@ -2,7 +2,7 @@
 
 perfbench wraps every call site in perfbench/layers.json by its dotted path,
 the calibration_batch workload takes its simulated time from the number of
-controller.fsm_tick calls (one per tick the physics.FingerPlant runs), and
+controller.fsm_tick calls (one per physics.FingerPlant.advance), and
 grasp_sweep reports protocol.encode calls as its frames-encoded count: command
 frames only, since protocol.encode_telemetry builds telemetry frames without
 it. A rename or a rerouted loop would otherwise fail only the benchmark run,
@@ -48,36 +48,16 @@ def count_calls(monkeypatch, calls, owner, attr, key=None):
     monkeypatch.setattr(owner, attr, wrapper)
 
 
-def test_calibration_run_ticks_fsm_once_per_physics_step(monkeypatch):
-    # The plant's ticks: each advance, and each tick of a hold called on its
-    # own (a held span). A sealed advance runs its tick as hold(1), counted
-    # once, as the advance. At the default noise no held span breaks, so no
-    # tick the plant runs goes unsampled.
-    calls = {"fsm_tick": 0, "plant_ticks": 0, "spans": 0}
-    in_advance = []
-    advance, hold = physics.FingerPlant.advance, physics.FingerPlant.hold
+def test_calibration_run_ticks_fsm_once_per_plant_advance(monkeypatch):
+    # The plant runs held ticks ahead by itself, but the session still
+    # advances it once per tick, held or not, and ticks the FSM once per tick.
+    calls = {}
     count_calls(monkeypatch, calls, controller, "fsm_tick")
-
-    def counted_advance(self, *args):
-        calls["plant_ticks"] += 1
-        in_advance.append(True)
-        try:
-            advance(self, *args)
-        finally:
-            in_advance.pop()
-
-    def counted_hold(self, n_ticks):
-        if not in_advance:
-            calls["plant_ticks"] += n_ticks
-            calls["spans"] += 1
-        return hold(self, n_ticks)
-
-    monkeypatch.setattr(physics.FingerPlant, "advance", counted_advance)
-    monkeypatch.setattr(physics.FingerPlant, "hold", counted_hold)
+    count_calls(monkeypatch, calls, physics.FingerPlant, "advance")
     calibration.simulate_calibration_run(physics.ActuatorParams(), sensors.SensorChain(),
                                          [40e3], seed=1, settle_s=0.1)
-    assert calls["fsm_tick"] > 0 and calls["spans"] > 0
-    assert calls["fsm_tick"] == calls["plant_ticks"]
+    assert calls["fsm_tick"] > 0
+    assert calls["fsm_tick"] == calls["advance"]
 
 
 def test_calibration_batch_session_fsm_ticks_pinned(monkeypatch):

@@ -206,7 +206,8 @@ class TestIdentifiabilityLoop:
 
 def tick_loop_calibration_run(params, chain, levels_pa, seed, settle_s=2.5,
                               dt=physics.DEFAULT_DT):
-    """simulate_calibration_run one tick at a time (sample, fsm_tick, advance), also holding.
+    """simulate_calibration_run one tick at a time (sample, fsm_tick, step), with no plant
+    that runs ahead: each tick is one physics.step from the state the last one left.
 
     A level that has run controller.MAX_TICKS ticks fails at its next tick
     that does not hold.
@@ -216,7 +217,8 @@ def tick_loop_calibration_run(params, chain, levels_pa, seed, settle_s=2.5,
                               DeterministicRng(seed))
     fsm = controller.FsmState()
     tick = controller.DEFAULT_TICK_PERIOD
-    plant = physics.FingerPlant(params, dt=dt, n_steps=physics.substeps(tick, dt))
+    n_steps = physics.substeps(tick, dt)
+    state = physics.ActuatorState()
     p_out, k_out = [], []
     t = 0.0
     fault, holding = controller.Mode.FAULT, controller.Mode.HOLDING
@@ -225,9 +227,9 @@ def tick_loop_calibration_run(params, chain, levels_pa, seed, settle_s=2.5,
         held_since = None
         ticks = 0
         while True:
-            _, _, reading = path.sample(plant.pressure, plant.curvature)
+            _, _, reading = path.sample(state.pressure, state.curvature)
             fsm, valves = controller.fsm_tick(fsm, reading, t, config)
-            plant.advance(valves)
+            state = physics.step(state, params, valves, dt=dt, n_steps=n_steps)
             t += tick
             ticks += 1
             if fsm.mode is fault:
@@ -243,7 +245,7 @@ def tick_loop_calibration_run(params, chain, levels_pa, seed, settle_s=2.5,
             else:
                 held_since = None
         for _ in range(calibration.SAMPLES_PER_LEVEL):
-            _, _, reading = path.sample(plant.pressure, plant.curvature)
+            _, _, reading = path.sample(state.pressure, state.curvature)
             p_out.append(reading.pressure)
             k_out.append(reading.curvature)
     return CalibrationData(pressures=np.array(p_out), curvatures=np.array(k_out),
@@ -262,62 +264,34 @@ class RecordedPath(sensors.SensorPath):
 
 
 class RecordedPlant(physics.FingerPlant):
-    """A FingerPlant that logs each advance and each held span, per class.
-
-    Each entry is (kind, n_ticks, the fsm_tick calls so far): ("advance", 1,
-    ...) after its tick's fsm_tick, ("span", n_ticks, ...) for a hold called
-    on its own, before its ticks' fsm_tick calls. fsm_ticks is kept by
-    session_outcome.
-    """
+    """A FingerPlant that logs each advance with a valve open that drops sealed ticks it had
+    run ahead: (the fsm_tick calls so far, the ticks dropped), per class. fsm_ticks is kept
+    by session_outcome."""
 
     __slots__ = ()
     fsm_ticks = 0
-    advancing = False
-    log: list = []
+    dropped: list = []
 
     def advance(self, valves, fill_scale=1.0):
-        self.log.append(("advance", 1, RecordedPlant.fsm_ticks))
-        RecordedPlant.advancing = True
-        try:
-            super().advance(valves, fill_scale)
-        finally:
-            RecordedPlant.advancing = False
-
-    def hold(self, n_ticks):
-        if not RecordedPlant.advancing:
-            self.log.append(("span", n_ticks, RecordedPlant.fsm_ticks))
-        return super().hold(n_ticks)
+        if (valves.inlet or valves.vent) and self._ahead:
+            self.dropped.append((RecordedPlant.fsm_ticks, len(self._ahead)))
+        super().advance(valves, fill_scale)
 
 
 class Outcome(NamedTuple):
     result: object  # the data's bytes or the FitError's text
     next_draws: list  # the session path's next 8 Gaussians
     fsm_ticks: int
-    log: list  # RecordedPlant.log
+    dropped: list  # RecordedPlant.dropped
 
-    def breaks(self) -> list[tuple[int, int]]:
-        """(n_ticks, the ticks sampled) of each held span that a tick left Holding in.
-
-        A span that breaks is followed by the advance of the tick that left
-        Holding, logged before the span's next tick would have sampled. A span
-        whose ticks all held is followed by the next span, or by the advance
-        of a tick after its last.
-        """
-        return [(n_ticks, after - before)
-                for (kind, n_ticks, before), (next_kind, _, after) in zip(self.log, self.log[1:])
-                if kind == "span" and next_kind == "advance" and after - before <= n_ticks]
-
-    def last_tick_broke(self) -> tuple[int, int] | None:
-        """breaks()' entry for a held span that the session's last tick left Holding in."""
-        kind, n_ticks, before = self.log[-2]
-        if kind == "span" and self.fsm_ticks - before <= n_ticks:
-            return n_ticks, self.fsm_ticks - before
-        return None
+    def last_tick_dropped(self) -> bool:
+        """Whether the session's last tick opened a valve while the plant had run ahead."""
+        return bool(self.dropped) and self.dropped[-1][0] == self.fsm_ticks
 
 
 def session_outcome(run, *args, **kwargs) -> Outcome:
     """A session run with RecordedPath, RecordedPlant and a counted controller.fsm_tick."""
-    RecordedPath.made, RecordedPlant.log, RecordedPlant.fsm_ticks = [], [], 0
+    RecordedPath.made, RecordedPlant.dropped, RecordedPlant.fsm_ticks = [], [], 0
     fsm_tick = controller.fsm_tick
 
     def counted(*tick_args):
@@ -334,7 +308,7 @@ def session_outcome(run, *args, **kwargs) -> Outcome:
             result = str(exc)
     (path,) = RecordedPath.made
     return Outcome(result, [path._noise() for _ in range(8)], RecordedPlant.fsm_ticks,
-                   RecordedPlant.log)
+                   RecordedPlant.dropped)
 
 
 class TestHeldSpans:
@@ -346,14 +320,16 @@ class TestHeldSpans:
         expected = session_outcome(tick_loop_calibration_run, params, chain, levels, seed,
                                    settle_s, dt)
         assert got[:3] == expected[:3]
+        assert expected.dropped == []  # a plant built per step never runs ahead
         return got
 
     def test_reengaged_hold_matches_the_tick_loop(self, default_params):
-        # Pressure noise of about 500 Pa re-engages the 1,034 Pa servo mid-hold.
+        # Pressure noise of about 500 Pa re-engages the 1,034 Pa servo mid-hold,
+        # while the plant has sealed ticks run ahead.
         chain = SensorChain(pressure=PressureSensorParams(noise_sigma=5e-4))
         got = self.same_as_tick_loop(default_params, chain, (40e3, 50e3), 0, 2.5, 2.5e-3)
         assert not isinstance(got.result, str)
-        assert any(sampled < n_ticks for n_ticks, sampled in got.breaks())
+        assert got.dropped
 
     def test_overpressure_fault_from_a_hold_matches_the_tick_loop(self):
         # A 58.7 kPa hold under a 60 kPa p_max: the noise trips the overpressure Fault.
@@ -361,8 +337,7 @@ class TestHeldSpans:
         chain = SensorChain(pressure=PressureSensorParams(noise_sigma=5e-4))
         got = self.same_as_tick_loop(params, chain, (58.7e3,), 0, 2.5, 2.5e-3)
         assert got.result == "calibration servo faulted at level 58700.0 Pa"
-        n_ticks, sampled = got.last_tick_broke()
-        assert sampled < n_ticks
+        assert got.last_tick_dropped()
 
     @settings(max_examples=25, deadline=None)
     @given(sigma=st.floats(0.0, 1e-3), levels=st.lists(st.floats(32e3, 59e3), min_size=1,
@@ -372,7 +347,7 @@ class TestHeldSpans:
            dt=st.sampled_from((1e-3, 2.5e-3, 5e-3)))
     def test_any_session_matches_the_tick_loop(self, sigma, levels, p_max, seed, settle_s, dt):
         # At this noise some levels never settle: 20,000 ticks bound an
-        # example's time, and the deadline is reached inside spans too.
+        # example's time, and the deadline is reached inside held spans too.
         chain = SensorChain(pressure=PressureSensorParams(noise_sigma=sigma))
         with mock.patch.object(controller, "MAX_TICKS", 20_000):
             self.same_as_tick_loop(physics.ActuatorParams(p_max=p_max), chain, levels, seed,
@@ -386,36 +361,27 @@ class TestHeldSpans:
         got = self.same_as_tick_loop(default_params, chain, (40e3,), 0, 0.5, physics.DEFAULT_DT)
         assert got.result == "calibration servo did not settle at level 40000.0 Pa in 2000 ticks"
 
-    @pytest.mark.parametrize("sigma,settle_s,max_ticks", [(8e-4, 1.5, 1_500),
+    @pytest.mark.parametrize("sigma,settle_s,max_ticks", [(8e-4, 1.5, 1_411),
                                                           (1e-3, 1.0, 5_089)])
     def test_deadline_passed_in_a_span_fails_the_level(self, monkeypatch, default_params, sigma,
                                                        settle_s, max_ticks):
-        # The level's deadline passes while a held span runs, and that span
-        # breaks: the level fails at that tick, as at any tick that does not hold.
+        # The level's deadline passes while the plant has sealed ticks run
+        # ahead, and the hold breaks: the level fails at that tick, as at any
+        # tick that does not hold.
         monkeypatch.setattr(controller, "MAX_TICKS", max_ticks)
         chain = SensorChain(pressure=PressureSensorParams(noise_sigma=sigma))
         got = self.same_as_tick_loop(default_params, chain, (40e3,), 0, settle_s, 2.5e-3)
         assert got.result == (f"calibration servo did not settle at level 40000.0 Pa "
                               f"in {max_ticks} ticks")
-        assert got.last_tick_broke()
+        assert got.last_tick_dropped()
 
-    # t is summed tick by tick, so 0.1 s after held_since it stands just under
-    # 20 ticks on and 2.5 s after just under 500: a span stops short of the
-    # last whole tick, and the tick left over runs as a span of its own.
-    @pytest.mark.parametrize("settle_s,spans", [
-        (0.0, []), (0.005, []), (0.01, [1]), (0.0525, [1, 2, 4, 2, 1]),
-        (0.1, [1, 2, 4, 8, 3, 1]), (0.5, [1, 2, 4, 8, 16, 32, 36, 1]),
-        (2.5, [1, 2, 4, 8, 16, 32, 64, 128, 244, 1])])
-    def test_spans_as_long_as_the_hold_has_lasted(self, default_params, default_chain, settle_s,
-                                                  spans):
-        # The default chain's noise never breaks the hold: from the second held
-        # tick on, each span runs as many ticks as the hold has lasted, up to
-        # settle_s.
+    @pytest.mark.parametrize("settle_s", [0.0, 0.005, 0.01, 0.0525, 0.1, 0.5, 2.5])
+    def test_unbroken_hold_matches_the_tick_loop(self, default_params, default_chain, settle_s):
+        # The default chain's noise never breaks the hold, and the session
+        # ends with its one level: no sealed tick run ahead is dropped.
         got = self.same_as_tick_loop(default_params, default_chain, (40e3,), 0, settle_s,
                                      physics.DEFAULT_DT)
-        assert not isinstance(got.result, str) and got.breaks() == []
-        assert [n_ticks for kind, n_ticks, _ in got.log if kind == "span"] == spans
-        assert all(n_ticks <= 1 + sum(spans[:i]) for i, n_ticks in enumerate(spans))
+        assert not isinstance(got.result, str) and got.dropped == []
 
     @pytest.mark.parametrize("settle_s", [math.nan, math.inf, -math.inf, -0.1])
     def test_settle_s_refused_before_a_tick(self, monkeypatch, default_params, default_chain,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from softhand.units import psi
 
 CONFIG = ControllerConfig()
 CLOSED = physics.ValvePair(False, False)
+VENT_OPEN = physics.ValvePair(False, True)
+INLET_OPEN = physics.ValvePair(True, False)
 
 
 def closed_loop(target, seconds=12.0, obj=None, params=None, config=CONFIG):
@@ -55,6 +59,22 @@ class TestFsmTick:
         assert held.mode is Mode.HOLDING and valve == CLOSED
         reengaged, valve = fsm_tick(fsm, PhysicalReading(outside, 0.0, 0.0), 1.0)
         assert reengaged.mode is Mode.VENTING and valve.vent
+
+    def test_holding_reengages_just_past_the_reengage_band(self):
+        # A 1,000 Pa deadband and a 40 kPa target keep err exact: a hold
+        # stays at |err| == reengage_factor * band and re-engages one float past it.
+        config = ControllerConfig(pressure_deadband=1000.0)
+        fsm = FsmState(Mode.HOLDING, SetPressureTarget(40e3), 0.0)
+        edge = config.reengage_factor * config.pressure_deadband
+        assert edge == 2000.0
+        for pressure in (40e3 + edge, 40e3 - edge):
+            assert fsm_tick(fsm, PhysicalReading(pressure, 0.0, 0.0), 1.0, config) == (fsm, CLOSED)
+        vented, valve = fsm_tick(fsm, PhysicalReading(math.nextafter(42e3, math.inf), 0.0, 0.0),
+                                 1.0, config)
+        assert vented == FsmState(Mode.VENTING, fsm.target, 1.0) and valve == VENT_OPEN
+        filled, valve = fsm_tick(fsm, PhysicalReading(math.nextafter(38e3, -math.inf), 0.0, 0.0),
+                                 1.0, config)
+        assert filled == FsmState(Mode.INFLATING, fsm.target, 1.0) and valve == INLET_OPEN
 
     def test_servo_timeout_faults_and_vents(self):
         fsm = apply_command(FsmState(), SetPressureTarget(50e3), 0.0)

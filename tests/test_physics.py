@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softhand.errors import CircuitError, DomainError
-from softhand.physics import (MAX_DT, MIN_DT, ActuatorParams, ActuatorState, FingerPlant,
-                              PneumaticCircuit, RigidObject, ValvePair, hand_step,
+from softhand.physics import (MAX_DT, MIN_DT, SPAN_CAP, ActuatorParams, ActuatorState,
+                              FingerPlant, PneumaticCircuit, RigidObject, ValvePair, hand_step,
                               steady_state_curvature, step)
 from softhand.units import psi
 
@@ -432,9 +432,26 @@ def sealed_start(draw, params, radius):
     return ActuatorState(pressure, curvature, draw(st.sampled_from((0.0, 0.7))))
 
 
+@st.composite
+def sealed_case(draw):
+    """(params, obj, n_steps, dt, start) for a plant, its start drawn by sealed_start."""
+    params = draw(actuator_params())
+    radius = draw(st.none() | st.floats(0.01, 0.2))
+    start = draw(sealed_start(params, radius))
+    return (params, None if radius is None else RigidObject(radius=radius),
+            draw(st.integers(1, 4)), draw(st.sampled_from((5e-4, 1e-3, 2.5e-3, 5e-3))), start)
+
+
+FILL_SCALES = st.sampled_from((1.0, 0.5, 1.0 / 3.0)) | st.floats(0.05, 1.0)
+PLANT_SCHEDULE_OPS = st.one_of(
+    st.tuples(st.just("sealed"), st.integers(1, 3 * SPAN_CAP), FILL_SCALES),
+    st.tuples(st.just("open"), st.sampled_from((INLET, VENT)), FILL_SCALES),
+    st.tuples(st.just("kick"), st.floats(-150e3, 150e3), st.floats(-200.0, 200.0)))
+
+
 class TestSealedAdvance:
-    """With both valves shut, advance computes the pressure, target, cap and force once,
-    and gives the floats of every substep run whole."""
+    """With both valves shut, advance computes the pressure, target, cap and force once
+    per span of ticks run ahead, and gives the floats of every substep run whole."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), params=actuator_params(), radius=st.none() | st.floats(0.01, 0.2),
@@ -459,22 +476,56 @@ class TestSealedAdvance:
         plant.advance(SEALED)
         assert float_bits(plant.state)[0] == float.hex(0.0)
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), params=actuator_params(), radius=st.none() | st.floats(0.01, 0.2),
-           n_steps=st.integers(1, 10), dt=st.sampled_from((5e-4, 1e-3, 2.5e-3, 5e-3)),
-           n_ticks=st.integers(1, 40))
-    def test_hold_equals_sealed_advances(self, data, params, radius, n_steps, dt, n_ticks):
-        # sealed_start covers a -0.0 pressure, and curvatures at or above the cap.
-        obj = None if radius is None else RigidObject(radius=radius)
-        start = data.draw(sealed_start(params, radius))
-        held = FingerPlant(params, obj, dt, PneumaticCircuit(), n_steps, start)
-        stepped = FingerPlant(params, obj, dt, PneumaticCircuit(), n_steps, start)
-        starts = []
-        for _ in range(n_ticks):
-            starts.append(stepped.curvature)
-            stepped.advance(SEALED)
-        assert [float.hex(k) for k in held.hold(n_ticks)] == [float.hex(k) for k in starts]
-        assert float_bits(held.state) == float_bits(stepped.state)
+    @settings(max_examples=150, deadline=None)
+    @given(case=sealed_case(), schedule=st.lists(PLANT_SCHEDULE_OPS, min_size=1, max_size=8))
+    @example(case=(ActuatorParams(), None, 2, 1e-3, ActuatorState(45e3, 2.0)),
+             schedule=[("sealed", 100, 1.0), ("kick", 5e3, -2.0), ("sealed", 70, 0.5),
+                       ("open", INLET, 0.5), ("sealed", 3, 1.0), ("open", VENT, 1.0),
+                       ("sealed", 2 * SPAN_CAP + 5, 1.0)])
+    def test_schedule_equals_the_whole_substep_loop(self, case, schedule):
+        # Sealed runs past the span cap, open ticks and kicks, most of them
+        # while the plant has sealed ticks run ahead: every tick reads as
+        # the whole substep loop run one tick at a time.
+        params, obj, n_steps, dt, start = case
+        plant = FingerPlant(params, obj, dt, PneumaticCircuit(), n_steps, start)
+        expected = start
+        for op, a, b in schedule:
+            if op == "kick":
+                plant.kick(a, b)
+                expected = reference_kick(expected, params, a, b)
+                assert float_bits(plant.state) == float_bits(expected)
+                continue
+            valves, n_ticks = (SEALED, a) if op == "sealed" else (a, 1)
+            for _ in range(n_ticks):
+                plant.advance(valves, b)
+                for _ in range(n_steps):
+                    expected = reference_step(expected, params, valves, obj, dt,
+                                              PneumaticCircuit(), b)
+                assert float_bits(plant.state) == float_bits(expected)
+
+    def test_spans_as_long_as_the_sealed_ticks_so_far(self, monkeypatch, default_params):
+        # Each span runs as many ticks as have run sealed since the last open
+        # valve or kick, at least 1 and at most SPAN_CAP; the count starts
+        # over after either.
+        spans = []
+        sealed_span = FingerPlant._sealed_span
+
+        def logged(self):
+            ends = sealed_span(self)
+            spans.append(len(ends))
+            return ends
+
+        monkeypatch.setattr(FingerPlant, "_sealed_span", logged)
+        plant = FingerPlant(default_params, state=ActuatorState(45e3, 2.0))
+        for _ in range(5 * SPAN_CAP):
+            plant.advance(SEALED)
+        assert spans == [1, 1, 2, 4, 8, 16, 32, 64, 64, 64, 64] and SPAN_CAP == 64
+        for restart in (lambda: plant.advance(VENT), lambda: plant.kick(0.0, 0.0)):
+            del spans[:]
+            restart()
+            for _ in range(6):
+                plant.advance(SEALED)
+            assert spans == [1, 1, 2, 4]
 
 
 class TestHandStep:

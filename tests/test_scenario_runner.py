@@ -755,6 +755,21 @@ class TestTelemetryAndEvents:
         assert len(kicks) == 2
         assert all(e["t_s"] == pytest.approx(23.0, abs=0.01) for e in kicks)
 
+    @pytest.mark.parametrize("offset,tick_index", [(1e-13, 7), (2e-12, 8)])
+    def test_command_and_disturbance_act_at_the_tick_they_fall_in(self, offset, tick_index):
+        # A command or disturbance due up to 1e-12 s after a tick's float
+        # acts at that tick; one due 2e-12 s after it acts at the next.
+        base = scenario.load_shipped_scenario("empty_grasp")
+        t_s = 7 * base.tick_s + offset
+        sc = dataclasses.replace(
+            base, duration_s=0.1,
+            commands=(scenario.ScheduledCommand(t_s, 0, protocol.SetPressureTarget(40e3)),),
+            disturbances=(scenario.Disturbance(t_s, 1, pressure_step_pa=1e3),))
+        acted = {e["kind"]: e["t_s"] for e in runner.run_scenario(sc).events
+                 if e["kind"] in ("command_sent", "disturbance")}
+        assert acted == {"command_sent": tick_index * sc.tick_s,
+                         "disturbance": tick_index * sc.tick_s}
+
     def test_overflowing_curvature_disturbances_raise(self):
         # Each kick is finite; their sum overflows to an infinite curvature.
         kicks = tuple(scenario.Disturbance(t_s=0.01, finger=1, curvature_step_per_m=1e308)
